@@ -12,14 +12,14 @@
 // runs until stdin reaches EOF — so a parent process ends it by closing
 // the pipe, with no signal races.
 //
-// Usage: gat_server [--port N] [--host A.B.C.D] [--trajectories N]
-//                   [--seed N] [--threads N] [--shards N]
-//                   [--quota-rate R] [--quota-burst B]
-//                   [--ingest-rate R] [--ingest-burst B]
-//                   [--merge-interval-ms N]
+// Usage: see kUsage below. An unknown flag, a flag without a value, or a
+// value that is not a number in its flag's range exits 2 with the usage
+// text — nothing is bound or built.
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstdint>
 #include <cstdio>
@@ -40,30 +40,97 @@
 
 namespace {
 
-uint64_t FlagU64(int argc, char** argv, const char* name, uint64_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtoull(argv[i + 1], nullptr, 10);
-    }
-  }
-  return fallback;
+constexpr char kUsage[] =
+    "usage: gat_server [--port 0-65535] [--host A.B.C.D]\n"
+    "                  [--trajectories 1-4294967295] [--seed N]\n"
+    "                  [--threads 0-1024 (0 = one per core)]\n"
+    "                  [--shards 1-1024] [--quota-rate R] [--quota-burst B]\n"
+    "                  [--ingest-rate R] [--ingest-burst B]\n"
+    "                  [--merge-interval-ms 0-86400000 (0 = no merges)]\n"
+    "  rates and bursts: finite numbers >= 0\n";
+
+struct Flags {
+  std::string host = "127.0.0.1";
+  uint64_t port = 0;
+  uint64_t trajectories = 200;
+  uint64_t seed = 29;
+  uint64_t threads = 4;
+  uint64_t shards = 2;
+  double quota_rate = 1000.0;
+  double quota_burst = 100.0;
+  double ingest_rate = 10000.0;
+  double ingest_burst = 1000.0;
+  uint64_t merge_interval_ms = 0;
+};
+
+/// Decimal digits only, no sign or blanks, within [lo, hi].
+bool ParseU64(const char* text, uint64_t lo, uint64_t hi, uint64_t* out) {
+  if (*text < '0' || *text > '9') return false;
+  errno = 0;
+  char* end = nullptr;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (errno != 0 || *end != '\0' || value < lo || value > hi) return false;
+  *out = value;
+  return true;
 }
 
-double FlagF64(int argc, char** argv, const char* name, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) {
-      return std::strtod(argv[i + 1], nullptr);
-    }
+/// A finite, non-negative token-bucket rate or burst.
+bool ParseQuota(const char* text, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+      value < 0.0) {
+    return false;
   }
-  return fallback;
+  *out = value;
+  return true;
 }
 
-std::string FlagStr(int argc, char** argv, const char* name,
-                    const std::string& fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], name) == 0) return argv[i + 1];
+/// Fills `flags` from argv; false (with the reason on stderr) on any
+/// unknown flag, missing value or out-of-range value.
+bool ParseFlags(int argc, char** argv, Flags* flags) {
+  for (int i = 1; i < argc; i += 2) {
+    const char* name = argv[i];
+    if (i + 1 >= argc) {
+      std::fprintf(stderr, "gat_server: %s needs a value\n", name);
+      return false;
+    }
+    const char* value = argv[i + 1];
+    bool ok = true;
+    if (std::strcmp(name, "--host") == 0) {
+      flags->host = value;
+    } else if (std::strcmp(name, "--port") == 0) {
+      ok = ParseU64(value, 0, 65535, &flags->port);
+    } else if (std::strcmp(name, "--trajectories") == 0) {
+      ok = ParseU64(value, 1, UINT32_MAX, &flags->trajectories);
+    } else if (std::strcmp(name, "--seed") == 0) {
+      ok = ParseU64(value, 0, UINT64_MAX, &flags->seed);
+    } else if (std::strcmp(name, "--threads") == 0) {
+      ok = ParseU64(value, 0, 1024, &flags->threads);
+    } else if (std::strcmp(name, "--shards") == 0) {
+      ok = ParseU64(value, 1, 1024, &flags->shards);
+    } else if (std::strcmp(name, "--quota-rate") == 0) {
+      ok = ParseQuota(value, &flags->quota_rate);
+    } else if (std::strcmp(name, "--quota-burst") == 0) {
+      ok = ParseQuota(value, &flags->quota_burst);
+    } else if (std::strcmp(name, "--ingest-rate") == 0) {
+      ok = ParseQuota(value, &flags->ingest_rate);
+    } else if (std::strcmp(name, "--ingest-burst") == 0) {
+      ok = ParseQuota(value, &flags->ingest_burst);
+    } else if (std::strcmp(name, "--merge-interval-ms") == 0) {
+      ok = ParseU64(value, 0, 86400000, &flags->merge_interval_ms);
+    } else {
+      std::fprintf(stderr, "gat_server: unknown flag %s\n", name);
+      return false;
+    }
+    if (!ok) {
+      std::fprintf(stderr, "gat_server: bad value '%s' for %s\n", value,
+                   name);
+      return false;
+    }
   }
-  return fallback;
+  return true;
 }
 
 }  // namespace
@@ -71,15 +138,16 @@ std::string FlagStr(int argc, char** argv, const char* name,
 int main(int argc, char** argv) {
   using namespace gat;
 
-  const auto trajectories =
-      static_cast<uint32_t>(FlagU64(argc, argv, "--trajectories", 200));
-  const uint64_t seed = FlagU64(argc, argv, "--seed", 29);
-  const auto threads =
-      static_cast<uint32_t>(FlagU64(argc, argv, "--threads", 4));
-  const auto shards =
-      static_cast<uint32_t>(FlagU64(argc, argv, "--shards", 2));
-  const uint64_t merge_interval_ms =
-      FlagU64(argc, argv, "--merge-interval-ms", 0);
+  Flags flags;
+  if (!ParseFlags(argc, argv, &flags)) {
+    std::fputs(kUsage, stderr);
+    return 2;
+  }
+  const auto trajectories = static_cast<uint32_t>(flags.trajectories);
+  const uint64_t seed = flags.seed;
+  const auto threads = static_cast<uint32_t>(flags.threads);
+  const auto shards = static_cast<uint32_t>(flags.shards);
+  const uint64_t merge_interval_ms = flags.merge_interval_ms;
 
   std::fprintf(stderr, "building city: %u trajectories, seed %llu, %u shards\n",
                trajectories, static_cast<unsigned long long>(seed), shards);
@@ -93,18 +161,15 @@ int main(int argc, char** argv) {
   QueryEngine engine(searcher, EngineOptions{.executor = &executor});
 
   FrontDoorOptions door_options;
-  door_options.default_quota =
-      TenantQuota{FlagF64(argc, argv, "--quota-rate", 1000.0),
-                  FlagF64(argc, argv, "--quota-burst", 100.0)};
+  door_options.default_quota = TenantQuota{flags.quota_rate, flags.quota_burst};
   door_options.default_write_quota =
-      TenantQuota{FlagF64(argc, argv, "--ingest-rate", 10000.0),
-                  FlagF64(argc, argv, "--ingest-burst", 1000.0)};
+      TenantQuota{flags.ingest_rate, flags.ingest_burst};
   FrontDoor door(engine, door_options);
   door.AttachLiveIndex(&live);
 
   wire::ServerOptions server_options;
-  server_options.host = FlagStr(argc, argv, "--host", "127.0.0.1");
-  server_options.port = static_cast<uint16_t>(FlagU64(argc, argv, "--port", 0));
+  server_options.host = flags.host;
+  server_options.port = static_cast<uint16_t>(flags.port);
   server_options.executor = &executor;
   wire::Server server(door, server_options);
   if (!server.Start()) {

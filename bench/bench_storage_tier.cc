@@ -16,13 +16,10 @@
 //     the budget (LRU inclusion; hard-asserted at --threads 1 where the
 //     access sequence is deterministic) and avg_ms falls as misses —
 //     the real reads — disappear.
-//   * cold/io=...: the cold-working-set sweep — a thrash-sized cache
-//     (file/16) under every physical read path: pagefault (mmap),
-//     feedback-widened prefetch, explicit async reads (io_uring or the
-//     pread pool), stage-then-search, and staging with scan-resistant
-//     admission. Logical disk_reads must equal the simulated reference
-//     at every point (fatal otherwise); wall-clock percentiles and
-//     worker_stalls are advisory.
+//   * cold/io=mmap: the cold working set — a thrash-sized cache
+//     (file/16) in front of the pagefault tier with batch prefetch.
+//     Logical disk_reads must equal the simulated reference (fatal
+//     otherwise); wall-clock percentiles are advisory.
 //   * mmap/shards=N: ShardedIndex in mmap mode (one shared cache
 //     budget) at 1/2/4 shards, asserted bit-identical to the reference.
 //   * startup/...: stream-load vs mmap-load wall-clock — what not
@@ -94,31 +91,22 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
 
   // ------------------------------------- equivalence: results + disk reads
   // The acceptance bar of the subsystem: same answers, same logical
-  // read counts, per query, across every physical read path — the mmap
-  // tier and the async tier change what a read physically does
-  // (pagefaults vs explicit positioned I/O), never how many the
-  // algorithm performs.
+  // read counts, per query — the mmap tier changes what a read
+  // physically does, never how many the algorithm performs.
   {
     const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(snapshot_path);
-    MappedSnapshotOptions async_options;
-    async_options.io_mode = SnapshotIoMode::kAsync;
-    const LoadedSnapshot async_snap =
-        LoadedSnapshot::LoadMapped(snapshot_path, async_options);
-    if (!snap || !async_snap) {
-      std::fprintf(stderr, "FATAL: cannot mmap/async-load %s\n",
+    if (!snap) {
+      std::fprintf(stderr, "FATAL: cannot mmap-load %s\n",
                    snapshot_path.c_str());
       std::exit(1);
     }
     const GatSearcher mapped(city, *snap);
-    const GatSearcher async_mapped(city, *async_snap);
     for (size_t i = 0; i < queries.size(); ++i) {
-      SearchStats sim_stats, map_stats, async_stats;
+      SearchStats sim_stats, map_stats;
       const ResultList want = simulated.Search(queries[i], kTopK, kKind,
                                                &sim_stats);
       const ResultList got = mapped.Search(queries[i], kTopK, kKind,
                                            &map_stats);
-      const ResultList async_got = async_mapped.Search(queries[i], kTopK,
-                                                       kKind, &async_stats);
       if (want != got || sim_stats.disk_reads != map_stats.disk_reads) {
         std::fprintf(stderr,
                      "FATAL: mmap tier diverged at query %zu (results %s, "
@@ -128,21 +116,10 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
                      static_cast<unsigned long long>(map_stats.disk_reads));
         std::exit(1);
       }
-      if (want != async_got ||
-          sim_stats.disk_reads != async_stats.disk_reads) {
-        std::fprintf(stderr,
-                     "FATAL: async tier (%s) diverged at query %zu "
-                     "(results %s, disk_reads %llu vs %llu)\n",
-                     async_snap.mapped()->async_tier()->backend_name(), i,
-                     want == async_got ? "equal" : "DIFFER",
-                     static_cast<unsigned long long>(sim_stats.disk_reads),
-                     static_cast<unsigned long long>(async_stats.disk_reads));
-        std::exit(1);
-      }
     }
     std::printf("equivalence: %zu queries bit-identical, disk_reads equal "
-                "across simulated / mmap / async (%s)\n",
-                queries.size(), async_snap.mapped()->async_tier()->backend_name());
+                "across simulated / mmap\n",
+                queries.size());
   }
 
   // --------------------------------------------------------- cache sweep
@@ -203,119 +180,40 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
                 "signal)\n");
   }
 
-  // --------------------------------------------- cold working set sweep
-  // Every point starts from its own cold cache sized to thrash
-  // (file/16) — the regime where the physical read path matters. The
-  // points walk the tentpole: pagefault baseline, feedback-widened
-  // prefetch, explicit async reads, stage-then-search (queries yield
-  // their executor slot while cold blocks are in flight), and staging
-  // with scan-resistant admission. Logical disk_reads must equal the
-  // simulated reference at every point — staging, feedback and
-  // admission change when (and whether) blocks are resident, never how
-  // many logical reads the algorithm performs. `worker_stalls` /
-  // latency percentiles are the wall-clock side and stay advisory.
+  // ------------------------------------------------- cold working set
+  // A cold cache sized to thrash (file/16) — the regime where the miss
+  // path matters. Logical disk_reads must equal the simulated reference:
+  // residency changes what a read costs, never how many logical reads
+  // the algorithm performs.
   {
-    struct ColdPoint {
-      const char* label;
-      bool async;
-      bool staged;
-      bool feedback;
-      bool scan_resistant;
-    };
-    const ColdPoint cold_points[] = {
-        {"cold/io=mmap", false, false, false, false},
-        {"cold/io=mmap+feedback", false, false, true, false},
-        {"cold/io=async", true, false, false, false},
-        {"cold/io=async-staged", true, true, false, false},
-        {"cold/io=async-staged-2q", true, true, false, true},
-    };
-    std::printf("\n%-26s%14s%14s%14s%14s%14s\n", "cold point", "backend",
-                "blocks read", "stalls", "adm rejects", "p95 ms");
-    double mmap_p95 = -1.0;
-    double staged_p95 = -1.0;
-    for (const ColdPoint& point : cold_points) {
-      MappedSnapshotOptions options;
-      options.cache_config.block_bytes = 1024;
-      options.cache_config.shards = 4;
-      options.cache_config.capacity_bytes =
-          std::max<uint64_t>(file_bytes / 16, 4 * 1024);
-      if (point.scan_resistant) {
-        options.cache_config.admission = CacheAdmission::kScanResistant;
-      }
-      if (point.async) options.io_mode = SnapshotIoMode::kAsync;
-      const LoadedSnapshot snap =
-          LoadedSnapshot::LoadMapped(snapshot_path, options);
-      if (!snap) {
-        std::fprintf(stderr, "FATAL: load failed at %s\n", point.label);
-        std::exit(1);
-      }
-      const GatSearcher mapped(city, *snap);
-      PrefetchScheduler prefetcher({snap.index()}, &snap.mapped()->cache());
-      if (point.feedback) {
-        prefetcher.ConfigureFeedback({.enabled = true});
-      }
-      std::unique_ptr<IoStager> stager;
-      if (point.staged) {
-        stager = std::make_unique<IoStager>(snap.index(),
-                                            snap.mapped()->async_tier());
-      }
-      Measurement m = MeasureWorkload(mapped, queries, kTopK, kKind, proto,
-                                      point.staged ? nullptr : &prefetcher,
-                                      stager.get());
-      m.has_io = true;
-      m.io_backend =
-          point.async ? snap.mapped()->async_tier()->backend_name() : "mmap";
-      if (point.async) {
-        const AsyncTierStats tier_stats = snap.mapped()->async_tier()->stats();
-        m.worker_stalls = tier_stats.worker_stalls;
-        // Every stalled block was a demand miss; the cumulative cache
-        // misses bound the cumulative stall count.
-        if (tier_stats.stalled_blocks > snap.mapped()->cache().Snapshot().misses) {
-          std::fprintf(stderr,
-                       "FATAL: %s stalled on %llu blocks but only %llu "
-                       "demand misses happened\n",
-                       point.label,
-                       static_cast<unsigned long long>(
-                           tier_stats.stalled_blocks),
-                       static_cast<unsigned long long>(
-                           snap.mapped()->cache().Snapshot().misses));
-          std::exit(1);
-        }
-      }
-      if (point.scan_resistant) m.has_admission = true;
-      char name[128];
-      std::snprintf(name, sizeof(name), "NY/ATSQ/%s", point.label);
-      report.Add(name, m, queries.size());
-
-      if (m.totals.disk_reads != sim.totals.disk_reads) {
-        std::fprintf(stderr,
-                     "FATAL: %s changed logical disk_reads (%llu, simulated "
-                     "reference %llu)\n",
-                     point.label,
-                     static_cast<unsigned long long>(m.totals.disk_reads),
-                     static_cast<unsigned long long>(sim.totals.disk_reads));
-        std::exit(1);
-      }
-      if (std::strcmp(point.label, "cold/io=mmap") == 0) mmap_p95 = m.p95_ms;
-      if (std::strcmp(point.label, "cold/io=async-staged") == 0) {
-        staged_p95 = m.p95_ms;
-      }
-      std::printf("%-26s%14s%14llu%14llu%14llu%14.3f\n", point.label,
-                  m.io_backend.c_str(),
-                  static_cast<unsigned long long>(m.totals.blocks_read),
-                  static_cast<unsigned long long>(m.worker_stalls),
-                  static_cast<unsigned long long>(m.admission_rejects),
-                  m.p95_ms);
+    MappedSnapshotOptions options;
+    options.cache_config.block_bytes = 1024;
+    options.cache_config.shards = 4;
+    options.cache_config.capacity_bytes =
+        std::max<uint64_t>(file_bytes / 16, 4 * 1024);
+    const LoadedSnapshot snap =
+        LoadedSnapshot::LoadMapped(snapshot_path, options);
+    if (!snap) {
+      std::fprintf(stderr, "FATAL: load failed at cold/io=mmap\n");
+      std::exit(1);
     }
-    if (proto.threads > 1 && mmap_p95 >= 0.0 && staged_p95 >= 0.0) {
-      // Advisory, not asserted: page-cache state and CI neighbors move
-      // wall time; the deterministic signal is the counters above.
-      std::printf("cold p95: staged async %.3f ms vs pagefault %.3f ms "
-                  "(%s)\n",
-                  staged_p95, mmap_p95,
-                  staged_p95 <= mmap_p95 ? "staged wins" : "pagefault won "
-                                                          "this run");
+    const GatSearcher mapped(city, *snap);
+    const PrefetchScheduler prefetcher({snap.index()},
+                                       &snap.mapped()->cache());
+    const Measurement m = MeasureWorkload(mapped, queries, kTopK, kKind,
+                                          proto, &prefetcher);
+    report.Add("NY/ATSQ/cold/io=mmap", m, queries.size());
+    if (m.totals.disk_reads != sim.totals.disk_reads) {
+      std::fprintf(stderr,
+                   "FATAL: cold/io=mmap changed logical disk_reads (%llu, "
+                   "simulated reference %llu)\n",
+                   static_cast<unsigned long long>(m.totals.disk_reads),
+                   static_cast<unsigned long long>(sim.totals.disk_reads));
+      std::exit(1);
     }
+    std::printf("\ncold/io=mmap: %llu blocks read, p95 %.3f ms\n",
+                static_cast<unsigned long long>(m.totals.blocks_read),
+                m.p95_ms);
   }
 
   // ------------------------------------------------- sharded mmap serving

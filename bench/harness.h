@@ -289,23 +289,6 @@ struct Measurement {
   uint64_t shed = 0;
   uint64_t deadline_misses = 0;
   double goodput_qps = 0.0;
-  /// Async-I/O observability (bench_storage_tier): which physical read
-  /// path served the point ("mmap", "io_uring", "thread-pool",
-  /// "simulated") and how many demand fetches stalled on cold blocks
-  /// during the measurement (tier-stats delta, set by the bench).
-  /// `worker_stalls` is interleaving-dependent above --threads 1 —
-  /// advisory in diffs.
-  bool has_io = false;
-  std::string io_backend;
-  uint64_t worker_stalls = 0;
-  /// Scan-resistant admission observability: deltas of the cache's
-  /// admission counters across the last timed batch. Deterministic at
-  /// --threads 1 (bench_diff.py gates them exactly there, advisory
-  /// above). Set by benches that opt a point into
-  /// CacheAdmission::kScanResistant.
-  bool has_admission = false;
-  uint64_t admission_rejects = 0;
-  uint64_t ghost_hits = 0;
   /// Live-ingestion observability (bench_ingest): the delta/base state
   /// behind the measured point. At quiesced points (ingest paused at a
   /// fixed watermark) `ingested_checkins`, `delta_trajectories`,
@@ -339,13 +322,11 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
                                    const std::vector<Query>& queries, size_t k,
                                    QueryKind kind, const BenchProtocol& proto,
                                    const PrefetchScheduler* prefetcher =
-                                       nullptr,
-                                   const IoStager* stager = nullptr) {
+                                       nullptr) {
   Measurement m;
   if (queries.empty()) return m;
   QueryEngine engine(searcher, EngineOptions{.threads = proto.threads,
-                                             .prefetcher = prefetcher,
-                                             .stager = stager});
+                                             .prefetcher = prefetcher});
   m.threads = engine.threads();
 
   for (uint32_t w = 0; w < proto.warmup; ++w) {
@@ -385,8 +366,6 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
       m.has_cache = true;
       m.cache_block_bytes = batch.storage.block_bytes;
       m.prefetched_blocks = batch.storage.prefetched;
-      m.admission_rejects = batch.storage.admission_rejects;
-      m.ghost_hits = batch.storage.ghost_hits;
     }
     if (batch_ms.size() >= 2) {
       m.rsd_pct = rsd_of(batch_ms);
@@ -481,12 +460,6 @@ class BenchReport {
     rec.shed = m.shed;
     rec.deadline_misses = m.deadline_misses;
     rec.goodput_qps = m.goodput_qps;
-    rec.has_io = m.has_io;
-    rec.io_backend = m.io_backend;
-    rec.worker_stalls = m.worker_stalls;
-    rec.has_admission = m.has_admission;
-    rec.admission_rejects = m.admission_rejects;
-    rec.ghost_hits = m.ghost_hits;
     rec.has_ingest = m.has_ingest;
     rec.ingested_checkins = m.ingested_checkins;
     rec.delta_trajectories = m.delta_trajectories;
@@ -593,24 +566,6 @@ class BenchReport {
                      static_cast<unsigned long long>(r.deadline_misses),
                      r.goodput_qps);
       }
-      if (r.has_io) {
-        // Physical read path of this point plus the demand fetches that
-        // stalled on cold blocks. The backend string is advisory (it
-        // differs across kernels — pread fallback vs io_uring);
-        // `worker_stalls` is exact only at --threads 1.
-        std::fprintf(f, ", \"io_backend\": \"%s\", \"worker_stalls\": %llu",
-                     Escaped(r.io_backend).c_str(),
-                     static_cast<unsigned long long>(r.worker_stalls));
-      }
-      if (r.has_admission) {
-        // Scan-resistant admission deltas of the last timed batch —
-        // deterministic at --threads 1 with equal repeats (bench_diff.py
-        // gates them exactly there, advisory above).
-        std::fprintf(f,
-                     ", \"admission_rejects\": %llu, \"ghost_hits\": %llu",
-                     static_cast<unsigned long long>(r.admission_rejects),
-                     static_cast<unsigned long long>(r.ghost_hits));
-      }
       if (r.has_ingest) {
         // Delta/base state behind the point. The counters are exact at
         // quiesced points (ingest paused at a fixed watermark —
@@ -681,12 +636,6 @@ class BenchReport {
     uint64_t shed = 0;
     uint64_t deadline_misses = 0;
     double goodput_qps = 0.0;
-    bool has_io = false;       // io fields below are meaningful
-    std::string io_backend;
-    uint64_t worker_stalls = 0;
-    bool has_admission = false;  // admission fields below are meaningful
-    uint64_t admission_rejects = 0;
-    uint64_t ghost_hits = 0;
     bool has_ingest = false;   // ingest fields below are meaningful
     uint64_t ingested_checkins = 0;
     uint64_t delta_trajectories = 0;

@@ -31,18 +31,6 @@ Implements the comparison rules of docs/BENCH_PROTOCOL.md:
     ``protocol.warmup`` and ``repeats``, and advisory (>10% drift
     warns) otherwise. ``cache_hit_rate`` drift
     beyond 2 points warns (advisory at any thread count).
-    Admission counters (``admission_rejects``, ``ghost_hits``) follow
-    the same policy as ``blocks_read``: they are functions of the block
-    access sequence, so they are gated exactly when it is deterministic
-    (threads == 1, equal warmup and repeats) and advisory (>10% drift
-    warns) otherwise.
-  * Async I/O fields: ``io_backend`` is environmental (io_uring vs the
-    pread pool depends on kernel and seccomp), so a mismatch only warns
-    — but logical counters must already match regardless, which is the
-    point. ``worker_stalls`` is wall-clock-scheduling dependent and
-    never gated; a baseline showing stalls against a candidate showing
-    none (or vice versa at 10x) warns, since the staging machinery
-    changing that much deserves a look.
   * Fails (exit 1) when ``avg_ms_per_query`` — or, when both sides
     carry it, the per-query ``p95_ms`` latency — regresses by more than
     ``--max-regress-pct`` (default 15) on any record present in both
@@ -261,52 +249,6 @@ def main():
                         warnings.append(message + " (advisory: block "
                                         "sequence not deterministic "
                                         "across these runs)")
-
-        # Admission counters: same determinism envelope as blocks_read —
-        # they are decided per publish along the block access sequence,
-        # so they are exact exactly when that sequence is.
-        for field in ("admission_rejects", "ghost_hits"):
-            if field not in o or field not in n:
-                continue
-            deterministic = (old["protocol"].get("threads") == 1
-                             and old["protocol"].get("warmup")
-                             == new["protocol"].get("warmup")
-                             and o.get("repeats") == n.get("repeats"))
-            if o[field] != n[field]:
-                message = f"{name}: {field} {o[field]} -> {n[field]}"
-                if deterministic:
-                    if args.allow_counter_drift:
-                        warnings.append(message + " (deterministic counter "
-                                        "drift waived by "
-                                        "--allow-counter-drift)")
-                    else:
-                        failures.append(message + " (deterministic at "
-                                        "threads=1 + equal repeats = "
-                                        "admission behavior change)")
-                else:
-                    drift = (abs(n[field] - o[field]) / max(o[field], 1))
-                    if drift > 0.10:
-                        warnings.append(message + " (advisory: block "
-                                        "sequence not deterministic "
-                                        "across these runs)")
-
-        # io_backend is environmental (kernel/seccomp decide); logical
-        # counters are gated independently of it, so a flip only warns.
-        if "io_backend" in o and "io_backend" in n \
-                and o["io_backend"] != n["io_backend"]:
-            warnings.append(f"{name}: io_backend {o['io_backend']!r} -> "
-                            f"{n['io_backend']!r} (advisory: physical read "
-                            "path changed; logical counters still gated)")
-
-        # worker_stalls measures scheduling luck, never gated — but the
-        # stall profile appearing or vanishing wholesale means the
-        # staging path changed character.
-        if "worker_stalls" in o and "worker_stalls" in n:
-            ws_o, ws_n = o["worker_stalls"], n["worker_stalls"]
-            if (ws_o > 0 and ws_n == 0) or (ws_o == 0 and ws_n > 10):
-                warnings.append(f"{name}: worker_stalls {ws_o} -> {ws_n} "
-                                "(advisory: staging coverage changed "
-                                "character)")
 
         if "cache_hit_rate" in o and "cache_hit_rate" in n:
             delta = n["cache_hit_rate"] - o["cache_hit_rate"]

@@ -16,7 +16,10 @@ two copies of the same serializer would cancel out gets caught here:
      back before the query answer (arrival order),
   5. send a structurally absurd ingest frame (valid CRC), expect the
      same clean zero-byte close from the ingest decoder,
-  6. close the server's stdin and expect exit code 0.
+  6. close the server's stdin and expect exit code 0,
+  7. start it with an out-of-range port, zero shards and a non-numeric
+     value in turn; each must exit 2 with the usage text, before
+     binding anything.
 
 Usage: scripts/wire_smoke.py [path/to/gat_server]
 Exit code 0 = all checks passed.
@@ -168,8 +171,26 @@ def check_response(raw_header: bytes, sock: socket.socket) -> None:
     assert num_queries == 1, num_queries
 
 
+def check_flag_rejected(server_bin: str, flags: list) -> None:
+    # A bad flag value must never be clamped, wrapped or read as 0: the
+    # server refuses before it builds or binds anything.
+    proc = subprocess.run(
+        [server_bin, *flags],
+        stdin=subprocess.DEVNULL,
+        capture_output=True,
+        timeout=30,
+    )
+    assert proc.returncode == 2, f"{flags}: exit code {proc.returncode}"
+    assert proc.stdout == b"", f"{flags}: stdout {proc.stdout!r}"
+    assert b"usage: gat_server" in proc.stderr, f"{flags}: {proc.stderr!r}"
+
+
 def main() -> int:
     server_bin = sys.argv[1] if len(sys.argv) > 1 else "build/apps/gat_server"
+    for flags in (["--port", "70000"], ["--shards", "0"],
+                  ["--trajectories", "many"]):
+        check_flag_rejected(server_bin, flags)
+    print("wire_smoke: bad flag values rejected (exit 2)")
     proc = subprocess.Popen(
         [server_bin, "--trajectories", "100", "--seed", "29"],
         stdin=subprocess.PIPE,

@@ -110,29 +110,6 @@ void TaskGroup::Submit(std::function<void()> fn) {
                     priority_);
 }
 
-TaskGroup::Deferred TaskGroup::Defer() {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++pending_;
-  }
-  return Deferred(this);
-}
-
-void TaskGroup::Deferred::Resume(std::function<void()> fn) const {
-  // The pending slot was charged by Defer(); enqueue without
-  // re-incrementing, exactly mirroring Submit's wrapper otherwise. The
-  // group's waiter either helps this task from the queue or is woken by
-  // OnTaskDone within its 1 ms wait lease.
-  TaskGroup* group = group_;
-  group->executor_.Enqueue(Executor::QueuedTask{
-                               [group, fn = std::move(fn)] {
-                                 fn();
-                                 group->OnTaskDone();
-                               },
-                               group},
-                           group->priority_);
-}
-
 void TaskGroup::Wait() {
   for (;;) {
     {

@@ -152,39 +152,9 @@ class TaskGroup {
   TaskGroup(const TaskGroup&) = delete;
   TaskGroup& operator=(const TaskGroup&) = delete;
 
-  /// A reserved completion slot handed out by `Defer()`: the group
-  /// counts it as pending, but no task is queued yet — the executor
-  /// worker that would have run it is free to run other tasks. Calling
-  /// `Resume(fn)` later (typically from an I/O completion context)
-  /// enqueues `fn` as a regular task of the group at the group's
-  /// priority; the group completes only after every resumed continuation
-  /// has run. This is how a query waiting on cold blocks *yields its
-  /// executor slot*: the staging task returns (slot freed), the deferred
-  /// slot keeps the batch's Wait() open, and the continuation re-enters
-  /// the queue when the reads land.
-  ///
-  /// Copyable so it can ride through std::function; `Resume` must be
-  /// called exactly once across all copies (never zero times — the
-  /// group's Wait() would never return), and the group must outlive the
-  /// call (guaranteed whenever the resumer runs before the batch's
-  /// Wait() returns, which the pending count itself enforces).
-  class Deferred {
-   public:
-    Deferred() = default;
-    void Resume(std::function<void()> fn) const;
-
-   private:
-    friend class TaskGroup;
-    explicit Deferred(TaskGroup* group) : group_(group) {}
-    TaskGroup* group_ = nullptr;
-  };
-
   /// Enqueues `fn`. The task must not outlive the group (Wait/dtor
   /// guarantees it does not).
   void Submit(std::function<void()> fn);
-
-  /// Reserves a completion slot without queueing a task; see Deferred.
-  Deferred Defer();
 
   /// Blocks until every submitted task has finished, executing this
   /// group's queued tasks on this thread while waiting. Idempotent.

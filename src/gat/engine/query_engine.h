@@ -15,7 +15,6 @@
 namespace gat {
 
 class PrefetchScheduler;  // gat/storage/prefetch.h; engine holds a pointer
-class IoStager;           // gat/storage/prefetch.h; stage-then-search hook
 
 /// Outcome of one query inside a batch. A deadline-exceeded query has
 /// an empty result list — never partial answers.
@@ -42,17 +41,6 @@ struct EngineOptions {
   /// I/O of later queries with the search of earlier ones; inline
   /// engines run it before the batch loop. nullptr = no prefetch.
   const PrefetchScheduler* prefetcher = nullptr;
-
-  /// Stage-then-search over an async disk tier (non-owning; must
-  /// outlive the engine). With an executor, each query's predicted cold
-  /// blocks are staged first and the query *yields its executor slot*
-  /// (`TaskGroup::Defer`) until they are resident — its search task
-  /// re-enters the queue from the I/O completion, so cold-block waits
-  /// stop pinning pool workers. Takes precedence over `prefetcher` for
-  /// batch warming. Ignored on the inline (single-threaded) path,
-  /// where there is no slot to yield and the demand path is already
-  /// deterministic. nullptr = search tasks run immediately.
-  const IoStager* stager = nullptr;
 };
 
 /// Block-cache activity observed across one batch (deltas of the
@@ -72,11 +60,6 @@ struct BatchStorageStats {
   /// 0 while no snapshot hot-swap overlaps the batch.
   uint64_t invalidated = 0;
   uint64_t files_retired = 0;
-  /// Scan-resistant admission activity around the batch (both 0 under
-  /// the default admit-all policy): publishes denied residency by a
-  /// full shard, and admissions earned by a ghost-list re-reference.
-  uint64_t admission_rejects = 0;
-  uint64_t ghost_hits = 0;
 
   double HitRate() const { return CacheHitRate(hits, hits + misses); }
 };
@@ -208,7 +191,6 @@ class QueryEngine {
   std::unique_ptr<Executor> owned_executor_;  // null when shared or inline
   Executor* executor_ = nullptr;              // null when threads_ == 1
   const PrefetchScheduler* prefetcher_ = nullptr;  // null = no prefetch
-  const IoStager* stager_ = nullptr;               // null = no staging
 };
 
 }  // namespace gat

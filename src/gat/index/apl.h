@@ -55,17 +55,6 @@ class Apl {
   /// simulated tier, where there is nothing to warm).
   void PrefetchRow(TrajectoryId t) const;
 
-  /// (tier offset, tier bytes) of trajectory `t`'s posting row — the
-  /// staging hook: a predictor hands these extents to
-  /// `AsyncDiskTier::StageExtents` so a query's cold blocks are in
-  /// flight before its search task runs. Only meaningful for
-  /// mmap-served rows (real file offsets); owned rows report offset 0
-  /// with their logical size, which only the accounting ever uses.
-  std::pair<uint64_t, uint64_t> RowExtent(TrajectoryId t) const {
-    const RowView& row = rows_[t];
-    return {row.tier_offset, row.tier_bytes};
-  }
-
   size_t DiskBytes() const { return disk_bytes_; }
   size_t num_trajectories() const { return rows_.size(); }
 

@@ -283,7 +283,10 @@ void Server::PollLoop() {
       }
     }
 
-    for (size_t i = 0; i < connections_.size(); ++i) {
+    // Only the connections that were polled: the ones accepted above
+    // sit past the end of `fds` and get their first poll next round.
+    const size_t polled = fds.size() - 2;
+    for (size_t i = 0; i < polled; ++i) {
       const auto& conn = connections_[i];
       const short revents = fds[i + 2].revents;
       if (revents & (POLLIN | POLLHUP | POLLERR)) {

@@ -1,6 +1,5 @@
 #include "gat/storage/async_io.h"
 
-#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -10,7 +9,6 @@
 #include <cstring>
 
 #include "gat/common/check.h"
-#include "gat/index/snapshot_format.h"
 
 #if defined(__linux__)
 #include <sys/mman.h>
@@ -32,8 +30,6 @@
 
 namespace gat {
 namespace {
-
-using snapshot_format::Crc32;
 
 uint32_t ClampPow2(uint32_t v, uint32_t lo, uint32_t hi) {
   return std::bit_ceil(std::clamp(v, lo, hi));
@@ -334,8 +330,8 @@ void AsyncBlockIo::SubmitRead(int fd, uint64_t offset, void* buf, uint32_t len,
 
 void AsyncBlockIo::Complete(Request* request, int64_t result) {
   // Run the callback before releasing the in-flight slot: once Drain()
-  // observes zero, every completion callback has finished — the property
-  // AsyncDiskTier's drain-then-Unregister destructor depends on.
+  // observes zero, every completion callback has finished, so a caller
+  // may free what its callbacks touch as soon as Drain() returns.
   std::function<void(int64_t)> done = std::move(request->done);
   delete request;
   done(result);
@@ -382,222 +378,6 @@ void AsyncBlockIo::PoolWorkerLoop() {
 void AsyncBlockIo::Drain() {
   std::unique_lock<std::mutex> lock(inflight_mu_);
   inflight_cv_.wait(lock, [this] { return inflight_ == 0; });
-}
-
-// --------------------------------------------------------------------------
-// AsyncDiskTier
-// --------------------------------------------------------------------------
-
-/// One batch of cold-block reads in flight. `remaining` is pre-charged
-/// with the full entry count before any submission, so the finalizer can
-/// only be the genuinely last completion.
-struct AsyncDiskTier::BlockGroup {
-  struct Entry {
-    uint64_t block = 0;
-    void* buf = nullptr;
-    uint32_t len = 0;
-    int64_t result = 0;
-  };
-  std::vector<Entry> entries;
-  std::atomic<size_t> remaining{0};
-  std::function<void()> done;
-  bool prefetch = false;
-};
-
-AsyncDiskTier::AsyncDiskTier(const MappedFile* file, const std::string& path,
-                             BlockCache* cache,
-                             std::vector<uint32_t> block_crcs,
-                             const AsyncIoOptions& io_options)
-    : file_(file),
-      cache_(cache),
-      token_(cache->RegisterFile()),
-      block_crcs_(std::move(block_crcs)),
-      io_(io_options) {
-  fd_ = open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  GAT_CHECK(fd_ >= 0);
-#ifdef O_DIRECT
-  // O_DIRECT wants device-aligned offsets/lengths/buffers; only worth a
-  // descriptor when whole cache blocks satisfy that. tmpfs and some
-  // filesystems refuse the flag outright (EINVAL) — then direct_fd_
-  // stays -1 and every read goes buffered, same results, no O_DIRECT.
-  if (cache_->block_bytes() % 4096 == 0) {
-    direct_fd_ = open(path.c_str(), O_RDONLY | O_CLOEXEC | O_DIRECT);
-  }
-#endif
-}
-
-AsyncDiskTier::~AsyncDiskTier() {
-  // Drain before Unregister: a still-flying completion publishes through
-  // a live token or not at all — never into a recycled file id.
-  io_.Drain();
-  cache_->Unregister(token_);
-  if (direct_fd_ >= 0) close(direct_fd_);
-  close(fd_);
-}
-
-void AsyncDiskTier::Fetch(uint64_t offset, uint64_t bytes,
-                          DiskAccessCounter* counter) const {
-  // Identical logical accounting to SimulatedDiskTier / MappedDiskTier:
-  // nullptr = reuse, no charge; one RecordRead per charged fetch; then
-  // per-block hit/read bookkeeping in block order.
-  if (counter == nullptr) return;
-  counter->RecordRead();
-  if (bytes == 0) return;
-  GAT_DCHECK(offset + bytes <= file_->size());
-  const uint32_t bs = cache_->block_bytes();
-  const uint64_t first = offset / bs;
-  const uint64_t last = (offset + bytes - 1) / bs;
-  std::vector<uint64_t> cold;
-  for (uint64_t b = first; b <= last; ++b) {
-    if (cache_->Touch(token_, b)) {
-      counter->RecordBlockHit();
-    } else {
-      counter->RecordBlockRead();
-      cold.push_back(b);
-    }
-  }
-  if (cold.empty()) return;
-  // A demand miss that was not staged ahead of time blocks this worker
-  // until the reads land — the stall the staging path exists to avoid,
-  // and the metric that proves it did.
-  worker_stalls_.fetch_add(1, std::memory_order_relaxed);
-  stalled_blocks_.fetch_add(cold.size(), std::memory_order_relaxed);
-  ReadBlocksBlocking(std::move(cold), /*prefetch=*/false);
-}
-
-void AsyncDiskTier::Prefetch(uint64_t offset, uint64_t bytes) const {
-  if (bytes == 0) return;
-  GAT_DCHECK(offset + bytes <= file_->size());
-  const uint32_t bs = cache_->block_bytes();
-  const uint64_t first = offset / bs;
-  const uint64_t last = (offset + bytes - 1) / bs;
-  std::vector<uint64_t> cold;
-  for (uint64_t b = first; b <= last; ++b) {
-    if (!cache_->Warm(token_, b)) cold.push_back(b);
-  }
-  ReadBlocksBlocking(std::move(cold), /*prefetch=*/true);
-}
-
-size_t AsyncDiskTier::StageExtents(
-    std::span<const std::pair<uint64_t, uint64_t>> extents,
-    std::function<void()> ready) const {
-  const uint32_t bs = cache_->block_bytes();
-  std::vector<uint64_t> blocks;
-  for (const auto& [offset, bytes] : extents) {
-    if (bytes == 0) continue;
-    GAT_DCHECK(offset + bytes <= file_->size());
-    const uint64_t first = offset / bs;
-    const uint64_t last = (offset + bytes - 1) / bs;
-    for (uint64_t b = first; b <= last; ++b) blocks.push_back(b);
-  }
-  // Dedup before touching the cache: overlapping extents would otherwise
-  // warm (and possibly read) the same block twice.
-  std::sort(blocks.begin(), blocks.end());
-  blocks.erase(std::unique(blocks.begin(), blocks.end()), blocks.end());
-  std::vector<uint64_t> cold;
-  for (uint64_t b : blocks) {
-    if (!cache_->Warm(token_, b)) cold.push_back(b);
-  }
-  if (cold.empty()) {
-    ready();
-    return 0;
-  }
-  const size_t staged = cold.size();
-  staged_blocks_.fetch_add(staged, std::memory_order_relaxed);
-  SubmitBlockReads(std::move(cold), std::move(ready), /*prefetch=*/true);
-  return staged;
-}
-
-void AsyncDiskTier::SubmitBlockReads(std::vector<uint64_t> blocks,
-                                     std::function<void()> done,
-                                     bool prefetch) const {
-  if (blocks.empty()) {
-    done();
-    return;
-  }
-  auto* group = new BlockGroup;
-  group->done = std::move(done);
-  group->prefetch = prefetch;
-  group->entries.reserve(blocks.size());
-  const uint32_t bs = cache_->block_bytes();
-  for (uint64_t b : blocks) {
-    GAT_CHECK(b < block_crcs_.size());
-    const uint64_t start = b * static_cast<uint64_t>(bs);
-    const uint32_t len = static_cast<uint32_t>(
-        std::min<uint64_t>(bs, static_cast<uint64_t>(file_->size()) - start));
-    const bool direct = direct_fd_ >= 0 && len % 4096 == 0;
-    void* buf = direct ? std::aligned_alloc(4096, len) : std::malloc(len);
-    GAT_CHECK(buf != nullptr);
-    group->entries.push_back({b, buf, len, 0});
-  }
-  // Pre-charge the countdown before any submission: early completions
-  // can then never see remaining hit zero while later entries are still
-  // being submitted. The count is hoisted because the moment the last
-  // SubmitRead returns, the final completion may finalize and delete
-  // the group on the I/O thread — `group` is unusable after that call.
-  const size_t count = group->entries.size();
-  group->remaining.store(count, std::memory_order_relaxed);
-  for (size_t i = 0; i < count; ++i) {
-    BlockGroup::Entry& e = group->entries[i];
-    const uint64_t start = e.block * static_cast<uint64_t>(bs);
-    const bool direct = direct_fd_ >= 0 && e.len % 4096 == 0;
-    io_.SubmitRead(direct ? direct_fd_ : fd_, start, e.buf, e.len,
-                   [this, group, i](int64_t result) {
-                     group->entries[i].result = result;
-                     if (group->remaining.fetch_sub(
-                             1, std::memory_order_acq_rel) == 1) {
-                       FinalizeGroup(group);
-                     }
-                   });
-  }
-}
-
-void AsyncDiskTier::FinalizeGroup(BlockGroup* group) const {
-  // Verify-then-publish, in block order regardless of completion order:
-  // residency becomes visible only after the bytes passed the map-time
-  // checksum, and the cache's recency order is a deterministic function
-  // of the logical access sequence — the property the committed t1
-  // bench counters gate across backends.
-  for (const BlockGroup::Entry& e : group->entries) {
-    GAT_CHECK(e.result == static_cast<int64_t>(e.len));
-    GAT_CHECK(Crc32(static_cast<const char*>(e.buf), e.len) ==
-              block_crcs_[e.block]);
-    cache_->Publish(token_, e.block, group->prefetch);
-    std::free(e.buf);
-  }
-  async_reads_.fetch_add(group->entries.size(), std::memory_order_relaxed);
-  std::function<void()> done = std::move(group->done);
-  delete group;
-  done();
-}
-
-void AsyncDiskTier::ReadBlocksBlocking(std::vector<uint64_t> blocks,
-                                       bool prefetch) const {
-  if (blocks.empty()) return;
-  std::mutex mu;
-  std::condition_variable cv;
-  bool finished = false;
-  SubmitBlockReads(
-      std::move(blocks),
-      [&] {
-        {
-          std::lock_guard<std::mutex> lock(mu);
-          finished = true;
-        }
-        cv.notify_one();
-      },
-      prefetch);
-  std::unique_lock<std::mutex> lock(mu);
-  cv.wait(lock, [&] { return finished; });
-}
-
-AsyncTierStats AsyncDiskTier::stats() const {
-  AsyncTierStats s;
-  s.worker_stalls = worker_stalls_.load(std::memory_order_relaxed);
-  s.stalled_blocks = stalled_blocks_.load(std::memory_order_relaxed);
-  s.staged_blocks = staged_blocks_.load(std::memory_order_relaxed);
-  s.async_reads = async_reads_.load(std::memory_order_relaxed);
-  return s;
 }
 
 }  // namespace gat

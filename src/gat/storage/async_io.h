@@ -8,15 +8,9 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <span>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
-
-#include "gat/storage/block_cache.h"
-#include "gat/storage/disk_tier.h"
-#include "gat/storage/mapped_file.h"
 
 namespace gat {
 
@@ -57,17 +51,16 @@ struct AsyncIoOptions {
   bool allow_io_uring = true;
 };
 
-/// An asynchronous block-read engine over plain file descriptors — the
-/// I/O half of the "yield instead of stall" storage design. Callers
+/// An asynchronous block-read engine over plain file descriptors. Callers
 /// submit positioned reads with a completion callback; the backend
 /// (io_uring where the kernel and sandbox allow it, a pread worker pool
 /// everywhere else) runs them off the submitting thread and invokes the
-/// callback from its completion context.
+/// callback from its completion context. No disk tier reads through
+/// it: it backs `gat_io_probe` and the backend stamp of the end-to-end
+/// benchmark's results.
 ///
 /// Completion callbacks must be fast and non-blocking: they run on the
-/// reaper/worker threads that every other in-flight read shares. The
-/// intended pattern is "verify, publish, then hand the continuation to
-/// an executor" (see AsyncDiskTier / TaskGroup::Defer).
+/// reaper/worker threads that every other in-flight read shares.
 ///
 /// Thread-safety: fully internally synchronized; `SubmitRead` may be
 /// called from any thread EXCEPT a completion callback — at the
@@ -150,119 +143,6 @@ class AsyncBlockIo {
 
   std::atomic<uint64_t> reads_submitted_{0};
   std::atomic<uint64_t> reads_completed_{0};
-};
-
-/// Activity counters of one AsyncDiskTier (monotonic, relaxed).
-struct AsyncTierStats {
-  /// Demand fetches that found cold blocks and had to block the calling
-  /// worker until the async reads completed — the blocked-slot metric.
-  /// Staging exists to drive this toward zero; what remains are the
-  /// blocks the predictor missed.
-  uint64_t worker_stalls = 0;
-  /// Cold blocks those stalled fetches waited on.
-  uint64_t stalled_blocks = 0;
-  /// Cold blocks submitted through StageExtents (the yield path: the
-  /// query's executor slot was free while these were in flight).
-  uint64_t staged_blocks = 0;
-  /// Every block read the backend performed (stall + stage + prefetch).
-  uint64_t async_reads = 0;
-};
-
-/// Explicit-async-I/O disk tier over one mapped snapshot — same cache,
-/// same accounting, same verify-then-publish contract as
-/// `MappedDiskTier`, different physics: a cold block is read with a
-/// real positioned read (io_uring or pread pool) into a scratch buffer
-/// and CRC-verified against the map-time checksum before it is
-/// published; the bytes served to the index remain the zero-copy
-/// mapping. Logical `disk_reads` and the per-block cache traffic are
-/// bit-identical to the pagefault tier for the same access sequence —
-/// the backends differ in wall time only.
-///
-/// The new capability is `StageExtents`: submit the cold blocks of a
-/// predicted working set and get a completion callback instead of a
-/// blocked thread — the hook `IoStager`/`QueryEngine` use to let a
-/// query yield its executor slot while its I/O is in flight. Demand
-/// misses that were not staged still complete synchronously inside
-/// `Fetch` (counted as `worker_stalls`, the metric staging minimizes).
-///
-/// O_DIRECT: the tier opens a second descriptor with O_DIRECT when the
-/// filesystem supports it and the cache block size is 4 KiB-aligned;
-/// aligned whole-block reads go through it (bypassing the page cache —
-/// real device I/O), everything else through the buffered descriptor.
-///
-/// Lifetime: same drain contract as MappedDiskTier, plus the destructor
-/// drains the I/O engine before unregistering from the cache, so no
-/// completion can publish into a recycled file id.
-class AsyncDiskTier final : public DiskTier {
- public:
-  AsyncDiskTier(const MappedFile* file, const std::string& path,
-                BlockCache* cache, std::vector<uint32_t> block_crcs,
-                const AsyncIoOptions& io_options = {});
-  ~AsyncDiskTier() override;
-
-  void Fetch(uint64_t offset, uint64_t bytes,
-             DiskAccessCounter* counter) const override;
-
-  /// Synchronous-completion warm: cold blocks are read asynchronously
-  /// but the call returns only once they are published. Deterministic
-  /// residency (the property the --threads 1 bench counters gate);
-  /// overlap between queries comes from running Prefetch calls on
-  /// executor tasks, not from fire-and-forget.
-  void Prefetch(uint64_t offset, uint64_t bytes) const override;
-
-  /// Stages the cache blocks covering `extents` (pairs of offset,
-  /// bytes; zero-byte extents are skipped): resident blocks are warmed
-  /// in place, cold blocks are submitted as async reads. Returns the
-  /// number of cold blocks submitted; when it is 0, `ready` has already
-  /// been invoked inline, otherwise `ready` fires from the completion
-  /// context once every staged block is verified and published. Warm
-  /// lookups count under the cache's prefetch stats, exactly like
-  /// `Prefetch`.
-  size_t StageExtents(std::span<const std::pair<uint64_t, uint64_t>> extents,
-                      std::function<void()> ready) const;
-
-  AsyncTierStats stats() const;
-
-  IoBackend backend() const { return io_.backend(); }
-  const char* backend_name() const { return io_.backend_name(); }
-  /// True when the O_DIRECT descriptor is in use for aligned reads.
-  bool direct_io() const { return direct_fd_ >= 0; }
-
-  const BlockFileToken& token() const { return token_; }
-  const BlockCache& cache() const { return *cache_; }
-
- private:
-  struct BlockGroup;  // one batch of in-flight cold-block reads
-
-  /// Submits async reads for `blocks` (deduplicated cold blocks). The
-  /// reads race; publication does not: the last completion runs
-  /// `FinalizeGroup`, which CRC-verifies and publishes every block *in
-  /// block order* — so the cache's LRU evolution is a deterministic
-  /// function of the access sequence, exactly as with the pagefault
-  /// tier, no matter how the physical reads interleaved. `done` runs
-  /// after the publishes (inline when `blocks` is empty); `prefetch`
-  /// selects which cache stats/admission class the publishes land in.
-  void SubmitBlockReads(std::vector<uint64_t> blocks,
-                        std::function<void()> done, bool prefetch) const;
-  void FinalizeGroup(BlockGroup* group) const;
-  /// Synchronous wrapper: SubmitBlockReads + wait for completion.
-  void ReadBlocksBlocking(std::vector<uint64_t> blocks, bool prefetch) const;
-
-  const MappedFile* file_;
-  BlockCache* cache_;
-  BlockFileToken token_;
-  std::vector<uint32_t> block_crcs_;
-  int fd_ = -1;         // buffered descriptor (always open)
-  int direct_fd_ = -1;  // O_DIRECT descriptor, -1 when unsupported
-
-  mutable std::atomic<uint64_t> worker_stalls_{0};
-  mutable std::atomic<uint64_t> stalled_blocks_{0};
-  mutable std::atomic<uint64_t> staged_blocks_{0};
-  mutable std::atomic<uint64_t> async_reads_{0};
-
-  // Last member: destroyed (and therefore drained) first, so no
-  // completion callback can outlive the fields above.
-  mutable AsyncBlockIo io_;
 };
 
 }  // namespace gat

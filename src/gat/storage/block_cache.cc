@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 
 #include "gat/common/check.h"
 
@@ -21,15 +20,9 @@ uint64_t PackKey(uint32_t file, uint64_t block) {
 
 uint32_t FileOfKey(uint64_t key) { return static_cast<uint32_t>(key >> 40); }
 
-/// 4-bit saturation point of the TinyLFU counters: high enough to
-/// separate hot from scanned-once, small enough that halving decays a
-/// retired hot set in a few aging rounds.
-constexpr uint8_t kFreqMax = 15;
-
 }  // namespace
 
 BlockCache::BlockCache(const BlockCacheConfig& config) {
-  admission_ = config.admission;
   block_bytes_ = static_cast<uint32_t>(std::bit_floor(
       std::clamp<uint64_t>(config.block_bytes, 512, 1ull << 20)));
   const uint32_t num_shards = static_cast<uint32_t>(
@@ -99,27 +92,6 @@ void BlockCache::Unregister(const BlockFileToken& token) {
       }
       shard.by_file.erase(bucket);
     }
-    if (admission_ == CacheAdmission::kScanResistant) {
-      // The ghost list and frequency table key on (id, block) with no
-      // generation, so they must forget the retired file here — a ghost
-      // entry surviving into a recycled id would hand the successor's
-      // unrelated blocks a free ghost-hit admission.
-      for (auto it = shard.ghost.begin(); it != shard.ghost.end();) {
-        if (FileOfKey(*it) == token.id) {
-          shard.ghost_index.erase(*it);
-          it = shard.ghost.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      for (auto it = shard.freq.begin(); it != shard.freq.end();) {
-        if (FileOfKey(it->first) == token.id) {
-          it = shard.freq.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
   }
   // Only now is the id reusable: a successor registered after this
   // point can never see (or be aliased by) a block of this generation.
@@ -162,9 +134,6 @@ bool BlockCache::LookupInternal(const BlockFileToken& token, uint64_t block,
     auto it = shard.index.find(key);
     hit = it != shard.index.end();
     if (hit) shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
-    if (!prefetch && admission_ == CacheAdmission::kScanResistant) {
-      NoteDemandAccessLocked(shard, key);
-    }
   }
   if (prefetch) {
     (hit ? prefetch_hits_ : prefetched_)
@@ -175,27 +144,10 @@ bool BlockCache::LookupInternal(const BlockFileToken& token, uint64_t block,
   return hit;
 }
 
-void BlockCache::NoteDemandAccessLocked(Shard& shard, uint64_t key) {
-  uint8_t& count = shard.freq[key];
-  if (count < kFreqMax) ++count;
-  // Age on a fixed demand-lookup schedule: halving (and dropping zeros)
-  // makes popularity a sliding window, so last hour's bulk scan cannot
-  // outvote this minute's working set forever — and bounds the table.
-  if (++shard.freq_ops >= 8 * shard.capacity) {
-    shard.freq_ops = 0;
-    for (auto it = shard.freq.begin(); it != shard.freq.end();) {
-      it->second = static_cast<uint8_t>(it->second >> 1);
-      it = it->second == 0 ? shard.freq.erase(it) : std::next(it);
-    }
-  }
-}
-
-void BlockCache::Publish(const BlockFileToken& token, uint64_t block,
-                         bool prefetch) {
+void BlockCache::Publish(const BlockFileToken& token, uint64_t block) {
   const uint64_t key = PackKey(token.id, block);
   Shard& shard = ShardFor(key);
   bool evicted = false;
-  bool ghost_hit = false;
   {
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!Live(token)) {
@@ -211,38 +163,7 @@ void BlockCache::Publish(const BlockFileToken& token, uint64_t block,
       shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
       return;
     }
-    const bool full = shard.lru.size() >= shard.capacity;
-    if (full && admission_ == CacheAdmission::kScanResistant) {
-      const auto ghost_it = shard.ghost_index.find(key);
-      if (ghost_it != shard.ghost_index.end()) {
-        // Re-referenced while remembered: the 2Q admission signal. The
-        // key graduates out of the ghost list into residency.
-        shard.ghost.erase(ghost_it->second);
-        shard.ghost_index.erase(ghost_it);
-        ghost_hit = true;
-      } else if (!prefetch) {
-        // The TinyLFU duel: the candidate must be strictly more popular
-        // than the block it would evict. A once-touched scan block
-        // (freq 1) never beats a warm victim, which is the whole point.
-        const auto f = [&shard](uint64_t k) {
-          const auto fit = shard.freq.find(k);
-          return fit == shard.freq.end() ? uint8_t{0} : fit->second;
-        };
-        if (f(key) <= f(shard.lru.back())) {
-          // Rejected: served but not cached. Remember the key so a
-          // second reference within the ghost window admits it.
-          shard.ghost.push_front(key);
-          shard.ghost_index.emplace(key, shard.ghost.begin());
-          if (shard.ghost.size() > shard.capacity) {
-            shard.ghost_index.erase(shard.ghost.back());
-            shard.ghost.pop_back();
-          }
-          admission_rejects_.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      }
-    }
-    if (full) {
+    if (shard.lru.size() >= shard.capacity) {
       const uint64_t victim = shard.lru.back();
       shard.index.erase(victim);
       const auto bucket = shard.by_file.find(FileOfKey(victim));
@@ -250,24 +171,12 @@ void BlockCache::Publish(const BlockFileToken& token, uint64_t block,
       if (bucket->second.empty()) shard.by_file.erase(bucket);
       shard.lru.pop_back();
       evicted = true;
-      if (admission_ == CacheAdmission::kScanResistant &&
-          shard.ghost_index.find(victim) == shard.ghost_index.end()) {
-        // Evicted residents get the same second chance rejected
-        // candidates get.
-        shard.ghost.push_front(victim);
-        shard.ghost_index.emplace(victim, shard.ghost.begin());
-        if (shard.ghost.size() > shard.capacity) {
-          shard.ghost_index.erase(shard.ghost.back());
-          shard.ghost.pop_back();
-        }
-      }
     }
     shard.lru.push_front(key);
     shard.index.emplace(key, shard.lru.begin());
     shard.by_file[token.id].insert(key);
   }
   if (evicted) evictions_.fetch_add(1, std::memory_order_relaxed);
-  if (ghost_hit) ghost_hits_.fetch_add(1, std::memory_order_relaxed);
 }
 
 BlockCacheStats BlockCache::Snapshot() const {
@@ -280,8 +189,6 @@ BlockCacheStats BlockCache::Snapshot() const {
   s.invalidated = invalidated_.load(std::memory_order_relaxed);
   s.files_retired = files_retired_.load(std::memory_order_relaxed);
   s.stale_drops = stale_drops_.load(std::memory_order_relaxed);
-  s.admission_rejects = admission_rejects_.load(std::memory_order_relaxed);
-  s.ghost_hits = ghost_hits_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -14,28 +14,6 @@
 
 namespace gat {
 
-/// What a `Publish` of a non-resident block into a *full* LRU shard must
-/// prove before it may evict.
-enum class CacheAdmission : uint8_t {
-  /// Plain LRU: every published block is admitted, evicting the tail.
-  /// The seed policy, byte-identical in behavior and stats — the
-  /// committed bench baselines are recorded under it.
-  kAdmitAll = 0,
-  /// 2Q/TinyLFU-style scan resistance: a full shard admits a demand
-  /// block only when (a) its key sits in the shard's *ghost list* of
-  /// recently evicted/rejected keys — a re-reference, the 2Q signal — or
-  /// (b) its saturating access frequency exceeds the LRU victim's — the
-  /// TinyLFU duel. Anything else is rejected (the bytes were still read
-  /// and served; only residency is denied) and remembered in the ghost
-  /// list, so one sequential bulk scan can no longer flush the
-  /// interactive working set: scan blocks lose the duel against hot
-  /// victims, while a genuinely re-referenced block ghost-hits its way
-  /// in on the second pass. Prefetch publishes bypass the frequency duel
-  /// — the predictor staged them *because* a query is about to demand
-  /// them, the one thing a frequency filter cannot yet see.
-  kScanResistant = 1,
-};
-
 /// BlockCache knobs. Both sizes are rounded to powers of two; the
 /// capacity is a *shared budget* — one cache typically fronts every
 /// shard's mapped snapshot in a serving process.
@@ -51,10 +29,6 @@ struct BlockCacheConfig {
   /// LRU shard count (power of two; clamped to [1, 64]). Shards cut
   /// mutex contention when many search tasks fetch concurrently.
   uint32_t shards = 8;
-
-  /// Eviction/admission policy of a full shard; kAdmitAll preserves the
-  /// seed behavior bit for bit.
-  CacheAdmission admission = CacheAdmission::kAdmitAll;
 };
 
 /// Point-in-time counters. `hits`/`misses` count demand lookups
@@ -74,12 +48,6 @@ struct BlockCacheStats {
   uint64_t invalidated = 0;
   uint64_t files_retired = 0;
   uint64_t stale_drops = 0;
-  /// Scan-resistant mode only (always 0 under kAdmitAll):
-  /// `admission_rejects` counts publishes a full shard denied residency
-  /// (served but not cached); `ghost_hits` counts admissions earned by a
-  /// ghost-list re-reference — the blocks plain LRU would have lost.
-  uint64_t admission_rejects = 0;
-  uint64_t ghost_hits = 0;
 
   uint64_t DemandLookups() const { return hits + misses; }
   double HitRate() const { return CacheHitRate(hits, DemandLookups()); }
@@ -166,23 +134,17 @@ class BlockCache {
   bool Warm(const BlockFileToken& token, uint64_t block);
 
   /// Inserts a read-and-verified block as most-recently-used, evicting
-  /// the shard's LRU tail if full — subject to the configured admission
-  /// policy when the shard is full (see `CacheAdmission`; a rejected
-  /// block was still served, it just stays non-resident). `prefetch`
-  /// marks warm-path publishes, which scan-resistant admission exempts
-  /// from the frequency duel. Idempotent under races: if another reader
-  /// published the block first, this just bumps its recency. A publish
-  /// through a retired token is dropped — a reader that raced past its
-  /// file's `Unregister` cannot resurrect purged blocks into a recycled
-  /// id.
-  void Publish(const BlockFileToken& token, uint64_t block,
-               bool prefetch = false);
+  /// the shard's LRU tail if full. Idempotent under races: if another
+  /// reader published the block first, this just bumps its recency. A
+  /// publish through a retired token is dropped — a reader that raced
+  /// past its file's `Unregister` cannot resurrect purged blocks into a
+  /// recycled id.
+  void Publish(const BlockFileToken& token, uint64_t block);
 
   BlockCacheStats Snapshot() const;
 
   uint32_t block_bytes() const { return block_bytes_; }
   uint64_t capacity_blocks() const { return capacity_blocks_; }
-  CacheAdmission admission() const { return admission_; }
 
   /// Resident blocks right now (sums the shard maps; for tests/benches).
   uint64_t ResidentBlocks() const;
@@ -199,25 +161,11 @@ class BlockCache {
     // resident blocks instead of walking the whole LRU per reload.
     std::unordered_map<uint32_t, std::unordered_set<uint64_t>> by_file;
     uint64_t capacity = 1;
-
-    // Scan-resistant state (untouched under kAdmitAll). The ghost list
-    // (capacity = the shard's block capacity, keys only) remembers
-    // recently evicted/rejected keys; `freq` is a TinyLFU-lite table of
-    // 4-bit saturating demand-access counters, halved (zeros erased)
-    // every 8 x capacity demand lookups so stale popularity decays and
-    // the table stays proportional to the live key set.
-    std::list<uint64_t> ghost;
-    std::unordered_map<uint64_t, std::list<uint64_t>::iterator> ghost_index;
-    std::unordered_map<uint64_t, uint8_t> freq;
-    uint64_t freq_ops = 0;
   };
 
   Shard& ShardFor(uint64_t key);
   bool LookupInternal(const BlockFileToken& token, uint64_t block,
                       bool prefetch);
-  /// Records one demand access to `key` in the TinyLFU table (aging it
-  /// on schedule) and returns nothing; caller holds `shard.mu`.
-  void NoteDemandAccessLocked(Shard& shard, uint64_t key);
   /// The current generation of `token`'s slot still matches the token.
   /// Reading it inside a shard's critical section is what closes the
   /// retire/lookup race: the purge runs under the same shard mutexes
@@ -230,7 +178,6 @@ class BlockCache {
 
   uint32_t block_bytes_;
   uint64_t capacity_blocks_;
-  CacheAdmission admission_ = CacheAdmission::kAdmitAll;
   std::vector<Shard> shards_;
 
   // File-slot registry: generations have stable addresses (fixed array)
@@ -249,8 +196,6 @@ class BlockCache {
   std::atomic<uint64_t> invalidated_{0};
   std::atomic<uint64_t> files_retired_{0};
   std::atomic<uint64_t> stale_drops_{0};
-  std::atomic<uint64_t> admission_rejects_{0};
-  std::atomic<uint64_t> ghost_hits_{0};
 };
 
 }  // namespace gat

@@ -63,7 +63,7 @@ class LoadedSnapshot {
   const GatIndex* operator->() const { return index_; }
 
   /// The mapped storage side, when this snapshot serves out of a
-  /// mapping (the prefetcher and the stager need the tier); nullptr for
+  /// mapping (the prefetcher needs its block cache); nullptr for
   /// heap-owned indexes.
   const MappedSnapshot* mapped() const { return mapped_.get(); }
 

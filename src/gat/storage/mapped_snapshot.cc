@@ -461,19 +461,8 @@ std::unique_ptr<MappedSnapshot> MappedSnapshot::Load(
   }
   if (payload_crc != stored_crc) return nullptr;
 
-  if (options.io_mode == SnapshotIoMode::kAsync) {
-    // Explicit-I/O tier: same cache, same per-block checksums, but cold
-    // blocks become positioned reads through AsyncBlockIo (and gain the
-    // staging API). The tier opens its own descriptors on `path`.
-    auto async_tier = std::make_unique<AsyncDiskTier>(
-        &snap->file_, path, snap->cache_, std::move(block_crcs),
-        options.io_options);
-    snap->async_tier_ = async_tier.get();
-    snap->tier_ = std::move(async_tier);
-  } else {
-    snap->tier_ = std::make_unique<MappedDiskTier>(&snap->file_, snap->cache_,
-                                                   std::move(block_crcs));
-  }
+  snap->tier_ = std::make_unique<MappedDiskTier>(&snap->file_, snap->cache_,
+                                                 std::move(block_crcs));
   ByteReader reader{data, size, kHeaderBytes};
   snap->index_ = MappedSnapshotIo::LoadPayload(reader, options,
                                                snap->tier_.get());

@@ -8,25 +8,11 @@
 
 #include "gat/engine/executor.h"
 #include "gat/index/gat_index.h"
-#include "gat/storage/async_io.h"
 #include "gat/storage/block_cache.h"
 #include "gat/storage/disk_tier.h"
 #include "gat/storage/mapped_file.h"
 
 namespace gat {
-
-/// Which physical read path serves the snapshot's disk-resident bytes.
-enum class SnapshotIoMode : uint8_t {
-  /// Pagefault-driven reads through the mapping (`MappedDiskTier`) —
-  /// the PR 4 behavior: a cold block stalls the faulting thread.
-  kMmap = 0,
-  /// Explicit async block I/O (`AsyncDiskTier`, io_uring or pread
-  /// pool): cold blocks are real positioned reads that can be staged
-  /// ahead of a query so it yields its executor slot instead of
-  /// stalling. Logical `disk_reads` and per-block cache accounting are
-  /// bit-identical to kMmap; only wall time differs.
-  kAsync = 1,
-};
 
 /// Block-cached real-I/O tier over one mapped snapshot file.
 ///
@@ -94,10 +80,6 @@ struct MappedSnapshotOptions {
   /// `cache_config`.
   BlockCache* cache = nullptr;
   BlockCacheConfig cache_config;
-  /// Physical read path of the disk tier (kMmap preserves the PR 4
-  /// behavior exactly); `io_options` only applies under kAsync.
-  SnapshotIoMode io_mode = SnapshotIoMode::kMmap;
-  AsyncIoOptions io_options;
 };
 
 /// A `GatIndex` served from an mmap-ed `GATS` snapshot.
@@ -124,9 +106,6 @@ class MappedSnapshot {
 
   const GatIndex& index() const { return *index_; }
   const DiskTier& tier() const { return *tier_; }
-  /// The async tier when loaded with SnapshotIoMode::kAsync (the
-  /// staging/stall API lives there); nullptr under kMmap.
-  const AsyncDiskTier* async_tier() const { return async_tier_; }
   /// The cache the tier reads through (shared or privately owned).
   const BlockCache& cache() const { return *cache_; }
   size_t file_bytes() const { return file_.size(); }
@@ -140,7 +119,6 @@ class MappedSnapshot {
   std::unique_ptr<BlockCache> owned_cache_;  // null when sharing
   BlockCache* cache_ = nullptr;
   std::unique_ptr<DiskTier> tier_;
-  const AsyncDiskTier* async_tier_ = nullptr;  // aliases tier_ under kAsync
   std::unique_ptr<GatIndex> index_;
   double load_seconds_ = 0.0;
 };

@@ -10,50 +10,6 @@
 #include "gat/shard/sharded_index.h"
 
 namespace gat {
-namespace {
-
-/// The shared predictor: ITL candidate rows of the leaf cells within
-/// Chebyshev ring `ring` around each query point (ring 0 = just the
-/// point's own leaf — the PR 4 predictor), restricted to the point's
-/// demanded activities, deduplicated and capped. Neighbor cells are
-/// enumerated geometrically — offset the point by whole leaf-cell
-/// strides and take LeafCode, which clamps at the space border — so no
-/// Morton decode is needed and border points just re-find edge cells
-/// (deduplicated away).
-std::vector<TrajectoryId> PredictRows(const GatIndex& index,
-                                      const Query& query, int ring,
-                                      size_t max_rows) {
-  const GridGeometry& grid = index.grid();
-  const double cell_w = grid.space().Width() / grid.CellsPerAxis(grid.depth());
-  const double cell_h = grid.space().Height() / grid.CellsPerAxis(grid.depth());
-  std::vector<TrajectoryId> predicted;
-  std::vector<uint32_t> cells;
-  for (const auto& qp : query.points()) {
-    cells.clear();
-    for (int dy = -ring; dy <= ring; ++dy) {
-      for (int dx = -ring; dx <= ring; ++dx) {
-        const Point p{qp.location.x + dx * cell_w,
-                      qp.location.y + dy * cell_h};
-        cells.push_back(grid.LeafCode(p));
-      }
-    }
-    std::sort(cells.begin(), cells.end());
-    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-    for (const uint32_t leaf : cells) {
-      for (ActivityId a : qp.activities) {
-        const auto list = index.itl().Trajectories(leaf, a);
-        predicted.insert(predicted.end(), list.begin(), list.end());
-      }
-    }
-  }
-  std::sort(predicted.begin(), predicted.end());
-  predicted.erase(std::unique(predicted.begin(), predicted.end()),
-                  predicted.end());
-  if (predicted.size() > max_rows) predicted.resize(max_rows);
-  return predicted;
-}
-
-}  // namespace
 
 PrefetchScheduler::PrefetchScheduler(std::vector<const GatIndex*> indexes,
                                      const BlockCache* cache)
@@ -67,30 +23,22 @@ PrefetchScheduler::PrefetchScheduler(const ShardedIndex& index)
 uint64_t PrefetchScheduler::WarmIndex(const GatIndex& index,
                                       const Query& query) const {
   // Predicted candidates, deduplicated per index: the ITL lists of the
-  // leaf cell under each query point (plus the current feedback ring of
-  // neighbor cells — the later retrieval rounds), restricted to that
-  // point's demanded activities.
-  const int ring =
-      feedback_.enabled ? ring_.load(std::memory_order_relaxed) : 0;
-  const std::vector<TrajectoryId> predicted =
-      PredictRows(index, query, ring, kMaxRowsPerQuery);
+  // leaf cell under each query point, restricted to that point's
+  // demanded activities.
+  std::vector<TrajectoryId> predicted;
+  for (const auto& qp : query.points()) {
+    const uint32_t leaf = index.grid().LeafCode(qp.location);
+    for (ActivityId a : qp.activities) {
+      const auto list = index.itl().Trajectories(leaf, a);
+      predicted.insert(predicted.end(), list.begin(), list.end());
+    }
+  }
+  std::sort(predicted.begin(), predicted.end());
+  predicted.erase(std::unique(predicted.begin(), predicted.end()),
+                  predicted.end());
+  if (predicted.size() > kMaxRowsPerQuery) predicted.resize(kMaxRowsPerQuery);
   for (TrajectoryId t : predicted) index.apl().PrefetchRow(t);
   return predicted.size();
-}
-
-void PrefetchScheduler::ObserveBatch(uint64_t demand_misses,
-                                     uint64_t queries) const {
-  if (!feedback_.enabled || queries == 0) return;
-  const double per_query =
-      static_cast<double>(demand_misses) / static_cast<double>(queries);
-  const int ring = ring_.load(std::memory_order_relaxed);
-  if (per_query > feedback_.miss_threshold && ring < feedback_.max_ring) {
-    // Searches kept missing past the warmed set: reach one ring further.
-    ring_.store(ring + 1, std::memory_order_relaxed);
-  } else if (per_query < feedback_.miss_threshold / 2 && ring > 0) {
-    // Misses collapsed: the extra ring is warming cells nobody visits.
-    ring_.store(ring - 1, std::memory_order_relaxed);
-  }
 }
 
 void PrefetchScheduler::PrefetchQuery(const Query& query) const {
@@ -129,30 +77,6 @@ void PrefetchScheduler::SubmitBatch(const std::vector<Query>& queries,
 
 void PrefetchScheduler::PrefetchBatch(const std::vector<Query>& queries) const {
   for (const Query& q : queries) PrefetchQuery(q);
-}
-
-IoStager::IoStager(const GatIndex* index, const AsyncDiskTier* tier)
-    : index_(index), tier_(tier) {
-  GAT_CHECK(index_ != nullptr);
-  GAT_CHECK(tier_ != nullptr);
-}
-
-size_t IoStager::Stage(const Query& query, std::function<void()> ready) const {
-  const std::vector<TrajectoryId> predicted = PredictRows(
-      *index_, query, /*ring=*/0, PrefetchScheduler::kMaxRowsPerQuery);
-  std::vector<std::pair<uint64_t, uint64_t>> extents;
-  extents.reserve(predicted.size());
-  for (TrajectoryId t : predicted) {
-    extents.push_back(index_->apl().RowExtent(t));
-  }
-  const size_t staged = tier_->StageExtents(extents, std::move(ready));
-  if (staged == 0) {
-    queries_inline_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    queries_yielded_.fetch_add(1, std::memory_order_relaxed);
-    blocks_staged_.fetch_add(staged, std::memory_order_relaxed);
-  }
-  return staged;
 }
 
 }  // namespace gat

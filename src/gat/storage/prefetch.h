@@ -3,13 +3,11 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "gat/engine/executor.h"
 #include "gat/index/gat_index.h"
 #include "gat/model/query.h"
-#include "gat/storage/async_io.h"
 #include "gat/storage/block_cache.h"
 
 namespace gat {
@@ -73,31 +71,6 @@ class PrefetchScheduler {
   /// The cache demand/prefetch stats feed from, or nullptr.
   const BlockCache* cache() const { return cache_; }
 
-  /// Feedback-driven prediction beyond the first retrieval rounds
-  /// (opt-in; off = the PR 4 predictor bit for bit). The base predictor
-  /// only sees round one — the leaf cell under each query point. Later
-  /// rounds expand the search ring outward, and those candidate rows
-  /// miss cold. With feedback enabled the scheduler also warms the ITL
-  /// lists of the leaf cells within Chebyshev ring `ring()` around each
-  /// query point, and `ObserveBatch` adapts that ring from measured
-  /// demand misses: sustained misses per query above `miss_threshold`
-  /// widen it (the predictor under-reached), misses below half the
-  /// threshold shrink it (warming cells the search never visits).
-  struct Feedback {
-    bool enabled = false;
-    /// Widest ring ever warmed (ring r adds (2r+1)^2 - 1 neighbor
-    /// cells; 2 keeps the worst-case sweep ~25 cells per point).
-    int max_ring = 2;
-    /// Demand block misses per query that signal under-prediction.
-    double miss_threshold = 4.0;
-  };
-  /// Not thread-safe against in-flight sweeps; configure before serving.
-  void ConfigureFeedback(const Feedback& feedback) { feedback_ = feedback; }
-  /// Feeds one finished batch's demand-miss delta back into the ring.
-  void ObserveBatch(uint64_t demand_misses, uint64_t queries) const;
-  /// Current neighbor ring (0 = base predictor only).
-  int ring() const { return ring_.load(std::memory_order_relaxed); }
-
   struct Stats {
     uint64_t queries = 0;
     uint64_t rows_warmed = 0;
@@ -114,62 +87,8 @@ class PrefetchScheduler {
   std::vector<const GatIndex*> indexes_;    // static mode
   const ShardedIndex* sharded_ = nullptr;   // pin-per-query mode
   const BlockCache* cache_;
-  Feedback feedback_;
-  mutable std::atomic<int> ring_{0};
   mutable std::atomic<uint64_t> queries_{0};
   mutable std::atomic<uint64_t> rows_warmed_{0};
-};
-
-/// The stage-then-search half of the yield design: where
-/// `PrefetchScheduler` warms rows for the *batch* opportunistically,
-/// `IoStager` stages one *query's* predicted cold blocks through
-/// `AsyncDiskTier::StageExtents` and tells the caller when they are
-/// resident — so `QueryEngine` can defer the query's executor slot
-/// (`TaskGroup::Defer`) instead of letting the search stall a worker on
-/// a demand miss. Prediction is the same RAM-resident ITL walk the
-/// scheduler uses (same rows, same cap); the difference is the contract:
-/// a completion callback instead of best-effort warmth.
-///
-/// Thread-safety: const and internally synchronized; one instance
-/// serves every concurrent query of its index.
-class IoStager {
- public:
-  /// Non-owning; `index` must be the index served by `tier`'s snapshot
-  /// (the predicted row extents index into that mapping).
-  IoStager(const GatIndex* index, const AsyncDiskTier* tier);
-
-  /// Predicts `query`'s candidate APL rows and stages their extents.
-  /// Returns the number of cold blocks submitted; 0 means everything
-  /// was already resident and `ready` already ran inline — otherwise
-  /// `ready` fires from the I/O completion context once the staged
-  /// blocks are verified and published. `ready` must be cheap and
-  /// non-blocking (hand off to an executor; see TaskGroup::Deferred).
-  size_t Stage(const Query& query, std::function<void()> ready) const;
-
-  const BlockCache* cache() const { return &tier_->cache(); }
-  const AsyncDiskTier& tier() const { return *tier_; }
-
-  struct Stats {
-    /// Queries whose working set was resident: searched without a hop
-    /// through the I/O queue.
-    uint64_t queries_inline = 0;
-    /// Queries that had cold blocks staged — the searches that would
-    /// have stalled a worker and instead yielded their slot.
-    uint64_t queries_yielded = 0;
-    uint64_t blocks_staged = 0;
-  };
-  Stats stats() const {
-    return {queries_inline_.load(std::memory_order_relaxed),
-            queries_yielded_.load(std::memory_order_relaxed),
-            blocks_staged_.load(std::memory_order_relaxed)};
-  }
-
- private:
-  const GatIndex* index_;
-  const AsyncDiskTier* tier_;
-  mutable std::atomic<uint64_t> queries_inline_{0};
-  mutable std::atomic<uint64_t> queries_yielded_{0};
-  mutable std::atomic<uint64_t> blocks_staged_{0};
 };
 
 }  // namespace gat

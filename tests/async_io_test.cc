@@ -1,17 +1,10 @@
 // Tests for gat/storage/async_io: the raw block I/O engine (io_uring
-// and pread-pool backends), the AsyncDiskTier built on it, and the
-// stage-then-search path through IoStager + TaskGroup::Defer.
+// and pread-pool backends).
 //
-// The load-bearing invariants:
-//   * both backends return exactly the requested bytes at arbitrary
-//     (unaligned) offsets and lengths, including short-read
-//     continuation, and Drain() implies every completion ran;
-//   * an AsyncDiskTier answers bit-identically to the MappedDiskTier
-//     (and the simulated tier) with equal logical disk_reads and equal
-//     per-block counters — the physics changed, the accounting did not;
-//   * staging makes subsequent demand fetches stall-free, and the
-//     staged engine path (executor + IoStager) returns bit-identical
-//     batches while yielding cold queries instead of blocking workers.
+// The load-bearing invariant: both backends return exactly the
+// requested bytes at arbitrary (unaligned) offsets and lengths,
+// including short-read continuation, and Drain() implies every
+// completion ran.
 
 #include <fcntl.h>
 #include <unistd.h>
@@ -25,31 +18,13 @@
 #include <string>
 #include <vector>
 
-#include "gat/datagen/checkin_generator.h"
-#include "gat/datagen/query_generator.h"
-#include "gat/engine/executor.h"
-#include "gat/engine/query_engine.h"
-#include "gat/index/snapshot.h"
-#include "gat/search/gat_search.h"
 #include "gat/storage/async_io.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
-#include "gat/storage/prefetch.h"
 
 namespace gat {
 namespace {
 
 std::string TempPath(const std::string& name) {
   return ::testing::TempDir() + "/" + name;
-}
-
-std::vector<Query> TestQueries(const Dataset& dataset, uint64_t seed,
-                               uint32_t count = 10) {
-  QueryWorkloadParams wp;
-  wp.num_queries = count;
-  wp.seed = seed;
-  QueryGenerator qgen(dataset, wp);
-  return qgen.Workload();
 }
 
 /// A scratch file of pseudorandom (seed-reproducible) bytes.
@@ -151,194 +126,6 @@ TEST(AsyncBlockIo, EnvOverrideForcesPool) {
   AsyncBlockIo io(options);
   EXPECT_EQ(io.backend(), IoBackend::kThreadPool);
   ::unsetenv("GAT_IO_BACKEND");
-}
-
-// ---------------------------------------------------------------------------
-// AsyncDiskTier
-// ---------------------------------------------------------------------------
-
-struct TierFixture {
-  Dataset dataset;
-  std::unique_ptr<GatIndex> built;
-  std::string path;
-
-  explicit TierFixture(uint32_t trajectories = 200)
-      : dataset(GenerateCity(CityProfile::Testing(trajectories, 31))) {
-    const GatConfig config{.depth = 6, .memory_levels = 4,
-                           .tas_intervals = 2};
-    built = std::make_unique<GatIndex>(dataset, config);
-    path = TempPath("async_tier.gats");
-    EXPECT_TRUE(SaveSnapshot(*built, path));
-  }
-  ~TierFixture() { std::remove(path.c_str()); }
-
-  LoadedSnapshot Load(SnapshotIoMode mode,
-                                       uint64_t capacity_bytes = 1 << 20,
-                                       CacheAdmission admission =
-                                           CacheAdmission::kAdmitAll) const {
-    MappedSnapshotOptions options;
-    options.io_mode = mode;
-    options.cache_config.block_bytes = 512;
-    options.cache_config.shards = 1;
-    options.cache_config.capacity_bytes = capacity_bytes;
-    options.cache_config.admission = admission;
-    return LoadedSnapshot::LoadMapped(path, options);
-  }
-};
-
-TEST(AsyncDiskTier, BitIdenticalToMappedTierWithEqualCounters) {
-  const TierFixture fix;
-  const auto mmap_snap = fix.Load(SnapshotIoMode::kMmap);
-  const auto async_snap = fix.Load(SnapshotIoMode::kAsync);
-  ASSERT_TRUE(mmap_snap);
-  ASSERT_TRUE(async_snap);
-  EXPECT_EQ(mmap_snap.mapped()->async_tier(), nullptr);
-  ASSERT_NE(async_snap.mapped()->async_tier(), nullptr);
-
-  const GatSearcher fresh(fix.dataset, *fix.built);
-  const GatSearcher mapped(fix.dataset, *mmap_snap);
-  const GatSearcher async_mapped(fix.dataset, *async_snap);
-  for (const Query& q : TestQueries(fix.dataset, 77)) {
-    for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
-      SearchStats fresh_stats, map_stats, async_stats;
-      const ResultList want = fresh.Search(q, 9, kind, &fresh_stats);
-      const ResultList via_mmap = mapped.Search(q, 9, kind, &map_stats);
-      const ResultList via_async =
-          async_mapped.Search(q, 9, kind, &async_stats);
-      ASSERT_EQ(want, via_mmap) << ToString(kind);
-      ASSERT_EQ(want, via_async) << ToString(kind);
-      EXPECT_EQ(async_stats.disk_reads, fresh_stats.disk_reads);
-      // Block-level accounting matches the mmap tier *exactly*: same
-      // cache geometry, same logical access sequence, same hit/read
-      // split — only the physical read changed.
-      EXPECT_EQ(async_stats.block_hits, map_stats.block_hits);
-      EXPECT_EQ(async_stats.blocks_read, map_stats.blocks_read);
-    }
-  }
-  EXPECT_GT(async_snap.mapped()->async_tier()->stats().async_reads, 0u);
-}
-
-TEST(AsyncDiskTier, StagingMakesDemandFetchesStallFree) {
-  const TierFixture fix;
-  const auto snap = fix.Load(SnapshotIoMode::kAsync);
-  ASSERT_TRUE(snap);
-  const AsyncDiskTier* tier = snap.mapped()->async_tier();
-  ASSERT_NE(tier, nullptr);
-
-  // Stage a few whole rows cold, then demand-fetch the same extents:
-  // the fetches must hit resident blocks and never stall.
-  const Apl& apl = snap->apl();
-  std::vector<std::pair<uint64_t, uint64_t>> extents;
-  for (TrajectoryId t = 0; t < 8 && t < apl.num_trajectories(); ++t) {
-    extents.push_back(apl.RowExtent(t));
-  }
-  std::atomic<bool> ready{false};
-  const size_t staged = tier->StageExtents(
-      extents, [&ready] { ready.store(true, std::memory_order_release); });
-  EXPECT_GT(staged, 0u);  // fresh cache: the rows must have been cold
-  while (!ready.load(std::memory_order_acquire)) {
-  }
-  EXPECT_EQ(tier->stats().staged_blocks, staged);
-
-  DiskAccessCounter counter;
-  for (const auto& [offset, bytes] : extents) {
-    tier->Fetch(offset, bytes, &counter);
-  }
-  EXPECT_EQ(tier->stats().worker_stalls, 0u);
-  EXPECT_EQ(tier->stats().stalled_blocks, 0u);
-  EXPECT_EQ(counter.BlocksRead(), 0u);
-  EXPECT_GT(counter.BlockHits(), 0u);
-
-  // Restaging the same extents finds everything resident: the ready
-  // callback runs inline and nothing is submitted.
-  bool inline_ready = false;
-  EXPECT_EQ(tier->StageExtents(extents,
-                               [&inline_ready] { inline_ready = true; }),
-            0u);
-  EXPECT_TRUE(inline_ready);
-}
-
-TEST(AsyncDiskTier, ColdDemandFetchCountsOneStall) {
-  const TierFixture fix;
-  const auto snap = fix.Load(SnapshotIoMode::kAsync);
-  ASSERT_TRUE(snap);
-  const AsyncDiskTier* tier = snap.mapped()->async_tier();
-  const auto extent = snap->apl().RowExtent(0);
-  if (extent.second == 0) GTEST_SKIP() << "empty first row";
-  DiskAccessCounter counter;
-  tier->Fetch(extent.first, extent.second, &counter);
-  EXPECT_EQ(tier->stats().worker_stalls, 1u);
-  EXPECT_EQ(tier->stats().stalled_blocks, counter.BlocksRead());
-  // Same extent again: resident now, no new stall.
-  tier->Fetch(extent.first, extent.second, &counter);
-  EXPECT_EQ(tier->stats().worker_stalls, 1u);
-}
-
-// ---------------------------------------------------------------------------
-// Staged engine (IoStager + TaskGroup::Defer through QueryEngine)
-// ---------------------------------------------------------------------------
-
-TEST(StagedEngine, BitIdenticalBatchesAndYieldAccounting) {
-  const TierFixture fix;
-  const std::vector<Query> queries = TestQueries(fix.dataset, 91, 12);
-
-  // Reference: inline engine over the built (simulated-tier) index.
-  const GatSearcher fresh(fix.dataset, *fix.built);
-  const QueryEngine reference(fresh, EngineOptions{.threads = 1});
-  const BatchResult want = reference.Run(queries, 9, QueryKind::kAtsq);
-
-  // Staged: executor engine over the async snapshot with a small cache,
-  // every query staged through the IoStager before its search task.
-  const auto snap = fix.Load(SnapshotIoMode::kAsync, /*capacity_bytes=*/
-                             16 * 512);
-  ASSERT_TRUE(snap);
-  const GatSearcher async_mapped(fix.dataset, *snap);
-  const IoStager stager(snap.index(), snap.mapped()->async_tier());
-  Executor executor(4);
-  const QueryEngine staged(
-      async_mapped,
-      EngineOptions{.executor = &executor, .stager = &stager});
-  const BatchResult got = staged.Run(queries, 9, QueryKind::kAtsq);
-
-  ASSERT_EQ(got.results.size(), want.results.size());
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got.results[i], want.results[i]) << "query " << i;
-    EXPECT_EQ(got.statuses[i], QueryStatus::kOk);
-  }
-  EXPECT_EQ(got.totals.disk_reads, want.totals.disk_reads);
-  // Every query went through Stage exactly once, and on a cold
-  // thrash-sized cache at least one of them had to yield.
-  const IoStager::Stats stats = stager.stats();
-  EXPECT_EQ(stats.queries_inline + stats.queries_yielded, queries.size());
-  EXPECT_GT(stats.queries_yielded, 0u);
-  EXPECT_GT(stats.blocks_staged, 0u);
-  EXPECT_TRUE(got.storage.present);
-
-  // Re-running the batch is still bit-identical (warm cache, inline
-  // resumes) and stages nothing new on the fully-warm path.
-  const BatchResult again = staged.Run(queries, 9, QueryKind::kAtsq);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(again.results[i], want.results[i]) << "query " << i;
-  }
-}
-
-TEST(StagedEngine, InlineEngineIgnoresStagerButReportsItsCache) {
-  // threads == 1: no executor, so the stager must not stage (there is
-  // no slot to yield) — but the batch still reports cache deltas from
-  // the stager's cache.
-  const TierFixture fix;
-  const auto snap = fix.Load(SnapshotIoMode::kAsync);
-  ASSERT_TRUE(snap);
-  const GatSearcher async_mapped(fix.dataset, *snap);
-  const IoStager stager(snap.index(), snap.mapped()->async_tier());
-  const QueryEngine engine(
-      async_mapped, EngineOptions{.threads = 1, .stager = &stager});
-  const std::vector<Query> queries = TestQueries(fix.dataset, 5, 4);
-  const BatchResult batch = engine.Run(queries, 9, QueryKind::kAtsq);
-  EXPECT_EQ(stager.stats().queries_inline + stager.stats().queries_yielded,
-            0u);
-  EXPECT_TRUE(batch.storage.present);
-  EXPECT_GT(batch.storage.hits + batch.storage.misses, 0u);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <future>
 #include <thread>
 #include <vector>
@@ -176,62 +175,6 @@ TEST(Executor, HelpingIsRestrictedToTheCallersGroup) {
   blockers.Wait();
   queued.Wait();
   stranger.Wait();
-}
-
-TEST(Executor, DeferredResumeCompletesTheGroup) {
-  // The yield-the-slot mechanism: Defer reserves a completion the group
-  // barrier waits on; Resume enqueues the continuation later, from any
-  // thread. Wait must block across the gap and run the continuation.
-  Executor executor(2);
-  TaskGroup group(executor);
-  std::atomic<int> ran{0};
-  const TaskGroup::Deferred deferred = group.Defer();
-  std::thread resumer([deferred, &ran] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    deferred.Resume([&ran] { ran.fetch_add(1); });
-  });
-  group.Wait();  // must not return before the resumed continuation ran
-  EXPECT_EQ(ran.load(), 1);
-  resumer.join();
-}
-
-TEST(Executor, DeferredResumeFromCompletionContextInterleavesWithTasks) {
-  // The QueryEngine staged pattern: normal tasks and deferred
-  // continuations share one group; continuations resume from foreign
-  // threads (an I/O completion in production) while workers drain tasks.
-  Executor executor(4);
-  TaskGroup group(executor);
-  constexpr int kEach = 50;
-  std::atomic<int> ran{0};
-  std::vector<TaskGroup::Deferred> deferred;
-  deferred.reserve(kEach);
-  for (int i = 0; i < kEach; ++i) {
-    group.Submit([&ran] { ran.fetch_add(1); });
-    deferred.push_back(group.Defer());
-  }
-  std::thread completer([&deferred, &ran] {
-    for (const TaskGroup::Deferred& d : deferred) {
-      d.Resume([&ran] { ran.fetch_add(1); });
-    }
-  });
-  group.Wait();
-  EXPECT_EQ(ran.load(), 2 * kEach);
-  completer.join();
-}
-
-TEST(Executor, DeferCountsOneSubmissionPerResumeNotPerDefer) {
-  // Defer only reserves the slot; the executor sees a task when Resume
-  // enqueues the continuation — exactly one per deferred completion.
-  Executor executor(2);
-  const uint64_t before = executor.tasks_submitted();
-  TaskGroup group(executor);
-  const TaskGroup::Deferred a = group.Defer();
-  const TaskGroup::Deferred b = group.Defer();
-  EXPECT_EQ(executor.tasks_submitted(), before);  // nothing enqueued yet
-  a.Resume([] {});
-  b.Resume([] {});
-  group.Wait();
-  EXPECT_EQ(executor.tasks_submitted(), before + 2);
 }
 
 }  // namespace

@@ -180,128 +180,6 @@ TEST(BlockCache, WarmCountsSeparatelyFromDemand) {
   EXPECT_EQ(stats.misses, 0u);
 }
 
-// ---------------------------------------------------------------------------
-// Scan-resistant admission (CacheAdmission::kScanResistant)
-// ---------------------------------------------------------------------------
-
-BlockCacheConfig ScanResistantConfig(uint64_t capacity_blocks) {
-  return BlockCacheConfig{.block_bytes = 512,
-                          .capacity_bytes = capacity_blocks * 512,
-                          .shards = 1,
-                          .admission = CacheAdmission::kScanResistant};
-}
-
-TEST(BlockCacheAdmission, SequentialScanDoesNotEvictHotSet) {
-  // The scenario the policy exists for: a scan larger than the whole
-  // cache must not flush a repeatedly-touched working set. Each scan
-  // block arrives with frequency 1 and loses the duel against any warm
-  // victim — served but never cached.
-  BlockCache cache(ScanResistantConfig(4));
-  const BlockFileToken file = cache.RegisterFile();
-  for (uint64_t b = 0; b < 4; ++b) TouchAndPublish(cache, file, b);
-  for (int round = 0; round < 2; ++round) {
-    for (uint64_t b = 0; b < 4; ++b) EXPECT_TRUE(cache.Touch(file, b));
-  }
-
-  for (uint64_t b = 100; b < 120; ++b) {
-    EXPECT_FALSE(TouchAndPublish(cache, file, b));  // scanned once each
-  }
-
-  // The hot set survived the scan untouched.
-  for (uint64_t b = 0; b < 4; ++b) EXPECT_TRUE(cache.Touch(file, b));
-  const BlockCacheStats stats = cache.Snapshot();
-  EXPECT_EQ(stats.admission_rejects, 20u);
-  EXPECT_EQ(stats.ghost_hits, 0u);
-  EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_EQ(cache.ResidentBlocks(), 4u);
-}
-
-TEST(BlockCacheAdmission, GhostHitReadmitsSecondReference) {
-  // 2Q half of the policy: a rejected candidate that comes back within
-  // the ghost window is genuinely re-referenced — admit it even though
-  // its frequency alone would lose the duel.
-  BlockCache cache(ScanResistantConfig(2));
-  const BlockFileToken file = cache.RegisterFile();
-  TouchAndPublish(cache, file, 0);
-  TouchAndPublish(cache, file, 1);
-  EXPECT_TRUE(cache.Touch(file, 0));
-  EXPECT_TRUE(cache.Touch(file, 1));
-
-  EXPECT_FALSE(TouchAndPublish(cache, file, 9));  // rejected -> ghost
-  EXPECT_EQ(cache.Snapshot().admission_rejects, 1u);
-  EXPECT_FALSE(cache.Touch(file, 9));  // still not resident...
-  cache.Publish(file, 9);              // ...but remembered: admitted now
-  EXPECT_TRUE(cache.Touch(file, 9));
-  const BlockCacheStats stats = cache.Snapshot();
-  EXPECT_EQ(stats.ghost_hits, 1u);
-  EXPECT_EQ(stats.evictions, 1u);  // the ghost admission evicted the LRU
-  EXPECT_EQ(cache.ResidentBlocks(), 2u);
-}
-
-TEST(BlockCacheAdmission, PrefetchPublishBypassesFrequencyDuel) {
-  // A prefetcher's whole point is warming blocks *before* their first
-  // demand touch — frequency 0 by construction. Staged/prefetched
-  // publishes therefore skip the duel (they still ride the LRU, so a
-  // wrong prediction ages out normally).
-  BlockCache cache(ScanResistantConfig(2));
-  const BlockFileToken file = cache.RegisterFile();
-  TouchAndPublish(cache, file, 0);
-  TouchAndPublish(cache, file, 1);
-  EXPECT_TRUE(cache.Touch(file, 0));
-  EXPECT_TRUE(cache.Touch(file, 1));
-
-  EXPECT_FALSE(cache.Warm(file, 9));
-  cache.Publish(file, 9, /*prefetch=*/true);
-  EXPECT_TRUE(cache.Touch(file, 9));  // admitted despite frequency 0
-  EXPECT_EQ(cache.Snapshot().admission_rejects, 0u);
-}
-
-TEST(BlockCacheAdmission, GhostForgetsUnregisteredFileAcrossIdReuse) {
-  // Ghost entries key on (file id, block) with no generation, so an
-  // unregister must purge them: a recycled id would otherwise inherit
-  // the predecessor's ghosts and earn free admissions for unrelated
-  // blocks.
-  BlockCache cache(ScanResistantConfig(2));
-  const BlockFileToken resident = cache.RegisterFile();
-  TouchAndPublish(cache, resident, 0);
-  TouchAndPublish(cache, resident, 1);
-  EXPECT_TRUE(cache.Touch(resident, 0));
-  EXPECT_TRUE(cache.Touch(resident, 1));
-
-  const BlockFileToken retiring = cache.RegisterFile();
-  EXPECT_FALSE(TouchAndPublish(cache, retiring, 7));  // rejected -> ghost
-  cache.Unregister(retiring);
-
-  const BlockFileToken successor = cache.RegisterFile();
-  ASSERT_EQ(successor.id, retiring.id);  // the id really was recycled
-  EXPECT_FALSE(TouchAndPublish(cache, successor, 7));
-  const BlockCacheStats stats = cache.Snapshot();
-  EXPECT_EQ(stats.ghost_hits, 0u);  // no inherited second chance
-  EXPECT_EQ(stats.admission_rejects, 2u);
-  EXPECT_FALSE(cache.Touch(successor, 7));
-}
-
-TEST(BlockCacheAdmission, DefaultAdmitAllIsUnchangedLru) {
-  // The default policy must stay byte-for-byte the seed behavior: every
-  // publish admitted, plain LRU eviction, admission counters dormant.
-  BlockCache cache(BlockCacheConfig{.block_bytes = 512,
-                                    .capacity_bytes = 2 * 512,
-                                    .shards = 1});
-  const BlockFileToken file = cache.RegisterFile();
-  TouchAndPublish(cache, file, 0);
-  TouchAndPublish(cache, file, 1);
-  EXPECT_TRUE(cache.Touch(file, 0));
-  EXPECT_TRUE(cache.Touch(file, 1));
-  for (uint64_t b = 100; b < 110; ++b) {
-    EXPECT_FALSE(TouchAndPublish(cache, file, b));  // each one admitted
-  }
-  EXPECT_FALSE(cache.Touch(file, 0));  // the scan flushed the hot set
-  const BlockCacheStats stats = cache.Snapshot();
-  EXPECT_EQ(stats.admission_rejects, 0u);
-  EXPECT_EQ(stats.ghost_hits, 0u);
-  EXPECT_EQ(stats.evictions, 10u);
-}
-
 TEST(BlockCache, FilesDoNotAliasEachOthersBlocks) {
   BlockCache cache(BlockCacheConfig{.block_bytes = 512,
                                     .capacity_bytes = 64 * 512});
