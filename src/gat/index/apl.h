@@ -14,7 +14,6 @@
 namespace gat {
 
 struct SnapshotIo;
-struct MappedSnapshotIo;
 
 /// Activity Posting List (Section IV, component iv).
 ///
@@ -27,9 +26,10 @@ struct MappedSnapshotIo;
 /// through the block cache).
 ///
 /// The read path is uniform over two storages: rows built from a dataset
-/// (or deserialized by the stream snapshot loader) own their vectors; rows
-/// served by a `MappedSnapshot` are zero-copy spans into the file mapping,
-/// with their byte extents recorded for block-granular I/O accounting.
+/// (or copied out of a snapshot by `LoadSnapshot`) own their vectors;
+/// rows served by a `MappedSnapshot` are zero-copy spans into the file
+/// mapping, with their byte extents recorded for block-granular I/O
+/// accounting. One parser (`ParseSnapshot`) produces both.
 class Apl {
  public:
   explicit Apl(const Dataset& dataset);
@@ -63,11 +63,10 @@ class Apl {
   const DiskTier& disk_tier() const { return *tier_; }
 
  private:
-  friend struct SnapshotIo;        // stream snapshot save/load
-  friend struct MappedSnapshotIo;  // zero-copy mmap load
-  Apl() = default;                 // only for snapshot loading
+  friend struct SnapshotIo;  // snapshot save/parse (both storages)
+  Apl() = default;           // only for snapshot loading
 
-  /// Owned storage of one built/deserialized row.
+  /// Owned storage of one built or copied-out row.
   struct TrajectoryPostings {
     std::vector<ActivityId> activities;  // sorted
     std::vector<uint32_t> offsets;       // size + 1

@@ -14,7 +14,6 @@
 namespace gat {
 
 struct SnapshotIo;
-struct MappedSnapshotIo;
 
 /// Construction parameters of the GAT index (defaults per Section VII-A).
 struct GatConfig {
@@ -73,8 +72,7 @@ class GatIndex {
   double build_seconds() const { return build_seconds_; }
 
  private:
-  friend struct SnapshotIo;        // snapshot.cc restores indexes w/o a build
-  friend struct MappedSnapshotIo;  // so does the mmap loader (gat/storage)
+  friend struct SnapshotIo;  // snapshot.cc restores indexes w/o a build
 
   /// Restore shell for snapshot loading: components are filled in by
   /// `SnapshotIo` afterwards.

@@ -12,7 +12,6 @@
 namespace gat {
 
 struct SnapshotIo;
-struct MappedSnapshotIo;
 
 /// Hierarchical Inverted Cell List (Section IV, component i).
 ///
@@ -27,8 +26,9 @@ struct MappedSnapshotIo;
 /// that formula and let callers pick). Queries against disk levels fetch
 /// the list through the attached `DiskTier` (one logical read charged to
 /// the supplied DiskAccessCounter; block I/O under an mmap-backed tier).
-/// Like `Apl`, the read path is uniform over owned vectors (built /
-/// stream-deserialized) and zero-copy spans into a snapshot mapping.
+/// Like `Apl`, the read path is uniform over owned vectors (built, or
+/// copied out of a snapshot by `LoadSnapshot`) and zero-copy spans into
+/// a snapshot mapping.
 class Hicl {
  public:
   /// `leaf_cells_per_activity[a]` = sorted unique leaf Morton codes where
@@ -74,9 +74,8 @@ class Hicl {
                                    int depth);
 
  private:
-  friend struct SnapshotIo;        // stream snapshot save/load
-  friend struct MappedSnapshotIo;  // zero-copy mmap load
-  Hicl() = default;                // only for snapshot loading
+  friend struct SnapshotIo;  // snapshot save/parse (both storages)
+  Hicl() = default;          // only for snapshot loading
 
   struct ActivityLists {
     /// cells[l-1] = sorted codes at level l.
@@ -96,15 +95,16 @@ class Hicl {
                   static_cast<size_t>(level - 1)];
   }
 
-  /// Rebuilds `views_` over `owned_` (after build/deserialize).
+  /// Rebuilds `views_` over `owned_` (after the build).
   void RebuildViews();
 
   int depth_ = 0;
   int memory_levels_ = 0;
   uint32_t num_activities_ = 0;
-  /// Heap storage. Built/stream-loaded: every level. Mmap-served: the
-  /// memory levels only (they deserialize per the paper's tier split);
-  /// disk-level vectors stay empty, their views point into the mapping.
+  /// Heap storage. Built or copied by `LoadSnapshot`: every level.
+  /// Mmap-served: the memory levels only (copied per the paper's tier
+  /// split); disk-level vectors stay empty, their views point into the
+  /// mapping.
   std::vector<ActivityLists> owned_;
   std::vector<LevelView> views_;  // a * depth + (level - 1)
   const DiskTier* tier_ = SimulatedDiskTier::Instance();

@@ -11,7 +11,6 @@
 namespace gat {
 
 struct SnapshotIo;
-struct MappedSnapshotIo;
 
 /// Inverted Trajectory List (Section IV, component ii).
 ///
@@ -52,9 +51,8 @@ class Itl {
   size_t MemoryBytes() const { return memory_bytes_; }
 
  private:
-  friend struct SnapshotIo;        // snapshot.cc reads/writes the private state
-  friend struct MappedSnapshotIo;  // mmap loader deserializes (RAM tier)
-  Itl() = default;                 // only for snapshot loading
+  friend struct SnapshotIo;  // snapshot.cc reads/writes the private state
+  Itl() = default;           // only for snapshot loading
 
   std::unordered_map<uint32_t, CellPostings> cells_;
   size_t memory_bytes_ = 0;

@@ -10,7 +10,6 @@
 #include <fstream>
 #include <functional>
 #include <span>
-#include <sstream>
 #include <vector>
 
 #include "gat/engine/executor.h"
@@ -20,14 +19,14 @@
 #include "gat/index/hicl.h"
 #include "gat/index/itl.h"
 #include "gat/index/snapshot_format.h"
-#include "gat/index/snapshot_validate.h"
 #include "gat/index/tas.h"
 #include "gat/model/binary_io.h"
-#include "gat/util/stopwatch.h"
+#include "gat/storage/mapped_file.h"
 
 namespace gat {
 namespace {
 
+using snapshot_format::Crc32;
 using snapshot_format::Crc32Update;
 using snapshot_format::kHeaderBytes;
 using snapshot_format::kMagic;
@@ -38,25 +37,6 @@ using snapshot_format::kTagHicl;
 using snapshot_format::kTagItl;
 using snapshot_format::kTagTas;
 using snapshot_format::kVersion;
-using snapshot_validate::OffsetsValid;
-using snapshot_validate::ValidateRows;
-
-/// Streaming CRC of the next `size` bytes of `in` (chunked; no payload
-/// copy). Returns false on a short read.
-bool Crc32Stream(std::istream& in, uint64_t size, uint32_t* out) {
-  char buf[1 << 16];
-  uint32_t crc = 0xFFFFFFFFu;
-  while (size > 0) {
-    const size_t chunk = size < sizeof(buf) ? static_cast<size_t>(size)
-                                            : sizeof(buf);
-    in.read(buf, chunk);
-    if (static_cast<size_t>(in.gcount()) != chunk) return false;
-    crc = Crc32Update(crc, buf, chunk);
-    size -= chunk;
-  }
-  *out = crc ^ 0xFFFFFFFFu;
-  return true;
-}
 
 /// Forwards bytes to `dest` while folding them into a running CRC32, so
 /// the save path checksums without buffering the payload.
@@ -85,12 +65,6 @@ void WriteTag(std::ostream& out, const char (&tag)[4]) {
   out.write(tag, sizeof(tag));
 }
 
-bool ExpectTag(std::istream& in, const char (&tag)[4]) {
-  char got[4];
-  in.read(got, sizeof(got));
-  return in.good() && std::memcmp(got, tag, sizeof(tag)) == 0;
-}
-
 /// Trivially-copyable element vectors are stored as u64 count + raw bytes.
 template <typename T>
 void WriteVec(std::ostream& out, std::span<const T> v) {
@@ -105,24 +79,114 @@ void WriteVec(std::ostream& out, const std::vector<T>& v) {
   WriteVec(out, std::span<const T>{v.data(), v.size()});
 }
 
-/// `max_bytes` (the payload size) caps the element count so a corrupt or
-/// forged-checksum header can neither over-allocate nor loop: any honest
-/// count satisfies count * sizeof(T) <= payload bytes, so the resize is
-/// bounded by the file size and a lying count fails before allocating.
-template <typename T>
-bool ReadVec(std::istream& in, std::vector<T>* v, uint64_t max_bytes) {
-  uint64_t count = 0;
-  if (!ReadPod(in, &count) || count > max_bytes / sizeof(T)) return false;
-  v->resize(count);
-  if (count > 0) {
-    in.read(reinterpret_cast<char*>(v->data()), count * sizeof(T));
+/// Bounds-checked cursor over a whole snapshot image. Every read fails
+/// instead of running past the end, so a truncated or forged file can
+/// neither over-read nor over-allocate.
+struct ByteReader {
+  const char* data;
+  size_t size;
+  size_t pos;
+
+  size_t Remaining() const { return size - pos; }
+
+  template <typename T>
+  bool ReadPod(T* out) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (Remaining() < sizeof(T)) return false;
+    std::memcpy(out, data + pos, sizeof(T));
+    pos += sizeof(T);
+    return true;
   }
-  return in.good();
+
+  bool ExpectTag(const char (&tag)[4]) {
+    if (Remaining() < 4) return false;
+    const bool ok = std::memcmp(data + pos, tag, 4) == 0;
+    pos += 4;
+    return ok;
+  }
+
+  /// Zero-copy view of a `u64 count + raw elements` vector. The count is
+  /// bounded by the remaining bytes, and the element array must sit
+  /// 4-byte aligned — guaranteed by the format's all-fields-multiple-of-4
+  /// invariant (snapshot_format.h) over a page-aligned mapping.
+  template <typename T>
+  bool ReadSpan(std::span<const T>* out) {
+    static_assert(alignof(T) <= 4);
+    uint64_t count = 0;
+    if (!ReadPod(&count) || count > Remaining() / sizeof(T)) return false;
+    if (reinterpret_cast<uintptr_t>(data + pos) % alignof(T) != 0) {
+      return false;  // malformed beyond what the writer can produce
+    }
+    *out = {reinterpret_cast<const T*>(data + pos), count};
+    pos += static_cast<size_t>(count) * sizeof(T);
+    return true;
+  }
+
+  /// Copying read, for the sections the index always owns.
+  template <typename T>
+  bool ReadVec(std::vector<T>* v) {
+    std::span<const T> s;
+    if (!ReadSpan(&s)) return false;
+    v->assign(s.begin(), s.end());
+    return true;
+  }
+};
+
+/// Structural check shared by the ITL / APL posting layouts and the TAS
+/// offset table: `offsets` must be [0, ..., payload_size] and
+/// non-decreasing, with one extra entry over `keys`. A snapshot failing
+/// this would hand out-of-range spans to the searchers.
+bool OffsetsValid(std::span<const uint32_t> offsets, size_t num_keys,
+                  size_t payload_size) {
+  if (offsets.size() != num_keys + 1) return false;
+  if (offsets.front() != 0 ||
+      offsets.back() != static_cast<uint32_t>(payload_size)) {
+    return false;
+  }
+  return std::is_sorted(offsets.begin(), offsets.end());
+}
+
+/// Rows below this count validate inline: the task-submission overhead
+/// would exceed the per-row sorted/bounds checks being fanned out.
+constexpr size_t kParallelValidateMinRows = 256;
+
+/// Runs `row_ok(i)` over every row, fanned out in contiguous chunks on
+/// `executor` when one is given and the section is big enough to pay for
+/// it. Row checks are independent reads of already-parsed data, so the
+/// only shared state is the sticky failure flag. Returns true iff every
+/// row passes — the same decision the inline loop makes.
+bool ValidateRows(Executor* executor, size_t rows,
+                  const std::function<bool(size_t)>& row_ok) {
+  if (executor == nullptr || executor->threads() <= 1 ||
+      rows < kParallelValidateMinRows) {
+    for (size_t i = 0; i < rows; ++i) {
+      if (!row_ok(i)) return false;
+    }
+    return true;
+  }
+  const size_t chunks = std::min<size_t>(executor->threads(), rows);
+  const size_t per_chunk = (rows + chunks - 1) / chunks;
+  std::atomic<bool> ok{true};
+  TaskGroup group(*executor);
+  for (size_t begin = 0; begin < rows; begin += per_chunk) {
+    const size_t end = std::min(rows, begin + per_chunk);
+    group.Submit([&ok, &row_ok, begin, end] {
+      for (size_t i = begin; i < end; ++i) {
+        if (!ok.load(std::memory_order_relaxed)) return;  // already doomed
+        if (!row_ok(i)) {
+          ok.store(false, std::memory_order_relaxed);
+          return;
+        }
+      }
+    });
+  }
+  group.Wait();
+  return ok.load();
 }
 
 }  // namespace
 
-/// Private-state accessor for snapshot save/load; befriended by GatIndex
+/// Private-state accessor for snapshot save/parse; befriended by GatIndex
 /// and the four index components.
 struct SnapshotIo {
   static bool SavePayload(const GatIndex& index, std::ostream& out,
@@ -148,16 +212,25 @@ struct SnapshotIo {
     return out.good();
   }
 
-  static std::unique_ptr<GatIndex> LoadPayload(std::istream& in,
-                                               uint64_t payload_size,
-                                               const GatConfig* expected,
-                                               uint32_t expected_fingerprint,
-                                               Executor* executor) {
+  static std::unique_ptr<GatIndex> Parse(std::span<const char> file,
+                                         uint32_t payload_crc,
+                                         const GatConfig* expected,
+                                         uint32_t expected_fingerprint,
+                                         Executor* executor,
+                                         const DiskTier* tier,
+                                         const Stopwatch& timer) {
+    ByteReader r{file.data(), file.size(), 0};
+    uint32_t version = 0, stored_crc = 0;
+    if (!r.ExpectTag(kMagic) || !r.ReadPod(&version) || version != kVersion ||
+        !r.ReadPod(&stored_crc) || stored_crc != payload_crc) {
+      return nullptr;
+    }
+
     GatConfig config;
     int32_t depth = 0, memory_levels = 0, tas_intervals = 0;
     uint32_t fingerprint = 0;
-    if (!ReadPod(in, &depth) || !ReadPod(in, &memory_levels) ||
-        !ReadPod(in, &tas_intervals) || !ReadPod(in, &fingerprint)) {
+    if (!r.ReadPod(&depth) || !r.ReadPod(&memory_levels) ||
+        !r.ReadPod(&tas_intervals) || !r.ReadPod(&fingerprint)) {
       return nullptr;
     }
     config.depth = depth;
@@ -174,10 +247,10 @@ struct SnapshotIo {
       return nullptr;
     }
 
-    if (!ExpectTag(in, kTagGrid)) return nullptr;
+    if (!r.ExpectTag(kTagGrid)) return nullptr;
     Rect space;
-    if (!ReadPod(in, &space.min.x) || !ReadPod(in, &space.min.y) ||
-        !ReadPod(in, &space.max.x) || !ReadPod(in, &space.max.y)) {
+    if (!r.ReadPod(&space.min.x) || !r.ReadPod(&space.min.y) ||
+        !r.ReadPod(&space.max.x) || !r.ReadPod(&space.max.y)) {
       return nullptr;
     }
     if (!(space.Width() > 0.0) || !(space.Height() > 0.0)) return nullptr;
@@ -185,16 +258,16 @@ struct SnapshotIo {
     // Private restore ctor; components are filled below.
     std::unique_ptr<GatIndex> index(
         new GatIndex(config, GridGeometry::Restore(space, config.depth)));
-    index->hicl_ = LoadHicl(in, payload_size, config, executor);
+    index->hicl_ = ParseHicl(r, config, tier, executor);
     if (index->hicl_ == nullptr) return nullptr;
     uint64_t itl_rows_required = 0;  // 1 + max trajectory ID the ITL emits
-    index->itl_ = LoadItl(in, payload_size, config, &itl_rows_required);
+    index->itl_ = ParseItl(r, config, &itl_rows_required);
     if (index->itl_ == nullptr) return nullptr;
-    index->tas_ = LoadTas(in, payload_size, config);
+    index->tas_ = ParseTas(r, config);
     if (index->tas_ == nullptr) return nullptr;
-    index->apl_ = LoadApl(in, payload_size, executor);
+    index->apl_ = ParseApl(r, tier, executor);
     if (index->apl_ == nullptr) return nullptr;
-    if (!ExpectTag(in, kTagEnd)) return nullptr;
+    if (!r.ExpectTag(kTagEnd)) return nullptr;
 
     // Cross-section consistency: every trajectory ID the ITL can emit as
     // a candidate must have a TAS row and an APL row — otherwise a load
@@ -202,11 +275,8 @@ struct SnapshotIo {
     const uint64_t rows = index->tas_->num_trajectories();
     if (index->apl_->num_trajectories() != rows) return nullptr;
     if (itl_rows_required > rows) return nullptr;
+    index->build_seconds_ = timer.ElapsedMillis() / 1000.0;
     return index;
-  }
-
-  static void set_build_seconds(GatIndex& index, double seconds) {
-    index.build_seconds_ = seconds;
   }
 
  private:
@@ -226,11 +296,10 @@ struct SnapshotIo {
     }
   }
 
-  static std::unique_ptr<Hicl> LoadHicl(std::istream& in,
-                                        uint64_t payload_size,
-                                        const GatConfig& config,
-                                        Executor* executor) {
-    if (!ExpectTag(in, kTagHicl)) return nullptr;
+  static std::unique_ptr<Hicl> ParseHicl(ByteReader& r, const GatConfig& config,
+                                         const DiskTier* tier,
+                                         Executor* executor) {
+    if (!r.ExpectTag(kTagHicl)) return nullptr;
     std::unique_ptr<Hicl> hicl(new Hicl());
     hicl->depth_ = config.depth;
     hicl->memory_levels_ = config.memory_levels;
@@ -238,44 +307,60 @@ struct SnapshotIo {
     // Every activity stores `depth` vectors of >= 8 bytes (the count
     // word), so any honest count satisfies this bound — and a forged
     // one fails before the resize can over-allocate.
-    if (!ReadPod(in, &memory_bytes) || !ReadPod(in, &disk_bytes) ||
-        !ReadPod(in, &num_activities) ||
+    if (!r.ReadPod(&memory_bytes) || !r.ReadPod(&disk_bytes) ||
+        !r.ReadPod(&num_activities) ||
         num_activities >
-            payload_size / (8u * static_cast<uint32_t>(config.depth))) {
+            r.Remaining() / (8u * static_cast<uint32_t>(config.depth))) {
       return nullptr;
     }
     hicl->memory_bytes_ = memory_bytes;
     hicl->disk_bytes_ = disk_bytes;
-    hicl->owned_.resize(num_activities);
-    // Deserialize sequentially (the stream is one cursor), then validate
-    // the rows fanned out: the sorted/bounds sweeps dominate warm-start
-    // CPU on large snapshots and are independent per activity.
-    for (auto& lists : hicl->owned_) {
-      lists.cells.resize(config.depth);
-      for (int level = 1; level <= config.depth; ++level) {
-        if (!ReadVec(in, &lists.cells[level - 1], payload_size)) {
-          return nullptr;
-        }
-      }
+    hicl->num_activities_ = static_cast<uint32_t>(num_activities);
+    const size_t depth = static_cast<size_t>(config.depth);
+    // Every list starts as a span into the file with its byte extent
+    // (count word + elements) for the disk tier.
+    hicl->views_.resize(num_activities * depth);
+    for (Hicl::LevelView& view : hicl->views_) {
+      const uint64_t list_start = r.pos;
+      if (!r.ReadSpan(&view.cells)) return nullptr;
+      view.tier_offset = list_start;
+      view.tier_bytes = r.pos - list_start;
     }
+    // The sorted/bounds sweeps dominate warm-start CPU on large
+    // snapshots and are independent per activity, so they fan out.
     const bool rows_ok = ValidateRows(
-        executor, hicl->owned_.size(), [&hicl, &config](size_t row) {
-          const auto& lists = hicl->owned_[row];
-          for (int level = 1; level <= config.depth; ++level) {
-            const auto& level_cells = lists.cells[level - 1];
+        executor, num_activities, [&hicl, depth](size_t row) {
+          for (size_t level = 1; level <= depth; ++level) {
+            const auto cells = hicl->views_[row * depth + (level - 1)].cells;
             // Contains() binary-searches these lists; codes must be
             // sorted and addressable within the 4^level cells of the
             // level.
             const uint64_t cell_count = uint64_t{1} << (2 * level);
-            if (!std::is_sorted(level_cells.begin(), level_cells.end()) ||
-                (!level_cells.empty() && level_cells.back() >= cell_count)) {
+            if (!std::is_sorted(cells.begin(), cells.end()) ||
+                (!cells.empty() && cells.back() >= cell_count)) {
               return false;
             }
           }
           return true;
         });
     if (!rows_ok) return nullptr;
-    hicl->RebuildViews();
+    // Copy what the index owns — every level without a tier, the memory
+    // levels (RAM-resident per the paper's tier split) with one — and
+    // charge owned lists their element bytes, as a built index does.
+    hicl->owned_.resize(num_activities);
+    for (size_t a = 0; a < num_activities; ++a) {
+      auto& lists = hicl->owned_[a].cells;
+      lists.resize(depth);
+      for (int level = 1; level <= config.depth; ++level) {
+        if (tier != nullptr && level > config.memory_levels) continue;
+        Hicl::LevelView& view = hicl->views_[a * depth + (level - 1)];
+        auto& cells = lists[level - 1];
+        cells.assign(view.cells.begin(), view.cells.end());
+        view = {{cells.data(), cells.size()}, 0,
+                cells.size() * sizeof(uint32_t)};
+      }
+    }
+    if (tier != nullptr) hicl->tier_ = tier;
     return hicl;
   }
 
@@ -299,15 +384,14 @@ struct SnapshotIo {
     }
   }
 
-  static std::unique_ptr<Itl> LoadItl(std::istream& in, uint64_t payload_size,
-                                      const GatConfig& config,
-                                      uint64_t* rows_required) {
-    if (!ExpectTag(in, kTagItl)) return nullptr;
+  static std::unique_ptr<Itl> ParseItl(ByteReader& r, const GatConfig& config,
+                                       uint64_t* rows_required) {
+    if (!r.ExpectTag(kTagItl)) return nullptr;
     std::unique_ptr<Itl> itl(new Itl());
     uint64_t memory_bytes = 0, num_cells = 0;
     // Per cell: a 4-byte code plus three 8-byte count words, minimum.
-    if (!ReadPod(in, &memory_bytes) || !ReadPod(in, &num_cells) ||
-        num_cells > payload_size / 28u) {
+    if (!r.ReadPod(&memory_bytes) || !r.ReadPod(&num_cells) ||
+        num_cells > r.Remaining() / 28u) {
       return nullptr;
     }
     const uint64_t leaf_cell_count = uint64_t{1} << (2 * config.depth);
@@ -317,10 +401,9 @@ struct SnapshotIo {
     for (uint64_t c = 0; c < num_cells; ++c) {
       uint32_t code = 0;
       Itl::CellPostings cell;
-      if (!ReadPod(in, &code) || code >= leaf_cell_count ||
-          !ReadVec(in, &cell.activities, payload_size) ||
-          !ReadVec(in, &cell.offsets, payload_size) ||
-          !ReadVec(in, &cell.trajectories, payload_size)) {
+      if (!r.ReadPod(&code) || code >= leaf_cell_count ||
+          !r.ReadVec(&cell.activities) || !r.ReadVec(&cell.offsets) ||
+          !r.ReadVec(&cell.trajectories)) {
         return nullptr;
       }
       if (!OffsetsValid(cell.offsets, cell.activities.size(),
@@ -343,13 +426,11 @@ struct SnapshotIo {
     WriteVec(out, tas.offsets_);
   }
 
-  static std::unique_ptr<Tas> LoadTas(std::istream& in, uint64_t payload_size,
-                                      const GatConfig& config) {
-    if (!ExpectTag(in, kTagTas)) return nullptr;
+  static std::unique_ptr<Tas> ParseTas(ByteReader& r, const GatConfig& config) {
+    if (!r.ExpectTag(kTagTas)) return nullptr;
     std::unique_ptr<Tas> tas(new Tas());
     tas->num_intervals_ = config.tas_intervals;
-    if (!ReadVec(in, &tas->intervals_, payload_size) ||
-        !ReadVec(in, &tas->offsets_, payload_size)) {
+    if (!r.ReadVec(&tas->intervals_) || !r.ReadVec(&tas->offsets_)) {
       return nullptr;
     }
     if (tas->offsets_.empty() ||
@@ -374,34 +455,48 @@ struct SnapshotIo {
     }
   }
 
-  static std::unique_ptr<Apl> LoadApl(std::istream& in, uint64_t payload_size,
-                                      Executor* executor) {
-    if (!ExpectTag(in, kTagApl)) return nullptr;
+  static std::unique_ptr<Apl> ParseApl(ByteReader& r, const DiskTier* tier,
+                                       Executor* executor) {
+    if (!r.ExpectTag(kTagApl)) return nullptr;
     std::unique_ptr<Apl> apl(new Apl());
     uint64_t disk_bytes = 0, num_trajectories = 0;
     // Per row: three 8-byte count words, minimum.
-    if (!ReadPod(in, &disk_bytes) || !ReadPod(in, &num_trajectories) ||
-        num_trajectories > payload_size / 24u) {
+    if (!r.ReadPod(&disk_bytes) || !r.ReadPod(&num_trajectories) ||
+        num_trajectories > r.Remaining() / 24u) {
       return nullptr;
     }
     apl->disk_bytes_ = disk_bytes;
-    apl->owned_.resize(num_trajectories);
-    // Same split as LoadHicl: sequential reads, fanned-out row checks.
-    for (auto& tp : apl->owned_) {
-      if (!ReadVec(in, &tp.activities, payload_size) ||
-          !ReadVec(in, &tp.offsets, payload_size) ||
-          !ReadVec(in, &tp.points, payload_size)) {
+    apl->rows_.resize(num_trajectories);
+    for (auto& row : apl->rows_) {
+      const uint64_t row_start = r.pos;
+      if (!r.ReadSpan(&row.activities) || !r.ReadSpan(&row.offsets) ||
+          !r.ReadSpan(&row.points)) {
         return nullptr;
       }
+      row.tier_offset = row_start;
+      row.tier_bytes = r.pos - row_start;  // three count words + elements
     }
     const bool rows_ok = ValidateRows(
-        executor, apl->owned_.size(), [&apl](size_t row) {
-          const auto& tp = apl->owned_[row];
-          return OffsetsValid(tp.offsets, tp.activities.size(),
-                              tp.points.size()) &&
-                 std::is_sorted(tp.activities.begin(), tp.activities.end());
+        executor, apl->rows_.size(), [&apl](size_t i) {
+          const auto& row = apl->rows_[i];
+          return OffsetsValid(row.offsets, row.activities.size(),
+                              row.points.size()) &&
+                 std::is_sorted(row.activities.begin(), row.activities.end());
         });
     if (!rows_ok) return nullptr;
+    if (tier != nullptr) {
+      apl->tier_ = tier;
+      return apl;
+    }
+    // No tier: the rows are copied out and served like built ones.
+    apl->owned_.resize(apl->rows_.size());
+    for (size_t i = 0; i < apl->rows_.size(); ++i) {
+      const auto& row = apl->rows_[i];
+      auto& tp = apl->owned_[i];
+      tp.activities.assign(row.activities.begin(), row.activities.end());
+      tp.offsets.assign(row.offsets.begin(), row.offsets.end());
+      tp.points.assign(row.points.begin(), row.points.end());
+    }
     apl->RebuildViews();
     return apl;
   }
@@ -471,43 +566,31 @@ bool SaveSnapshot(const GatIndex& index, const std::string& path,
   return true;
 }
 
+std::unique_ptr<GatIndex> ParseSnapshot(std::span<const char> file,
+                                        uint32_t payload_crc,
+                                        const GatConfig* expected,
+                                        uint32_t expected_fingerprint,
+                                        Executor* executor,
+                                        const DiskTier* tier,
+                                        const Stopwatch& timer) {
+  return SnapshotIo::Parse(file, payload_crc, expected, expected_fingerprint,
+                           executor, tier, timer);
+}
+
 std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
                                        const GatConfig* expected,
                                        uint32_t expected_fingerprint,
                                        Executor* executor) {
   Stopwatch timer;
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return nullptr;
-  in.seekg(0, std::ios::end);
-  const auto end = in.tellg();
-  if (end < 0 || static_cast<uint64_t>(end) < kHeaderBytes) return nullptr;
-  const uint64_t payload_size = static_cast<uint64_t>(end) - kHeaderBytes;
-  in.seekg(0, std::ios::beg);
-
-  char magic[4];
-  uint32_t version = 0, crc = 0;
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return nullptr;
-  }
-  if (!ReadPod(in, &version) || version != kVersion) return nullptr;
-  if (!ReadPod(in, &crc)) return nullptr;
-
-  // Two passes over the payload, zero copies of it: checksum first (a
-  // forged stream never reaches the parser), then rewind and parse
-  // straight from the file stream.
-  uint32_t actual_crc = 0;
-  if (!Crc32Stream(in, payload_size, &actual_crc) || actual_crc != crc) {
-    return nullptr;
-  }
-  in.clear();
-  in.seekg(kHeaderBytes, std::ios::beg);
-  auto index = SnapshotIo::LoadPayload(in, payload_size, expected,
-                                       expected_fingerprint, executor);
-  if (index != nullptr) {
-    SnapshotIo::set_build_seconds(*index, timer.ElapsedMillis() / 1000.0);
-  }
-  return index;
+  // Map, checksum, parse: no tier, so every section is copied out of the
+  // mapping, which is dropped on return.
+  MappedFile file;
+  if (!file.Open(path)) return nullptr;
+  const size_t header = std::min(file.size(), kHeaderBytes);
+  const uint32_t payload_crc =
+      Crc32(file.data() + header, file.size() - header);
+  return ParseSnapshot({file.data(), file.size()}, payload_crc, expected,
+                       expected_fingerprint, executor, /*tier=*/nullptr, timer);
 }
 
 }  // namespace gat

@@ -1,11 +1,15 @@
 #ifndef GAT_INDEX_SNAPSHOT_H_
 #define GAT_INDEX_SNAPSHOT_H_
 
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "gat/engine/executor.h"
 #include "gat/index/gat_index.h"
+#include "gat/storage/disk_tier.h"
+#include "gat/util/stopwatch.h"
 
 namespace gat {
 
@@ -60,10 +64,36 @@ bool SaveSnapshot(const GatIndex& index, const std::string& path,
 /// for callers that already run a pool, e.g. `ShardedIndex` restoring
 /// every shard on the serving executor. The accept/reject decision is
 /// identical with or without it.
+///
+/// The file is mapped, checksummed and handed to `ParseSnapshot` with
+/// no tier, so the whole index is copied out of the mapping.
 std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
                                        const GatConfig* expected = nullptr,
                                        uint32_t expected_fingerprint = 0,
                                        Executor* executor = nullptr);
+
+/// The one `GATS` parser, behind both `LoadSnapshot` and
+/// `MappedSnapshot::Load` (gat/storage). `file` is the whole snapshot,
+/// header included; `payload_crc` is the CRC32 of the bytes after the
+/// 12-byte header, computed by the caller (each sweeps the file its own
+/// way). It makes every accept/reject decision: magic, version,
+/// checksum, config and fingerprint gating as in `LoadSnapshot`,
+/// section tags, count bounds, structural and cross-section checks.
+///
+/// `tier` decides only where the disk-resident sections (HICL levels
+/// past `memory_levels`, APL rows) live. nullptr copies them into the
+/// index, served through the simulated tier. Non-null keeps them as
+/// spans into `file`, with their file-offset extents read through
+/// `tier`, so `file` must outlive the index. The RAM-resident sections
+/// are always copied. The index's `build_seconds()` is `timer`'s
+/// elapsed time when the parse ends.
+std::unique_ptr<GatIndex> ParseSnapshot(std::span<const char> file,
+                                        uint32_t payload_crc,
+                                        const GatConfig* expected,
+                                        uint32_t expected_fingerprint,
+                                        Executor* executor,
+                                        const DiskTier* tier,
+                                        const Stopwatch& timer);
 
 }  // namespace gat
 

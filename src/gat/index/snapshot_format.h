@@ -5,18 +5,16 @@
 #include <cstddef>
 #include <cstdint>
 
-/// The on-disk `GATS` snapshot format, shared by the two loaders:
-/// the stream deserializer (`gat/index/snapshot.cc`) and the zero-copy
-/// mmap loader (`gat/storage/mapped_snapshot.cc`). Both parse the same
-/// bytes; only what they do with the disk-tier sections differs
-/// (deserialize vs serve views into the mapping).
+/// The on-disk `GATS` snapshot format. `gat/index/snapshot.cc` writes it
+/// and holds its one parser, `ParseSnapshot`; the CRC helpers here also
+/// serve the mmap loader's checksum sweep (`gat/storage/mapped_snapshot.cc`).
 ///
 /// Layout: magic + version + payload CRC32 (12-byte header), then the
 /// payload — `GatConfig` fields, dataset fingerprint, and one tagged
 /// section per component (GRID, HICL, ITL_, TAS_, APL_, DONE). Every
 /// field and every vector payload is a multiple of 4 bytes, so *all*
 /// element arrays are 4-byte aligned at file offsets — the invariant
-/// the mmap loader relies on to hand out `std::span`s into the mapping
+/// the parser relies on to hand out `std::span`s into the mapping
 /// (element types are 4-byte IDs/codes; see common/types.h).
 namespace gat::snapshot_format {
 

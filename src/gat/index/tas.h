@@ -10,7 +10,6 @@
 namespace gat {
 
 struct SnapshotIo;
-struct MappedSnapshotIo;
 
 /// Trajectory Activity Sketch (Section IV, component iii).
 ///
@@ -56,9 +55,8 @@ class Tas {
       const std::vector<ActivityId>& sorted_ids, int num_intervals);
 
  private:
-  friend struct SnapshotIo;        // snapshot.cc reads/writes the private state
-  friend struct MappedSnapshotIo;  // mmap loader deserializes (RAM tier)
-  Tas() = default;                 // only for snapshot loading
+  friend struct SnapshotIo;  // snapshot.cc reads/writes the private state
+  Tas() = default;           // only for snapshot loading
 
   int num_intervals_ = 1;
   std::vector<Interval> intervals_;  // concatenated per trajectory

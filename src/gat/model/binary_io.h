@@ -8,8 +8,9 @@ namespace gat {
 
 /// Raw little-endian POD stream helpers shared by the binary formats —
 /// the dataset cache (model/serialization) and the index snapshot
-/// (index/snapshot). Values are written in host byte order; both formats
-/// are machine-local caches, not interchange formats.
+/// writer (index/snapshot; its parser reads a byte span instead).
+/// Values are written in host byte order; both formats are
+/// machine-local caches, not interchange formats.
 
 template <typename T>
 inline void WritePod(std::ostream& out, const T& value) {

@@ -32,7 +32,7 @@ struct ShardRevision {
   uint64_t epoch = 0;
 
   /// The mapped storage side when this revision serves out of a
-  /// mapping; nullptr in heap-owned (stream) mode.
+  /// mapping; nullptr in heap-owned mode.
   const MappedSnapshot* mapped() const { return snapshot.mapped(); }
 
   /// Wraps a loaded snapshot; the handle must be non-empty.

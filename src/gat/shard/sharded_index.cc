@@ -63,27 +63,11 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
     const std::string path =
         use_snapshots ? SnapshotPath(snapshot_dir, shard, num_shards)
                       : std::string();
-    MappedSnapshotOptions mapped_options;
-    mapped_options.expected = &config_;
-    mapped_options.expected_fingerprint = fingerprint;
-    mapped_options.executor = shard_executor;
-    mapped_options.cache = cache_.get();
     if (use_snapshots) {
-      if (cache_ != nullptr) {
-        auto snap = LoadedSnapshot::LoadMapped(path, mapped_options);
-        if (snap) {
-          install(shard, ShardRevision::Of(std::move(snap)));
-          loaded.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
-      } else {
-        auto index =
-            LoadSnapshot(path, &config_, fingerprint, shard_executor);
-        if (index != nullptr) {
-          install(shard, ShardRevision::Of(std::move(index)));
-          loaded.fetch_add(1, std::memory_order_relaxed);
-          return;
-        }
+      if (auto revision = LoadRevision(path, fingerprint, shard_executor)) {
+        install(shard, std::move(revision));
+        loaded.fetch_add(1, std::memory_order_relaxed);
+        return;
       }
     }
     auto built = std::make_unique<GatIndex>(shard_dataset, config_);
@@ -95,9 +79,8 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
         // mapped serving form immediately, so even the first process
         // generation serves its disk tier from the file. Falls back to
         // the built index if the fresh file cannot be mapped.
-        auto snap = LoadedSnapshot::LoadMapped(path, mapped_options);
-        if (snap) {
-          install(shard, ShardRevision::Of(std::move(snap)));
+        if (auto revision = LoadRevision(path, fingerprint, shard_executor)) {
+          install(shard, std::move(revision));
           return;
         }
       }
@@ -132,6 +115,21 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
 
   gen->loaded_from_snapshot_ = loaded.load();
   return gen;
+}
+
+std::shared_ptr<ShardRevision> ShardedIndex::LoadRevision(
+    const std::string& path, uint32_t fingerprint, Executor* executor) const {
+  if (cache_ == nullptr) {
+    auto index = LoadSnapshot(path, &config_, fingerprint, executor);
+    return index == nullptr ? nullptr : ShardRevision::Of(std::move(index));
+  }
+  MappedSnapshotOptions options;
+  options.expected = &config_;
+  options.expected_fingerprint = fingerprint;
+  options.executor = executor;
+  options.cache = cache_.get();
+  auto snap = LoadedSnapshot::LoadMapped(path, options);
+  return snap ? ShardRevision::Of(std::move(snap)) : nullptr;
 }
 
 ShardedIndex::ShardedIndex(const Dataset& dataset, const GatConfig& config,
@@ -190,19 +188,8 @@ bool ShardedIndex::ReloadShard(uint32_t shard,
   // anything else (including a corrupt or truncated file) fails here,
   // before the serving path is touched.
   const uint32_t fingerprint = DatasetFingerprint(gen->shard_dataset(shard));
-  std::shared_ptr<ShardRevision> next;
-  if (cache_ != nullptr) {
-    MappedSnapshotOptions mapped_options;
-    mapped_options.expected = &config_;
-    mapped_options.expected_fingerprint = fingerprint;
-    mapped_options.executor = executor;
-    mapped_options.cache = cache_.get();
-    auto snap = LoadedSnapshot::LoadMapped(snapshot_path, mapped_options);
-    if (snap) next = ShardRevision::Of(std::move(snap));
-  } else {
-    auto index = LoadSnapshot(snapshot_path, &config_, fingerprint, executor);
-    if (index != nullptr) next = ShardRevision::Of(std::move(index));
-  }
+  std::shared_ptr<ShardRevision> next =
+      LoadRevision(snapshot_path, fingerprint, executor);
   if (next == nullptr) {
     reloads_failed_.fetch_add(1, std::memory_order_relaxed);
     return false;

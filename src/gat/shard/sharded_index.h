@@ -292,6 +292,13 @@ class ShardedIndex {
       const std::string& snapshot_dir, Executor* executor,
       uint32_t build_threads) const;
 
+  /// Loads one shard snapshot in this index's serving form: mapped
+  /// through the shared cache in mmap mode, else copied onto the heap.
+  /// Gated on `config_` and `fingerprint`; nullptr on any failure.
+  std::shared_ptr<ShardRevision> LoadRevision(const std::string& path,
+                                              uint32_t fingerprint,
+                                              Executor* executor) const;
+
   GatConfig config_;
   /// Declared before the published generation on purpose: every mapped
   /// revision's disk tier unregisters from this cache in its

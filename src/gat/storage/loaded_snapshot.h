@@ -11,7 +11,7 @@ namespace gat {
 
 /// An owning handle to one loaded serving index, whichever way it was
 /// materialized: a `MappedSnapshot` (mapping + block-cached disk tier +
-/// index, all of whose views die together) or a heap-built/stream-loaded
+/// index, all of whose views die together) or a heap-built/`LoadSnapshot`
 /// `GatIndex`. The wrapper makes the lifetime rule mechanical — "the
 /// index pointer is valid exactly as long as the LoadedSnapshot" — so
 /// callers never hand-assemble a bare `GatIndex*` next to the
@@ -40,8 +40,8 @@ class LoadedSnapshot {
     return out;
   }
 
-  /// Wraps a heap-owned index (built, or stream-loaded via
-  /// `LoadSnapshot`). nullptr yields an empty handle.
+  /// Wraps a heap-owned index (built, or loaded by `LoadSnapshot`).
+  /// nullptr yields an empty handle.
   static LoadedSnapshot FromOwned(std::unique_ptr<GatIndex> index) {
     LoadedSnapshot out;
     out.index_ = index.get();

@@ -58,7 +58,7 @@ class MappedDiskTier final : public DiskTier {
   std::vector<uint32_t> block_crcs_;
 };
 
-/// MappedSnapshot::Load knobs. Mirrors `LoadSnapshot`'s expectations
+/// MappedSnapshot::Load knobs: `LoadSnapshot`'s three optional parameters
 /// plus the cache wiring.
 struct MappedSnapshotOptions {
   /// When non-null, the stored GatConfig must equal *expected.
@@ -84,18 +84,20 @@ struct MappedSnapshotOptions {
 
 /// A `GatIndex` served from an mmap-ed `GATS` snapshot.
 ///
-/// The RAM-resident components (ITL, TAS, HICL levels 1..h) deserialize
-/// exactly as `LoadSnapshot` does; the disk-resident ones (APL rows,
+/// `Load` maps the file, runs the checksum sweep and hands the mapping to
+/// `ParseSnapshot` (gat/index/snapshot.h) — the parser `LoadSnapshot`
+/// uses — with this snapshot's `MappedDiskTier`. So the RAM-resident
+/// components (ITL, TAS, HICL levels 1..h) are copied exactly as
+/// `LoadSnapshot` copies them, while the disk-resident ones (APL rows,
 /// HICL levels h+1..d) stay in the file and are served as zero-copy
-/// spans into the mapping, read through a `MappedDiskTier` — so a
-/// sharded process cold-starts without materializing its disk tier, and
-/// every disk access is page-granular real I/O through the block cache.
+/// spans into the mapping, read through the tier — so a sharded process
+/// cold-starts without materializing its disk tier, and every disk
+/// access is page-granular real I/O through the block cache.
 ///
-/// Load-time guarantees match `LoadSnapshot`: magic/version/CRC checks,
-/// identical config/fingerprint gating, identical structural validation
-/// (run over the mapped spans), nullptr on any error. A loaded index
-/// answers bit-identically to the stream-loaded or freshly built one,
-/// with equal logical `disk_reads` counts.
+/// One parser means the accept/reject decision is `LoadSnapshot`'s for
+/// every file: nullptr on any error. A loaded index answers
+/// bit-identically to the heap-loaded or freshly built one, with equal
+/// logical `disk_reads` counts.
 ///
 /// Lifetime: the `MappedSnapshot` owns the mapping, the tier and the
 /// index; `index()` views die with it.

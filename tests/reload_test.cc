@@ -411,7 +411,7 @@ TEST(ReloadShard, CorruptedIncomingSnapshotLeavesTheOldServing) {
 
 TEST(ReloadShard, StreamModeReloadsWithoutAnMmapTier) {
   // snapshot_dir without mmap_disk_tier: revisions are heap-owned
-  // indexes and ReloadShard goes through the stream loader — the epoch
+  // indexes and ReloadShard goes through LoadSnapshot — the epoch
   // guard is tier-independent.
   ReloadFixture fx("reload_stream", 2, /*mmap=*/false);
   ASSERT_EQ(fx.sharded->block_cache(), nullptr);

@@ -1,6 +1,10 @@
 // Tests for GAT index snapshots: save -> load must preserve search
 // behavior bit-identically, and every malformed-file path must fail
 // cleanly (nullptr, no crash, no exception).
+//
+// Both loaders — `LoadSnapshot` (heap copy) and `MappedSnapshot::Load`
+// (zero-copy disk tier) — run every rejection and parity sweep from one
+// loader list, and a forged-checksum sweep pins that they decide alike.
 
 #include "gat/index/snapshot.h"
 
@@ -16,6 +20,8 @@
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
 #include "gat/search/gat_search.h"
+#include "gat/storage/loaded_snapshot.h"
+#include "gat/storage/mapped_snapshot.h"
 
 namespace gat {
 namespace {
@@ -46,6 +52,15 @@ uint32_t TestCrc32(const char* data, size_t size) {
   return crc ^ 0xFFFFFFFFu;
 }
 
+constexpr size_t kHeaderBytes = 12;
+
+/// Re-stamps the header CRC over the (possibly corrupted) payload.
+void ForgeChecksum(std::string* bytes) {
+  const uint32_t crc =
+      TestCrc32(bytes->data() + kHeaderBytes, bytes->size() - kHeaderBytes);
+  bytes->replace(8, 4, reinterpret_cast<const char*>(&crc), 4);
+}
+
 std::vector<Query> TestQueries(const Dataset& dataset, uint64_t seed) {
   QueryWorkloadParams wp;
   wp.num_queries = 10;
@@ -54,18 +69,48 @@ std::vector<Query> TestQueries(const Dataset& dataset, uint64_t seed) {
   return qgen.Workload();
 }
 
-long FileSize(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  return in ? static_cast<long>(in.tellg()) : -1;
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
 }
 
-void TruncateTo(const std::string& src, const std::string& dst, long bytes) {
-  std::ifstream in(src, std::ios::binary);
-  std::vector<char> buf(bytes);
-  in.read(buf.data(), bytes);
-  std::ofstream out(dst, std::ios::binary | std::ios::trunc);
-  out.write(buf.data(), bytes);
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
+
+/// One way to load a snapshot file, wrapped so the result can be
+/// searched whichever storage backs it.
+struct Loader {
+  const char* name;
+  LoadedSnapshot (*load)(const std::string& path, const GatConfig* expected,
+                         uint32_t fingerprint, Executor* executor);
+
+  LoadedSnapshot operator()(const std::string& path,
+                            const GatConfig* expected = nullptr,
+                            uint32_t fingerprint = 0,
+                            Executor* executor = nullptr) const {
+    return load(path, expected, fingerprint, executor);
+  }
+};
+
+LoadedSnapshot HeapLoad(const std::string& path, const GatConfig* expected,
+                        uint32_t fingerprint, Executor* executor) {
+  return LoadedSnapshot::FromOwned(
+      LoadSnapshot(path, expected, fingerprint, executor));
+}
+
+LoadedSnapshot MappedLoad(const std::string& path, const GatConfig* expected,
+                          uint32_t fingerprint, Executor* executor) {
+  MappedSnapshotOptions options;
+  options.expected = expected;
+  options.expected_fingerprint = fingerprint;
+  options.executor = executor;
+  return LoadedSnapshot::LoadMapped(path, options);
+}
+
+constexpr Loader kLoaders[] = {{"LoadSnapshot", HeapLoad},
+                               {"MappedSnapshot::Load", MappedLoad}};
 
 TEST(Snapshot, RoundTripSearchesBitIdentically) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 31));
@@ -125,16 +170,20 @@ TEST(Snapshot, SavedBytesAreDeterministic) {
 }
 
 TEST(Snapshot, MissingFileFailsCleanly) {
-  EXPECT_EQ(LoadSnapshot(TempPath("no_such_snapshot.gats")), nullptr);
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    EXPECT_FALSE(load(TempPath("no_such_snapshot.gats")));
+    EXPECT_FALSE(load(::testing::TempDir()));  // a directory
+  }
 }
 
 TEST(Snapshot, BadMagicIsRejected) {
   const std::string path = TempPath("bad_magic.gats");
-  {
-    std::ofstream out(path, std::ios::binary);
-    out << "GATD this is a dataset header, not an index snapshot";
+  WriteFileBytes(path, "GATD this is a dataset header, not an index snapshot");
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    EXPECT_FALSE(load(path));
   }
-  EXPECT_EQ(LoadSnapshot(path), nullptr);
   std::remove(path.c_str());
 }
 
@@ -143,7 +192,9 @@ TEST(Snapshot, VersionMismatchIsRejected) {
   const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("version.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
-  ASSERT_NE(LoadSnapshot(path), nullptr);
+  for (const Loader& load : kLoaders) {
+    ASSERT_TRUE(load(path)) << load.name;
+  }
 
   // The version field sits right after the 4-byte magic.
   {
@@ -153,7 +204,10 @@ TEST(Snapshot, VersionMismatchIsRejected) {
     f.write(reinterpret_cast<const char*>(&future_version),
             sizeof(future_version));
   }
-  EXPECT_EQ(LoadSnapshot(path), nullptr);
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    EXPECT_FALSE(load(path));
+  }
   std::remove(path.c_str());
 }
 
@@ -164,20 +218,23 @@ TEST(Snapshot, ConfigMismatchOnLoadIsRejected) {
   const std::string path = TempPath("config.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
 
-  // Unchecked and matching-config loads succeed.
-  EXPECT_NE(LoadSnapshot(path), nullptr);
-  EXPECT_NE(LoadSnapshot(path, &saved), nullptr);
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    // Unchecked and matching-config loads succeed.
+    EXPECT_TRUE(load(path));
+    EXPECT_TRUE(load(path, &saved));
 
-  // Any differing field refuses the snapshot.
-  GatConfig other = saved;
-  other.depth = 6;
-  EXPECT_EQ(LoadSnapshot(path, &other), nullptr);
-  other = saved;
-  other.memory_levels = 2;
-  EXPECT_EQ(LoadSnapshot(path, &other), nullptr);
-  other = saved;
-  other.tas_intervals = 3;
-  EXPECT_EQ(LoadSnapshot(path, &other), nullptr);
+    // Any differing field refuses the snapshot.
+    GatConfig other = saved;
+    other.depth = 6;
+    EXPECT_FALSE(load(path, &other));
+    other = saved;
+    other.memory_levels = 2;
+    EXPECT_FALSE(load(path, &other));
+    other = saved;
+    other.tas_intervals = 3;
+    EXPECT_FALSE(load(path, &other));
+  }
   std::remove(path.c_str());
 }
 
@@ -191,13 +248,21 @@ TEST(Snapshot, DatasetFingerprintBindsSnapshotToItsDataset) {
   EXPECT_EQ(fp_a, DatasetFingerprint(a));  // deterministic
 
   const GatIndex index(a, GatConfig{.depth = 4, .memory_levels = 2});
-  const std::string path = TempPath("paired.gats");
-  ASSERT_TRUE(SaveSnapshot(index, path, fp_a));
+  const std::string paired = TempPath("paired.gats");
+  const std::string unstamped = TempPath("unstamped.gats");
+  ASSERT_TRUE(SaveSnapshot(index, paired, fp_a));
+  ASSERT_TRUE(SaveSnapshot(index, unstamped));
 
-  EXPECT_NE(LoadSnapshot(path, nullptr, fp_a), nullptr);  // right dataset
-  EXPECT_NE(LoadSnapshot(path), nullptr);                 // check waived
-  EXPECT_EQ(LoadSnapshot(path, nullptr, fp_b), nullptr);  // wrong dataset
-  std::remove(path.c_str());
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    EXPECT_TRUE(load(paired, nullptr, fp_a));   // right dataset
+    EXPECT_TRUE(load(paired));                  // check waived
+    EXPECT_FALSE(load(paired, nullptr, fp_b));  // wrong dataset
+    // Both sides must opt in: an unstamped file binds to nothing.
+    EXPECT_TRUE(load(unstamped, nullptr, fp_b));
+  }
+  std::remove(paired.c_str());
+  std::remove(unstamped.c_str());
 }
 
 TEST(Snapshot, BitCorruptionAnywhereIsRejected) {
@@ -205,12 +270,7 @@ TEST(Snapshot, BitCorruptionAnywhereIsRejected) {
   const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("corrupt.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
 
   // Flipping a single byte anywhere — header fields included — must be
@@ -221,11 +281,10 @@ TEST(Snapshot, BitCorruptionAnywhereIsRejected) {
        pos += (pos < 16 ? 1 : 131)) {  // every header byte, then strided
     std::string copy = bytes;
     copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
-    {
-      std::ofstream out(mutated, std::ios::binary | std::ios::trunc);
-      out.write(copy.data(), copy.size());
+    WriteFileBytes(mutated, copy);
+    for (const Loader& load : kLoaders) {
+      EXPECT_FALSE(load(mutated)) << load.name << ": byte " << pos;
     }
-    EXPECT_EQ(LoadSnapshot(mutated), nullptr) << "byte " << pos << " flipped";
   }
   std::remove(mutated.c_str());
   std::remove(path.c_str());
@@ -240,21 +299,24 @@ TEST(Snapshot, ExecutorLoadIsBitIdenticalToSequentialLoad) {
   ASSERT_TRUE(SaveSnapshot(built, path));
 
   Executor executor(4);
-  const auto sequential = LoadSnapshot(path);
-  const auto parallel = LoadSnapshot(path, nullptr, 0, &executor);
-  ASSERT_NE(sequential, nullptr);
-  ASSERT_NE(parallel, nullptr);
-  EXPECT_EQ(parallel->memory_breakdown().MainMemoryTotal(),
-            sequential->memory_breakdown().MainMemoryTotal());
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    const LoadedSnapshot sequential = load(path);
+    const LoadedSnapshot parallel = load(path, nullptr, 0, &executor);
+    ASSERT_TRUE(sequential);
+    ASSERT_TRUE(parallel);
+    EXPECT_EQ(parallel->memory_breakdown().MainMemoryTotal(),
+              sequential->memory_breakdown().MainMemoryTotal());
 
-  const GatSearcher a(dataset, *sequential);
-  const GatSearcher b(dataset, *parallel);
-  for (const Query& q : TestQueries(dataset, 99)) {
-    for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
-      SearchStats sa, sb;
-      ASSERT_EQ(a.Search(q, 9, kind, &sa), b.Search(q, 9, kind, &sb));
-      EXPECT_EQ(sb.candidates_retrieved, sa.candidates_retrieved);
-      EXPECT_EQ(sb.disk_reads, sa.disk_reads);
+    const GatSearcher a(dataset, *sequential);
+    const GatSearcher b(dataset, *parallel);
+    for (const Query& q : TestQueries(dataset, 99)) {
+      for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
+        SearchStats sa, sb;
+        ASSERT_EQ(a.Search(q, 9, kind, &sa), b.Search(q, 9, kind, &sb));
+        EXPECT_EQ(sb.candidates_retrieved, sa.candidates_retrieved);
+        EXPECT_EQ(sb.disk_reads, sa.disk_reads);
+      }
     }
   }
   std::remove(path.c_str());
@@ -267,12 +329,7 @@ TEST(Snapshot, CorruptionRejectedThroughExecutorPathToo) {
   const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("executor_corrupt.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
+  const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), 64u);
 
   Executor executor(4);
@@ -280,19 +337,18 @@ TEST(Snapshot, CorruptionRejectedThroughExecutorPathToo) {
   for (size_t pos = 0; pos < bytes.size(); pos += 257) {
     std::string copy = bytes;
     copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
-    {
-      std::ofstream out(mutated, std::ios::binary | std::ios::trunc);
-      out.write(copy.data(), copy.size());
+    WriteFileBytes(mutated, copy);
+    for (const Loader& load : kLoaders) {
+      EXPECT_FALSE(load(mutated, nullptr, 0, &executor))
+          << load.name << ": byte " << pos;
     }
-    EXPECT_EQ(LoadSnapshot(mutated, nullptr, 0, &executor), nullptr)
-        << "byte " << pos << " flipped";
   }
   for (const size_t cut : {size_t{20}, bytes.size() / 2, bytes.size() - 3}) {
-    std::ofstream out(mutated, std::ios::binary | std::ios::trunc);
-    out.write(bytes.data(), static_cast<std::streamsize>(cut));
-    out.close();
-    EXPECT_EQ(LoadSnapshot(mutated, nullptr, 0, &executor), nullptr)
-        << "prefix of " << cut << " bytes";
+    WriteFileBytes(mutated, bytes.substr(0, cut));
+    for (const Loader& load : kLoaders) {
+      EXPECT_FALSE(load(mutated, nullptr, 0, &executor))
+          << load.name << ": prefix of " << cut << " bytes";
+    }
   }
   std::remove(mutated.c_str());
   std::remove(path.c_str());
@@ -302,46 +358,87 @@ TEST(Snapshot, ForgedChecksumNeverChangesTheDecisionParity) {
   // An attacker (or a very unlucky disk) can corrupt a payload byte AND
   // re-stamp a matching CRC. Structural validation is then the only
   // line of defense; some flips are benign (stored byte counters), but
-  // whatever the sequential loader decides, the executor-parallel
-  // loader must decide identically — and neither may crash or hand out
-  // an index that fails its own invariants.
+  // whatever the sequential load decides, the executor-parallel load
+  // must decide identically — and neither may crash.
   const Dataset dataset = GenerateCity(CityProfile::Testing(300, 59));
   const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("forged.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
-  std::string bytes;
-  {
-    std::ifstream in(path, std::ios::binary);
-    bytes.assign((std::istreambuf_iterator<char>(in)),
-                 std::istreambuf_iterator<char>());
-  }
-  constexpr size_t kHeaderBytes = 12;
+  const std::string bytes = ReadFileBytes(path);
   ASSERT_GT(bytes.size(), kHeaderBytes + 64);
 
   Executor executor(4);
   const std::string forged = TempPath("forged_mutated.gats");
-  size_t rejected = 0, accepted = 0;
-  for (size_t pos = kHeaderBytes; pos < bytes.size(); pos += 211) {
-    std::string copy = bytes;
-    copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
-    const uint32_t crc =
-        TestCrc32(copy.data() + kHeaderBytes, copy.size() - kHeaderBytes);
-    copy.replace(8, 4, reinterpret_cast<const char*>(&crc), 4);
-    {
-      std::ofstream out(forged, std::ios::binary | std::ios::trunc);
-      out.write(copy.data(), copy.size());
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    size_t rejected = 0;
+    for (size_t pos = kHeaderBytes; pos < bytes.size(); pos += 211) {
+      std::string copy = bytes;
+      copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
+      ForgeChecksum(&copy);
+      WriteFileBytes(forged, copy);
+      const bool sequential = static_cast<bool>(load(forged));
+      const bool parallel =
+          static_cast<bool>(load(forged, nullptr, 0, &executor));
+      ASSERT_EQ(sequential, parallel) << "decision diverged at byte " << pos;
+      rejected += sequential ? 0 : 1;
     }
-    const auto sequential = LoadSnapshot(forged);
-    const auto parallel = LoadSnapshot(forged, nullptr, 0, &executor);
-    ASSERT_EQ(sequential == nullptr, parallel == nullptr)
-        << "decision diverged at byte " << pos;
-    (sequential == nullptr ? rejected : accepted) += 1;
+    // The sweep must have hit real structural damage, not only benign
+    // counter bytes — otherwise this test proves nothing.
+    EXPECT_GT(rejected, 0u);
   }
-  // The sweep must have hit real structural damage, not only benign
-  // counter bytes — otherwise this test proves nothing.
-  EXPECT_GT(rejected, 0u);
   std::remove(forged.c_str());
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, ForgedChecksumLoadersDecideAlike) {
+  // The heap and mapped loaders share one parser, so a forged file —
+  // payload byte flipped, CRC re-stamped — must get the same verdict
+  // from both, and when both accept they must hold the same index:
+  // re-saving each writes the same bytes. Forged indexes are never
+  // searched: a flipped APL point index breaks the dataset pairing by
+  // design (snapshot.h).
+  const std::string path = TempPath("forged_pair.gats");
+  const std::string forged = TempPath("forged_pair_mutated.gats");
+  const std::string resave_heap = TempPath("forged_pair_heap.gats");
+  const std::string resave_mapped = TempPath("forged_pair_mapped.gats");
+  size_t rejected = 0, accepted = 0;
+  for (const uint64_t seed : {61u, 67u}) {
+    const Dataset dataset = GenerateCity(CityProfile::Testing(120, seed));
+    const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
+    ASSERT_TRUE(SaveSnapshot(index, path));
+    const std::string bytes = ReadFileBytes(path);
+    ASSERT_GT(bytes.size(), kHeaderBytes + 64);
+
+    for (const int mask : {0x01, 0x5C, 0xFF}) {
+      SCOPED_TRACE(::testing::Message() << "seed " << seed << " mask " << mask);
+      // An odd stride lands on every byte lane of the 4-byte fields.
+      for (size_t pos = kHeaderBytes; pos < bytes.size(); pos += 199) {
+        std::string copy = bytes;
+        copy[pos] = static_cast<char>(copy[pos] ^ mask);
+        ForgeChecksum(&copy);
+        WriteFileBytes(forged, copy);
+        const LoadedSnapshot heap = HeapLoad(forged, nullptr, 0, nullptr);
+        const LoadedSnapshot mapped = MappedLoad(forged, nullptr, 0, nullptr);
+        ASSERT_EQ(static_cast<bool>(heap), static_cast<bool>(mapped)) << pos;
+        if (!heap) {
+          ++rejected;
+          continue;
+        }
+        ++accepted;
+        ASSERT_TRUE(SaveSnapshot(*heap, resave_heap));
+        ASSERT_TRUE(SaveSnapshot(*mapped, resave_mapped));
+        ASSERT_EQ(ReadFileBytes(resave_heap), ReadFileBytes(resave_mapped))
+            << pos;
+      }
+    }
+  }
+  // Both verdicts must actually occur, or the sweep compares nothing.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(accepted, 0u);
+  for (const std::string& p : {path, forged, resave_heap, resave_mapped}) {
+    std::remove(p.c_str());
+  }
 }
 
 TEST(Snapshot, EmptyIndexRoundTrips) {
@@ -352,10 +449,13 @@ TEST(Snapshot, EmptyIndexRoundTrips) {
   const GatIndex built(empty);
   const std::string path = TempPath("empty.gats");
   ASSERT_TRUE(SaveSnapshot(built, path, DatasetFingerprint(empty)));
-  const auto loaded =
-      LoadSnapshot(path, nullptr, DatasetFingerprint(empty));
-  ASSERT_NE(loaded, nullptr);
-  EXPECT_EQ(loaded->config(), built.config());
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    const LoadedSnapshot loaded =
+        load(path, nullptr, DatasetFingerprint(empty));
+    ASSERT_TRUE(loaded);
+    EXPECT_EQ(loaded->config(), built.config());
+  }
   std::remove(path.c_str());
 }
 
@@ -364,20 +464,21 @@ TEST(Snapshot, TruncationAnywhereIsRejected) {
   const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("full.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
-  const long size = FileSize(path);
-  ASSERT_GT(size, 0);
+  const std::string bytes = ReadFileBytes(path);
+  ASSERT_GT(bytes.size(), 64u);
 
   const std::string cut = TempPath("cut.gats");
   // Every prefix shorter than the full file must fail — sweep a spread of
   // cut points (every 97 bytes covers all sections at this index size)
   // plus the last few bytes, which land inside the end tag.
-  for (long bytes = 0; bytes < size; bytes += 97) {
-    TruncateTo(path, cut, bytes);
-    EXPECT_EQ(LoadSnapshot(cut), nullptr) << "prefix of " << bytes << " bytes";
-  }
-  for (long bytes = size - 4; bytes < size; ++bytes) {
-    TruncateTo(path, cut, bytes);
-    EXPECT_EQ(LoadSnapshot(cut), nullptr) << "prefix of " << bytes << " bytes";
+  std::vector<size_t> cuts;
+  for (size_t n = 0; n < bytes.size(); n += 97) cuts.push_back(n);
+  for (size_t n = bytes.size() - 4; n < bytes.size(); ++n) cuts.push_back(n);
+  for (const size_t n : cuts) {
+    WriteFileBytes(cut, bytes.substr(0, n));
+    for (const Loader& load : kLoaders) {
+      EXPECT_FALSE(load(cut)) << load.name << ": prefix of " << n << " bytes";
+    }
   }
   std::remove(cut.c_str());
   std::remove(path.c_str());

@@ -5,9 +5,9 @@
 //   * a MappedSnapshot answers bit-identically to the built / stream-
 //     loaded index, with equal logical disk_reads (same access pattern,
 //     real I/O underneath);
-//   * every malformed-file path (truncation, bit rot, bad magic/version,
-//     config/fingerprint mismatch) fails as nullptr, never as a subtly
-//     wrong index — same contract as LoadSnapshot;
+//   * malformed files (truncation, bit rot, bad magic/version,
+//     config/fingerprint mismatch) fail as nullptr — swept over both
+//     loaders in snapshot_test.cc, since they share one parser;
 //   * mmap edge cases: empty-shard snapshots, mappings whose last block
 //     is partial, read-only file permissions;
 //   * the BlockCache is a correct sharded LRU with exact stats, and the
@@ -325,78 +325,8 @@ TEST(MappedSnapshot, ExecutorValidationIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// MappedSnapshot — malformed files and mmap edge cases
+// MappedSnapshot — mmap edge cases
 // ---------------------------------------------------------------------------
-
-TEST(MappedSnapshot, TruncationAnywhereIsRejected) {
-  const Dataset dataset = GenerateCity(CityProfile::Testing(80, 13));
-  const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
-  const std::string path = TempPath("mapped_full.gats");
-  ASSERT_TRUE(SaveSnapshot(index, path));
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_GT(bytes.size(), 64u);
-
-  const std::string cut = TempPath("mapped_cut.gats");
-  for (size_t n = 0; n < bytes.size(); n += 97) {
-    WriteFileBytes(cut, bytes.substr(0, n));
-    EXPECT_EQ(MappedSnapshot::Load(cut), nullptr)
-        << "prefix of " << n << " bytes";
-  }
-  for (size_t n = bytes.size() - 4; n < bytes.size(); ++n) {
-    WriteFileBytes(cut, bytes.substr(0, n));
-    EXPECT_EQ(MappedSnapshot::Load(cut), nullptr)
-        << "prefix of " << n << " bytes";
-  }
-  std::remove(cut.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MappedSnapshot, BitCorruptionAnywhereIsRejected) {
-  const Dataset dataset = GenerateCity(CityProfile::Testing(60, 19));
-  const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
-  const std::string path = TempPath("mapped_corrupt.gats");
-  ASSERT_TRUE(SaveSnapshot(index, path));
-  const std::string bytes = ReadFileBytes(path);
-  ASSERT_GT(bytes.size(), 64u);
-
-  const std::string mutated = TempPath("mapped_mutated.gats");
-  for (size_t pos = 0; pos < bytes.size();
-       pos += (pos < 16 ? 1 : 131)) {  // every header byte, then strided
-    std::string copy = bytes;
-    copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
-    WriteFileBytes(mutated, copy);
-    EXPECT_EQ(MappedSnapshot::Load(mutated), nullptr)
-        << "byte " << pos << " flipped";
-  }
-  std::remove(mutated.c_str());
-  std::remove(path.c_str());
-}
-
-TEST(MappedSnapshot, ConfigAndFingerprintGatingMatchesLoadSnapshot) {
-  const Dataset dataset = GenerateCity(CityProfile::Testing(60, 11));
-  const GatConfig saved{.depth = 5, .memory_levels = 3, .tas_intervals = 2};
-  const GatIndex index(dataset, saved);
-  const uint32_t fingerprint = DatasetFingerprint(dataset);
-  const std::string path = TempPath("mapped_gating.gats");
-  ASSERT_TRUE(SaveSnapshot(index, path, fingerprint));
-
-  MappedSnapshotOptions ok;
-  ok.expected = &saved;
-  ok.expected_fingerprint = fingerprint;
-  EXPECT_NE(MappedSnapshot::Load(path, ok), nullptr);
-  EXPECT_NE(MappedSnapshot::Load(path), nullptr);  // checks waived
-
-  GatConfig other = saved;
-  other.depth = 6;
-  MappedSnapshotOptions bad_config;
-  bad_config.expected = &other;
-  EXPECT_EQ(MappedSnapshot::Load(path, bad_config), nullptr);
-
-  MappedSnapshotOptions bad_pairing;
-  bad_pairing.expected_fingerprint = fingerprint ^ 0x1234u;
-  EXPECT_EQ(MappedSnapshot::Load(path, bad_pairing), nullptr);
-  std::remove(path.c_str());
-}
 
 TEST(MappedSnapshot, MappingEndingMidBlockServesCorrectly) {
   // Snapshot sizes are never block-aligned, so the last cache block is
