@@ -76,10 +76,10 @@ void PointMatchTable::AddPoint(ActivityMask mask, double distance) {
   }
 }
 
-PointMatchResult MinPointMatchDistance(std::vector<MatchPoint> candidates,
-                                       int num_activities) {
+PointMatchResult MinPointMatchDistance(std::span<MatchPoint> candidates,
+                                       PointMatchTable& table) {
   PointMatchResult result;
-  PointMatchTable table(num_activities);
+  table.Reset();
 
   // Line 2: sort CP by distance to q. Ties broken by point index for
   // deterministic examined-point counts.
@@ -101,6 +101,12 @@ PointMatchResult MinPointMatchDistance(std::vector<MatchPoint> candidates,
   }
   result.distance = table.CurrentDistance();
   return result;
+}
+
+PointMatchResult MinPointMatchDistance(std::vector<MatchPoint> candidates,
+                                       int num_activities) {
+  PointMatchTable table(num_activities);
+  return MinPointMatchDistance(std::span<MatchPoint>(candidates), table);
 }
 
 double ExhaustiveMinPointMatch(const std::vector<MatchPoint>& candidates,

@@ -2,6 +2,7 @@
 #define GAT_CORE_POINT_MATCH_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "gat/common/types.h"
@@ -79,9 +80,14 @@ class PointMatchTable {
   std::vector<ActivityMask> queue_;   // reusable FIFO for the subset walk
 };
 
-/// Algorithm 3 in full: sorts `candidates` by ascending distance, feeds the
-/// table, and stops early once the next point's distance exceeds the
-/// current Dmpm. `num_activities` = |q.Phi|.
+/// Algorithm 3 in full: sorts `candidates` in place by ascending distance,
+/// feeds `table` (reset first; its width is |q.Phi|), and stops early once
+/// the next point's distance exceeds the current Dmpm. Allocates nothing
+/// once the table has grown, so one table can serve many calls.
+PointMatchResult MinPointMatchDistance(std::span<MatchPoint> candidates,
+                                       PointMatchTable& table);
+
+/// The same with a fresh table. `num_activities` = |q.Phi|.
 PointMatchResult MinPointMatchDistance(std::vector<MatchPoint> candidates,
                                        int num_activities);
 

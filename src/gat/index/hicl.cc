@@ -76,11 +76,10 @@ std::span<const uint32_t> Hicl::CellsAt(ActivityId a, int level,
 }
 
 std::vector<uint32_t> Hicl::CellsWithAny(
-    const std::vector<ActivityId>& activities, int level,
-    DiskAccessCounter* disk) const {
+    const std::vector<ActivityId>& activities, int level) const {
   std::vector<uint32_t> out;
   for (ActivityId a : activities) {
-    const auto cells = CellsAt(a, level, disk);
+    const auto cells = CellsAt(a, level);
     out.insert(out.end(), cells.begin(), cells.end());
   }
   std::sort(out.begin(), out.end());
@@ -90,17 +89,20 @@ std::vector<uint32_t> Hicl::CellsWithAny(
 
 void Hicl::ChildrenWithAny(const std::vector<ActivityId>& activities,
                            int level, uint32_t code,
-                           std::vector<uint32_t>* out,
-                           DiskAccessCounter* disk) const {
+                           std::vector<uint32_t>* out) const {
   GAT_DCHECK(level >= 1 && level < depth_);
   const uint32_t first = zorder::FirstChild(code);
-  for (uint32_t child = first; child < first + 4; ++child) {
-    for (ActivityId a : activities) {
-      if (Contains(a, level + 1, child, disk)) {
-        out->push_back(child);
-        break;
-      }
+  uint32_t found = 0;  // bit i: child first + i contains some activity
+  for (ActivityId a : activities) {
+    const auto cells = CellsAt(a, level + 1);
+    for (auto it = std::lower_bound(cells.begin(), cells.end(), first);
+         it != cells.end() && *it - first < 4; ++it) {
+      found |= 1u << (*it - first);
     }
+    if (found == 0xF) break;
+  }
+  for (uint32_t i = 0; i < 4; ++i) {
+    if ((found >> i) & 1u) out->push_back(first + i);
   }
 }
 

@@ -50,15 +50,18 @@ class Hicl {
 
   /// Sorted unique union of level-`level` cells containing any activity in
   /// `activities` — the seeding set of the candidate-retrieval search.
+  /// Reads the lists directly: no disk read is charged (the searcher
+  /// charges disk-level list fetches itself, once per query).
   std::vector<uint32_t> CellsWithAny(const std::vector<ActivityId>& activities,
-                                     int level,
-                                     DiskAccessCounter* disk = nullptr) const;
+                                     int level) const;
 
-  /// Appends to `out` the child codes (level+1) of cell (level, code) that
-  /// contain at least one activity in `activities`.
+  /// Appends to `out`, in ascending code order, the child codes (level+1)
+  /// of cell (level, code) that contain at least one activity in
+  /// `activities`. The four children are consecutive Morton codes, so this
+  /// is one `lower_bound` per activity; like `CellsWithAny` it charges no
+  /// disk read.
   void ChildrenWithAny(const std::vector<ActivityId>& activities, int level,
-                       uint32_t code, std::vector<uint32_t>* out,
-                       DiskAccessCounter* disk = nullptr) const;
+                       uint32_t code, std::vector<uint32_t>* out) const;
 
   /// Bytes held on each tier (4 bytes per stored cell code).
   size_t MemoryBytes() const { return memory_bytes_; }

@@ -18,43 +18,64 @@ struct SnapshotIo;
 /// cell, ITL lists the IDs of trajectories that have a point carrying that
 /// activity inside the cell. This is trajectory-granular (no point detail),
 /// so it is small enough to stay in main memory — exactly the paper's
-/// design. Postings per cell are stored as parallel arrays (sorted activity
-/// IDs + offsets + concatenated trajectory IDs).
+/// design.
+///
+/// Storage is three flat arrays, whatever the grid depth: the ascending
+/// codes of the non-empty leaf cells; per cell, a range of (activity,
+/// begin) runs, sorted by activity; and one concatenated trajectory array,
+/// each run's IDs sorted. A lookup is a binary search over the codes, then
+/// one over the cell's runs.
 class Itl {
  public:
-  struct CellPostings {
-    std::vector<ActivityId> activities;   // sorted ascending
-    std::vector<uint32_t> offsets;        // activities.size() + 1 entries
-    std::vector<TrajectoryId> trajectories;  // concatenated, each run sorted
-  };
-
-  /// `builder[leaf_code][activity]` -> sorted unique trajectory IDs. The
-  /// nested map form is only used at build time.
+  /// `builder[leaf_code][activity]` -> trajectory IDs (sorted and
+  /// deduplicated here). The nested map form is only used at build time.
   using Builder = std::unordered_map<
       uint32_t, std::unordered_map<ActivityId, std::vector<TrajectoryId>>>;
 
   explicit Itl(Builder builder);
-
-  /// Postings of a leaf cell, or nullptr if the cell is empty.
-  const CellPostings* Find(uint32_t leaf_code) const;
 
   /// Trajectories containing `activity` within leaf cell `leaf_code`
   /// (empty span when absent).
   std::span<const TrajectoryId> Trajectories(uint32_t leaf_code,
                                              ActivityId activity) const;
 
-  /// Sorted activity IDs present in a cell (empty when cell absent). Used
-  /// by the Algorithm-2 virtual points.
+  /// Sorted activity IDs present in a cell (empty when cell absent).
   std::span<const ActivityId> ActivitiesIn(uint32_t leaf_code) const;
 
-  size_t num_cells() const { return cells_.size(); }
+  size_t num_cells() const { return codes_.size(); }
+  /// The paper's accounting of the per-cell layout (Figure 8): per cell a
+  /// 4-byte code, its activity IDs, |activities| + 1 offsets and its
+  /// trajectory IDs, 4 bytes each.
   size_t MemoryBytes() const { return memory_bytes_; }
 
  private:
   friend struct SnapshotIo;  // snapshot.cc reads/writes the private state
   Itl() = default;           // only for snapshot loading
 
-  std::unordered_map<uint32_t, CellPostings> cells_;
+  /// Position of `leaf_code` in `codes_`, or `num_cells()` when absent.
+  size_t FindCell(uint32_t leaf_code) const;
+
+  /// Sizes the flat arrays for the cells `AppendCell` will add.
+  void Reserve(size_t num_cells, size_t num_runs, size_t num_ids);
+
+  /// Appends one cell (code above every stored code) from its per-cell
+  /// layout: `offsets` holds `activities.size() + 1` entries into
+  /// `trajectories`, starting at 0.
+  void AppendCell(uint32_t code, std::span<const ActivityId> activities,
+                  std::span<const uint32_t> offsets,
+                  std::span<const TrajectoryId> trajectories);
+
+  /// Ascending codes of the non-empty leaf cells.
+  std::vector<uint32_t> codes_;
+  /// Cell c owns runs [cell_runs_[c], cell_runs_[c + 1]); one entry more
+  /// than `codes_`, starting at 0.
+  std::vector<uint32_t> cell_runs_ = {0};
+  /// Per run: its activity (ascending within a cell) and the start of its
+  /// IDs in `trajectories_`; run r ends where run r + 1 begins, so
+  /// `run_begin_` carries one end sentinel, starting at 0.
+  std::vector<ActivityId> run_activity_;
+  std::vector<uint32_t> run_begin_ = {0};
+  std::vector<TrajectoryId> trajectories_;
   size_t memory_bytes_ = 0;
 };
 

@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -368,26 +369,31 @@ struct SnapshotIo {
   static void SaveItl(const Itl& itl, std::ostream& out) {
     WriteTag(out, kTagItl);
     WritePod(out, static_cast<uint64_t>(itl.memory_bytes_));
-    WritePod(out, static_cast<uint64_t>(itl.cells_.size()));
-    // The in-memory map is unordered; write cells sorted by code so the
-    // snapshot bytes are deterministic for a given index.
-    std::vector<uint32_t> codes;
-    codes.reserve(itl.cells_.size());
-    for (const auto& [code, _] : itl.cells_) codes.push_back(code);
-    std::sort(codes.begin(), codes.end());
-    for (uint32_t code : codes) {
-      const Itl::CellPostings& cell = itl.cells_.at(code);
-      WritePod(out, code);
-      WriteVec(out, cell.activities);
-      WriteVec(out, cell.offsets);
-      WriteVec(out, cell.trajectories);
+    WritePod(out, static_cast<uint64_t>(itl.num_cells()));
+    // Cells in ascending code order, each as its activities, its offsets
+    // relative to its own first trajectory ID, and its trajectory IDs.
+    std::vector<uint32_t> offsets;
+    for (size_t c = 0; c < itl.num_cells(); ++c) {
+      const uint32_t first_run = itl.cell_runs_[c];
+      const uint32_t end_run = itl.cell_runs_[c + 1];
+      const uint32_t base = itl.run_begin_[first_run];
+      offsets.clear();
+      for (uint32_t r = first_run; r <= end_run; ++r) {
+        offsets.push_back(itl.run_begin_[r] - base);
+      }
+      WritePod(out, itl.codes_[c]);
+      WriteVec(out, std::span<const ActivityId>(
+                        itl.run_activity_.data() + first_run,
+                        end_run - first_run));
+      WriteVec(out, offsets);
+      WriteVec(out, std::span<const TrajectoryId>(
+                        itl.trajectories_.data() + base, offsets.back()));
     }
   }
 
   static std::unique_ptr<Itl> ParseItl(ByteReader& r, const GatConfig& config,
                                        uint64_t* rows_required) {
     if (!r.ExpectTag(kTagItl)) return nullptr;
-    std::unique_ptr<Itl> itl(new Itl());
     uint64_t memory_bytes = 0, num_cells = 0;
     // Per cell: a 4-byte code plus three 8-byte count words, minimum.
     if (!r.ReadPod(&memory_bytes) || !r.ReadPod(&num_cells) ||
@@ -395,17 +401,31 @@ struct SnapshotIo {
       return nullptr;
     }
     const uint64_t leaf_cell_count = uint64_t{1} << (2 * config.depth);
-    itl->memory_bytes_ = memory_bytes;
-    itl->cells_.reserve(num_cells);
-    *rows_required = 0;
-    for (uint64_t c = 0; c < num_cells; ++c) {
+    struct Cell {
       uint32_t code = 0;
-      Itl::CellPostings cell;
-      if (!r.ReadPod(&code) || code >= leaf_cell_count ||
-          !r.ReadVec(&cell.activities) || !r.ReadVec(&cell.offsets) ||
-          !r.ReadVec(&cell.trajectories)) {
+      std::span<const ActivityId> activities;
+      std::span<const uint32_t> offsets;
+      std::span<const TrajectoryId> trajectories;
+    };
+    auto read_cell = [&r](Cell* cell) {
+      return r.ReadPod(&cell->code) && r.ReadSpan(&cell->activities) &&
+             r.ReadSpan(&cell->offsets) && r.ReadSpan(&cell->trajectories);
+    };
+    // First pass validates every cell and sizes the flat arrays; the
+    // second copies them in, so the arrays are allocated exactly once.
+    const size_t section_start = r.pos;
+    uint64_t num_runs = 0, num_ids = 0;
+    *rows_required = 0;
+    int64_t previous_code = -1;
+    for (uint64_t c = 0; c < num_cells; ++c) {
+      Cell cell;
+      // Codes strictly ascend: the lookup's binary search relies on it,
+      // and it rules out duplicate cells.
+      if (!read_cell(&cell) || cell.code >= leaf_cell_count ||
+          int64_t{cell.code} <= previous_code) {
         return nullptr;
       }
+      previous_code = cell.code;
       if (!OffsetsValid(cell.offsets, cell.activities.size(),
                         cell.trajectories.size()) ||
           !std::is_sorted(cell.activities.begin(), cell.activities.end())) {
@@ -414,7 +434,20 @@ struct SnapshotIo {
       for (TrajectoryId t : cell.trajectories) {
         *rows_required = std::max<uint64_t>(*rows_required, uint64_t{t} + 1);
       }
-      if (!itl->cells_.emplace(code, std::move(cell)).second) return nullptr;
+      num_runs += cell.activities.size();
+      num_ids += cell.trajectories.size();
+    }
+    if (num_ids > std::numeric_limits<uint32_t>::max()) return nullptr;
+
+    std::unique_ptr<Itl> itl(new Itl());
+    itl->memory_bytes_ = memory_bytes;
+    itl->Reserve(num_cells, num_runs, num_ids);
+    r.pos = section_start;
+    for (uint64_t c = 0; c < num_cells; ++c) {
+      Cell cell;
+      read_cell(&cell);
+      itl->AppendCell(cell.code, cell.activities, cell.offsets,
+                      cell.trajectories);
     }
     return itl;
   }

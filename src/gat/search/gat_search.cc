@@ -1,12 +1,11 @@
 #include "gat/search/gat_search.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <queue>
-#include <set>
-#include <unordered_map>
+#include <array>
+#include <optional>
+#include <span>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "gat/common/check.h"
@@ -20,26 +19,8 @@ namespace gat {
 
 namespace {
 
-/// Entry of the candidate-retrieval priority queue: (mdist, cellID, q)
-/// of Section V-A. Min-heap on mdist; ties broken by level/code/query for
-/// determinism.
-struct PqEntry {
-  double mdist;
-  int level;
-  uint32_t code;
-  uint32_t query_idx;
-};
-
-struct PqGreater {
-  bool operator()(const PqEntry& a, const PqEntry& b) const {
-    if (a.mdist != b.mdist) return a.mdist > b.mdist;
-    if (a.level != b.level) return a.level > b.level;
-    if (a.code != b.code) return a.code > b.code;
-    return a.query_idx > b.query_idx;
-  }
-};
-
-/// Member of cellsn(q): an unvisited cell ordered by mdist (Section V-B).
+/// Member of cellsn(q): an unvisited cell ordered by mdist (Section V-B),
+/// ties broken by level, then code, for determinism.
 struct CellRef {
   double mdist;
   int level;
@@ -52,6 +33,9 @@ struct CellRef {
   }
 };
 
+/// Heap order of the `std::*_heap` calls: puts the smallest CellRef first.
+bool CellAfter(const CellRef& a, const CellRef& b) { return b < a; }
+
 }  // namespace
 
 /// Per-query mutable search state (the searcher itself is const / reusable
@@ -63,8 +47,12 @@ struct GatSearcher::State {
   SearchStats& stats;
 
   std::vector<ActivityId> query_union;
-  std::priority_queue<PqEntry, std::vector<PqEntry>, PqGreater> pq;
-  std::vector<std::set<CellRef>> cells_n;  // cellsn(q_i), all unvisited cells
+  /// cellsn(q_i) of Section V-B, one binary min-heap per query point. It
+  /// is also the priority queue of Section V-A: the global best-first pop
+  /// takes the smallest head, ties going to the lower query index — the
+  /// (mdist, level, code, query) order of one queue over all points.
+  std::vector<std::vector<CellRef>> cells_n;
+  size_t queued = 0;  // total size of `cells_n`
   std::vector<char> seen;
   std::vector<TrajectoryId> batch;
   TopKCollector collector;
@@ -75,6 +63,16 @@ struct GatSearcher::State {
   /// and is then memory-resident for the rest of the query.
   std::unordered_set<uint64_t> fetched_hicl_lists;
   bool exhausted = false;
+
+  // Scratch reused across rounds and candidates, so the steady-state loop
+  // allocates nothing.
+  std::vector<uint32_t> children;
+  std::vector<uint32_t> walk;  // heap positions, Algorithm-2 cell walk
+  std::vector<MatchPoint> match_points;  // virtual points, or CP
+  std::vector<std::pair<PointIndex, int>> point_bits;  // CP assembly
+  std::vector<MatchingIndexBound> mibs;
+  /// One Algorithm-3 table per |q.Phi| width, built on first use.
+  std::array<std::optional<PointMatchTable>, kMaxQueryActivities + 1> tables;
 
   void ChargeHiclList(const Hicl& hicl, ActivityId a, int level) {
     if (level <= hicl.memory_levels()) return;
@@ -87,6 +85,39 @@ struct GatSearcher::State {
         disk.RecordRead();  // fruitless fetch of an absent list
       }
     }
+  }
+
+  void PushCell(uint32_t qi, const CellRef& cell) {
+    auto& heap = cells_n[qi];
+    heap.push_back(cell);
+    std::push_heap(heap.begin(), heap.end(), CellAfter);
+    ++queued;
+    ++stats.heap_pushes;
+  }
+
+  /// Pops the globally nearest unvisited cell into (`qi`, `cell`).
+  void PopNearestCell(uint32_t* qi, CellRef* cell) {
+    GAT_DCHECK(queued > 0);
+    uint32_t best = 0;
+    while (cells_n[best].empty()) ++best;
+    for (uint32_t i = best + 1; i < cells_n.size(); ++i) {
+      if (!cells_n[i].empty() && cells_n[i].front() < cells_n[best].front()) {
+        best = i;
+      }
+    }
+    auto& heap = cells_n[best];
+    std::pop_heap(heap.begin(), heap.end(), CellAfter);
+    *qi = best;
+    *cell = heap.back();
+    heap.pop_back();
+    --queued;
+    ++stats.nodes_popped;
+  }
+
+  PointMatchTable& Table(int bits) {
+    auto& table = tables[static_cast<size_t>(bits)];
+    if (!table) table.emplace(bits);
+    return *table;
   }
 
   State(const Query& q, size_t k_in, QueryKind kind_in, SearchStats& s,
@@ -148,31 +179,20 @@ ResultList GatSearcher::Search(const Query& query, size_t k, QueryKind kind,
   for (uint32_t qi = 0; qi < query.size(); ++qi) {
     const auto& acts = query[qi].activities;
     if (acts.empty()) continue;
-    for (uint32_t code :
-         index_.hicl().CellsWithAny(acts, top_level, nullptr)) {
+    for (uint32_t code : index_.hicl().CellsWithAny(acts, top_level)) {
       const double mdist =
           index_.grid().MinDistToCell(query[qi].location, top_level, code);
-      state.pq.push(PqEntry{mdist, top_level, code, qi});
-      state.cells_n[qi].insert(CellRef{mdist, top_level, code});
-      ++st.heap_pushes;
+      state.PushCell(qi, CellRef{mdist, top_level, code});
     }
   }
 
   // Algorithm 1 main loop.
-  const bool trace = std::getenv("GAT_TRACE") != nullptr;
   while (true) {
     ++st.rounds;
     RetrieveCandidates(state);
     const double dlb = ComputeLowerBound(state);
     for (TrajectoryId t : state.batch) ProcessCandidate(state, t);
     state.batch.clear();
-    if (trace) {
-      std::fprintf(stderr,
-                   "round=%llu dlb=%.3f thresh=%.3f results=%zu cand=%llu\n",
-                   static_cast<unsigned long long>(st.rounds), dlb,
-                   state.collector.Threshold(), state.collector.size(),
-                   static_cast<unsigned long long>(st.candidates_retrieved));
-    }
     // Termination: all unseen trajectories are provably worse than the
     // current k-th result (line 9-10), or nothing is left to retrieve.
     if (state.collector.Threshold() < dlb) break;
@@ -188,38 +208,33 @@ ResultList GatSearcher::Search(const Query& query, size_t k, QueryKind kind,
 
 void GatSearcher::RetrieveCandidates(State& state) const {
   const int depth = index_.grid().depth();
-  std::vector<uint32_t> children;
-  while (state.batch.size() < params_.lambda && !state.pq.empty()) {
-    const PqEntry e = state.pq.top();
-    state.pq.pop();
-    ++state.stats.nodes_popped;
-    state.cells_n[e.query_idx].erase(CellRef{e.mdist, e.level, e.code});
-    const auto& acts = state.query[e.query_idx].activities;
+  while (state.batch.size() < params_.lambda && state.queued > 0) {
+    uint32_t qi = 0;
+    CellRef cell{};
+    state.PopNearestCell(&qi, &cell);
+    const auto& acts = state.query[qi].activities;
 
-    if (e.level < depth) {
+    if (cell.level < depth) {
       // Expand: children that contain at least one demanded activity; all
       // other children are pruned automatically (Section V-A). Descending
       // into a disk-tier level fetches each demanded activity's inverted
       // cell list once per query.
       for (ActivityId a : acts) {
-        state.ChargeHiclList(index_.hicl(), a, e.level + 1);
+        state.ChargeHiclList(index_.hicl(), a, cell.level + 1);
       }
-      children.clear();
-      index_.hicl().ChildrenWithAny(acts, e.level, e.code, &children,
-                                    nullptr);
-      for (uint32_t child : children) {
+      state.children.clear();
+      index_.hicl().ChildrenWithAny(acts, cell.level, cell.code,
+                                    &state.children);
+      for (uint32_t child : state.children) {
         const double mdist = index_.grid().MinDistToCell(
-            state.query[e.query_idx].location, e.level + 1, child);
-        state.pq.push(PqEntry{mdist, e.level + 1, child, e.query_idx});
-        state.cells_n[e.query_idx].insert(
-            CellRef{mdist, e.level + 1, child});
-        ++state.stats.heap_pushes;
+            state.query[qi].location, cell.level + 1, child);
+        state.PushCell(qi, CellRef{mdist, cell.level + 1, child});
       }
     } else {
       // Leaf: pull the inverted trajectory lists for each demanded
       // activity into the candidate set.
       for (ActivityId a : acts) {
-        for (TrajectoryId t : index_.itl().Trajectories(e.code, a)) {
+        for (TrajectoryId t : index_.itl().Trajectories(cell.code, a)) {
           if (!state.seen[t]) {
             state.seen[t] = 1;
             state.batch.push_back(t);
@@ -228,7 +243,7 @@ void GatSearcher::RetrieveCandidates(State& state) const {
       }
     }
   }
-  if (state.pq.empty()) state.exhausted = true;
+  if (state.queued == 0) state.exhausted = true;
 }
 
 double GatSearcher::ComputeLowerBound(State& state) const {
@@ -240,9 +255,9 @@ double GatSearcher::ComputeLowerBound(State& state) const {
     double total = 0.0;
     for (uint32_t qi = 0; qi < state.query.size(); ++qi) {
       if (state.query[qi].activities.empty()) continue;
-      const auto& cells = state.cells_n[qi];
-      if (cells.empty()) return kInfDist;
-      total += cells.begin()->mdist;
+      const auto& heap = state.cells_n[qi];
+      if (heap.empty()) return kInfDist;
+      total += heap.front().mdist;
     }
     return total;
   }
@@ -251,12 +266,13 @@ double GatSearcher::ComputeLowerBound(State& state) const {
   // unvisited cell carrying the cell's demanded-activity subset at distance
   // mdist, then take min(Dmpm over the virtual trajectory, d(q, c_m)).
   double total = 0.0;
-  std::vector<MatchPoint> virtual_points;
+  auto& virtual_points = state.match_points;
+  auto& walk = state.walk;
   for (uint32_t qi = 0; qi < state.query.size(); ++qi) {
     const auto& acts = state.query[qi].activities;
     if (acts.empty()) continue;  // contributes 0 to every Dmm
-    const auto& cells = state.cells_n[qi];
-    if (cells.empty()) {
+    const auto& heap = state.cells_n[qi];
+    if (heap.empty()) {
       // Every cell containing q_i's activities was visited: all unseen
       // trajectories fail to match q_i entirely.
       return kInfDist;
@@ -266,8 +282,24 @@ double GatSearcher::ComputeLowerBound(State& state) const {
     virtual_points.clear();
     double last_mdist = 0.0;
     uint32_t count = 0;
-    for (const CellRef& ref : cells) {
-      if (count == params_.nearest_cells) break;
+    // The m nearest cells in order, without copying the heap: a
+    // best-first walk over the heap tree, where every node precedes its
+    // two children. `walk` is itself a min-heap of heap positions.
+    const auto walk_after = [&heap](uint32_t a, uint32_t b) {
+      return heap[b] < heap[a];
+    };
+    walk.assign(1, 0);
+    while (!walk.empty() && count < params_.nearest_cells) {
+      std::pop_heap(walk.begin(), walk.end(), walk_after);
+      const uint32_t pos = walk.back();
+      walk.pop_back();
+      for (const uint32_t child : {2 * pos + 1, 2 * pos + 2}) {
+        if (child < heap.size()) {
+          walk.push_back(child);
+          std::push_heap(walk.begin(), walk.end(), walk_after);
+        }
+      }
+      const CellRef& ref = heap[pos];
       ActivityMask mask = 0;
       for (int b = 0; b < bits; ++b) {
         // The paper reads cell activities "directly from ITL" (memory
@@ -282,8 +314,10 @@ double GatSearcher::ComputeLowerBound(State& state) const {
       ++count;
     }
     const double dmpm =
-        MinPointMatchDistance(virtual_points, bits).distance;
-    const bool truncated = cells.size() > params_.nearest_cells;
+        MinPointMatchDistance(std::span<MatchPoint>(virtual_points),
+                              state.Table(bits))
+            .distance;
+    const bool truncated = heap.size() > params_.nearest_cells;
     // When the list was truncated, unseen matches may also use cells
     // beyond the m-th, all at distance >= last_mdist (the paper's
     // min(Dmpm, d(q_i, p_m)) term). When it covers *all* unvisited cells,
@@ -312,15 +346,14 @@ void GatSearcher::ProcessCandidate(State& state, TrajectoryId t) const {
     return;
   }
   // Validation stage 3 (OATSQ only): matching index bounds (Section VI-B).
-  if (state.kind == QueryKind::kOatsq &&
-      !MibValidFromApl(state.query, t, nullptr)) {
+  if (state.kind == QueryKind::kOatsq && !MibValidFromApl(state, t)) {
     ++state.stats.mib_rejected;
     return;
   }
 
   double distance;
   if (state.kind == QueryKind::kAtsq) {
-    distance = DmmFromApl(state.query, t, nullptr);
+    distance = DmmFromApl(state, t);
   } else {
     // Dmom needs the full point sequence: fetch the trajectory (simulated
     // disk read) and run the Algorithm-4 DP with the running k-th best
@@ -334,47 +367,53 @@ void GatSearcher::ProcessCandidate(State& state, TrajectoryId t) const {
   state.collector.Offer(t, distance);
 }
 
-double GatSearcher::DmmFromApl(const Query& query, TrajectoryId t,
-                               DiskAccessCounter* disk) const {
+double GatSearcher::DmmFromApl(State& state, TrajectoryId t) const {
   const auto& tr = dataset_.trajectory(t);
   double total = 0.0;
-  std::unordered_map<PointIndex, ActivityMask> point_masks;
-  for (const auto& q : query.points()) {
+  auto& point_bits = state.point_bits;
+  auto& cp = state.match_points;
+  for (const auto& q : state.query.points()) {
     if (q.activities.empty()) continue;
     const int bits = static_cast<int>(
         std::min<size_t>(q.activities.size(), kMaxQueryActivities));
     // CP of Algorithm 3, assembled from the activity posting lists: the
     // mask bit b of a point is set iff the point appears in the posting
     // list of q.activities[b].
-    point_masks.clear();
+    point_bits.clear();
     for (int b = 0; b < bits; ++b) {
-      for (PointIndex idx : index_.apl().Postings(t, q.activities[b], disk)) {
-        point_masks[idx] |= ActivityMask{1} << b;
+      for (PointIndex idx : index_.apl().Postings(t, q.activities[b])) {
+        point_bits.emplace_back(idx, b);
       }
     }
-    std::vector<MatchPoint> cp;
-    cp.reserve(point_masks.size());
-    for (const auto& [idx, mask] : point_masks) {
-      cp.push_back(
-          MatchPoint{Distance(tr[idx].location, q.location), mask, idx});
+    std::sort(point_bits.begin(), point_bits.end());
+    cp.clear();
+    for (const auto& [idx, b] : point_bits) {
+      const ActivityMask bit = ActivityMask{1} << b;
+      if (!cp.empty() && cp.back().point_index == idx) {
+        cp.back().mask |= bit;
+      } else {
+        cp.push_back(
+            MatchPoint{Distance(tr[idx].location, q.location), bit, idx});
+      }
     }
-    const double d = MinPointMatchDistance(std::move(cp), bits).distance;
+    const double d =
+        MinPointMatchDistance(std::span<MatchPoint>(cp), state.Table(bits))
+            .distance;
     if (d == kInfDist) return kInfDist;
     total += d;
   }
   return total;
 }
 
-bool GatSearcher::MibValidFromApl(const Query& query, TrajectoryId t,
-                                  DiskAccessCounter* disk) const {
+bool GatSearcher::MibValidFromApl(State& state, TrajectoryId t) const {
   // MIB(q_i) over the union of q_i's activity posting lists (each sorted
   // ascending): lb = min of first entries, ub = max of last entries.
-  std::vector<MatchingIndexBound> mibs;
-  mibs.reserve(query.size());
-  for (const auto& q : query.points()) {
+  auto& mibs = state.mibs;
+  mibs.clear();
+  for (const auto& q : state.query.points()) {
     MatchingIndexBound mib;
     for (ActivityId a : q.activities) {
-      const auto postings = index_.apl().Postings(t, a, disk);
+      const auto postings = index_.apl().Postings(t, a);
       if (postings.empty()) continue;
       if (!mib.valid) {
         mib.lb = postings.front();

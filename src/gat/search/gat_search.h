@@ -72,10 +72,8 @@ class GatSearcher : public Searcher {
   void RetrieveCandidates(State& state) const;
   double ComputeLowerBound(State& state) const;
   void ProcessCandidate(State& state, TrajectoryId t) const;
-  double DmmFromApl(const Query& query, TrajectoryId t,
-                    DiskAccessCounter* disk) const;
-  bool MibValidFromApl(const Query& query, TrajectoryId t,
-                       DiskAccessCounter* disk) const;
+  double DmmFromApl(State& state, TrajectoryId t) const;
+  bool MibValidFromApl(State& state, TrajectoryId t) const;
 
   const Dataset& dataset_;
   const GatIndex& index_;

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <span>
 
 #include "gat/datagen/checkin_generator.h"
 #include "gat/geo/zorder.h"
+#include "gat/util/rng.h"
 
 namespace gat {
 namespace {
@@ -44,6 +46,53 @@ TEST(Hicl, ChildrenWithAnyFiltersEmptyQuadrants) {
   std::vector<uint32_t> out;
   hicl.ChildrenWithAny({0}, 1, 0, &out);
   EXPECT_EQ(out, (std::vector<uint32_t>{0, 3}));
+}
+
+TEST(Hicl, ChildrenWithAnyMatchesPerChildContains) {
+  // The one-probe-per-activity ChildrenWithAny against the definition: a
+  // child qualifies iff Contains holds for some activity. Every cell of
+  // every non-leaf level (present or not), random activity subsets that
+  // include the empty set and IDs past the vocabulary.
+  constexpr int kDepth = 5;
+  constexpr uint32_t kActivities = 12;
+  Rng rng(77);
+  std::vector<std::vector<uint32_t>> leaf_cells(kActivities);
+  const uint32_t leaf_count = 1u << (2 * kDepth);
+  for (auto& cells : leaf_cells) {
+    const uint32_t n = rng.NextU32(60);
+    for (uint32_t i = 0; i < n; ++i) cells.push_back(rng.NextU32(leaf_count));
+  }
+  const Hicl hicl(kDepth, 2, leaf_cells);
+
+  std::vector<std::vector<ActivityId>> subsets = {{}, {kActivities},
+                                                  {kActivities + 50, 0}};
+  for (int i = 0; i < 25; ++i) {
+    std::vector<ActivityId> subset;
+    for (ActivityId a = 0; a < kActivities + 3; ++a) {
+      if (rng.NextBool(0.25)) subset.push_back(a);
+    }
+    subsets.push_back(subset);
+  }
+  std::vector<uint32_t> got;
+  for (const auto& subset : subsets) {
+    for (int level = 1; level < kDepth; ++level) {
+      for (uint32_t code = 0; code < (1u << (2 * level)); ++code) {
+        std::vector<uint32_t> want;
+        const uint32_t first = zorder::FirstChild(code);
+        for (uint32_t child = first; child < first + 4; ++child) {
+          for (ActivityId a : subset) {
+            if (hicl.Contains(a, level + 1, child)) {
+              want.push_back(child);
+              break;
+            }
+          }
+        }
+        got.clear();
+        hicl.ChildrenWithAny(subset, level, code, &got);
+        ASSERT_EQ(got, want) << "level " << level << " code " << code;
+      }
+    }
+  }
 }
 
 TEST(Hicl, UnknownActivityIsEverywhereAbsent) {
@@ -100,6 +149,53 @@ TEST(Itl, PostingsRoundTrip) {
             (std::vector<ActivityId>{2, 5}));
   EXPECT_TRUE(itl.ActivitiesIn(8).empty());
   EXPECT_GT(itl.MemoryBytes(), 0u);
+}
+
+TEST(Itl, FlatLookupEdges) {
+  Itl::Builder builder;
+  builder[3][1] = {5};
+  builder[3][4] = {2, 0};
+  builder[10][4] = {1};
+  builder[20][0] = {7, 6};
+  builder[20][9] = {3};
+  const Itl itl(std::move(builder));
+  ASSERT_EQ(itl.num_cells(), 3u);
+  const auto ids = [](std::span<const TrajectoryId> s) {
+    return std::vector<TrajectoryId>(s.begin(), s.end());
+  };
+  const auto acts = [](std::span<const ActivityId> s) {
+    return std::vector<ActivityId>(s.begin(), s.end());
+  };
+
+  // First and last cells, first and last runs.
+  EXPECT_EQ(ids(itl.Trajectories(3, 1)), (std::vector<TrajectoryId>{5}));
+  EXPECT_EQ(ids(itl.Trajectories(3, 4)), (std::vector<TrajectoryId>{0, 2}));
+  EXPECT_EQ(ids(itl.Trajectories(20, 0)), (std::vector<TrajectoryId>{6, 7}));
+  EXPECT_EQ(ids(itl.Trajectories(20, 9)), (std::vector<TrajectoryId>{3}));
+  EXPECT_EQ(acts(itl.ActivitiesIn(3)), (std::vector<ActivityId>{1, 4}));
+  EXPECT_EQ(acts(itl.ActivitiesIn(10)), (std::vector<ActivityId>{4}));
+  EXPECT_EQ(acts(itl.ActivitiesIn(20)), (std::vector<ActivityId>{0, 9}));
+
+  // Absent cells: below the first, between cells, past the last.
+  for (const uint32_t code : {0u, 4u, 19u, 21u, 0xFFFFFFFFu}) {
+    EXPECT_TRUE(itl.Trajectories(code, 4).empty()) << code;
+    EXPECT_TRUE(itl.ActivitiesIn(code).empty()) << code;
+  }
+  // Absent activities: below, between and above a cell's runs, and one a
+  // neighbouring cell holds.
+  EXPECT_TRUE(itl.Trajectories(3, 0).empty());
+  EXPECT_TRUE(itl.Trajectories(3, 2).empty());
+  EXPECT_TRUE(itl.Trajectories(3, 5).empty());
+  EXPECT_TRUE(itl.Trajectories(10, 1).empty());
+  EXPECT_TRUE(itl.Trajectories(20, 4).empty());
+}
+
+TEST(Itl, EmptyBuilderFindsNothing) {
+  const Itl itl(Itl::Builder{});
+  EXPECT_EQ(itl.num_cells(), 0u);
+  EXPECT_TRUE(itl.Trajectories(0, 0).empty());
+  EXPECT_TRUE(itl.ActivitiesIn(0).empty());
+  EXPECT_EQ(itl.MemoryBytes(), 0u);
 }
 
 // ---------------------------------------------------------------------------

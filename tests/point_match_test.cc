@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "gat/util/rng.h"
@@ -268,6 +269,25 @@ TEST_P(PointMatchPropertyTest, WitnessIsConsistent) {
         (ActivityMask{1} << param.num_activities) - 1;
     ASSERT_EQ(covered & full, full);
     ASSERT_NEAR(cost, d, 1e-9);
+  }
+}
+
+TEST(MinPointMatchDistance, ReusedTableMatchesFreshTable) {
+  // One table per width serves calls of every candidate count, in any
+  // order: the span overload must return exactly what a fresh table does.
+  Rng rng(20);
+  for (int bits = 1; bits <= 6; ++bits) {
+    PointMatchTable table(bits);
+    for (const int n : {12, 0, 3, 30, 1, 7, 30, 2}) {
+      SCOPED_TRACE(::testing::Message() << "bits " << bits << " n " << n);
+      std::vector<MatchPoint> cp = RandomCandidates(rng, bits, n);
+      const PointMatchResult fresh = MinPointMatchDistance(cp, bits);
+      const PointMatchResult reused =
+          MinPointMatchDistance(std::span<MatchPoint>(cp), table);
+      EXPECT_EQ(reused.distance, fresh.distance);
+      EXPECT_EQ(reused.points_examined, fresh.points_examined);
+      EXPECT_EQ(reused.early_terminated, fresh.early_terminated);
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 
 #include <array>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -439,6 +440,55 @@ TEST(Snapshot, ForgedChecksumLoadersDecideAlike) {
   for (const std::string& p : {path, forged, resave_heap, resave_mapped}) {
     std::remove(p.c_str());
   }
+}
+
+TEST(Snapshot, ItlCellsOutOfCodeOrderAreRejected) {
+  // The ITL lookup binary-searches the cell codes, so a file whose cells
+  // are not in strictly ascending code order must not load — even with a
+  // valid checksum over the reordered bytes. The saver never writes one.
+  const Dataset dataset = GenerateCity(CityProfile::Testing(120, 71));
+  const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
+  ASSERT_GE(index.itl().num_cells(), 2u);
+  const std::string path = TempPath("itl_order.gats");
+  ASSERT_TRUE(SaveSnapshot(index, path));
+  const std::string bytes = ReadFileBytes(path);
+
+  // The ITL section: tag, u64 memory bytes, u64 cell count, then per cell
+  // a u32 code and three u64-counted arrays of 4-byte elements.
+  const size_t tag = bytes.find("ITL_", kHeaderBytes);
+  ASSERT_NE(tag, std::string::npos);
+  uint64_t num_cells = 0;
+  std::memcpy(&num_cells, bytes.data() + tag + 12, sizeof(num_cells));
+  ASSERT_EQ(num_cells, index.itl().num_cells());
+  const auto cell_end = [&bytes](size_t pos) {
+    pos += sizeof(uint32_t);
+    for (int array = 0; array < 3; ++array) {
+      uint64_t count = 0;
+      std::memcpy(&count, bytes.data() + pos, sizeof(count));
+      pos += sizeof(count) + count * 4;
+    }
+    return pos;
+  };
+  const size_t first = tag + 20;
+  const size_t second = cell_end(first);
+  const size_t third = cell_end(second);
+  ASSERT_LE(third, bytes.size());
+
+  std::string swapped = bytes.substr(0, first) +
+                        bytes.substr(second, third - second) +
+                        bytes.substr(first, second - first) +
+                        bytes.substr(third);
+  ASSERT_EQ(swapped.size(), bytes.size());
+  ForgeChecksum(&swapped);
+  const std::string forged = TempPath("itl_order_swapped.gats");
+  WriteFileBytes(forged, swapped);
+  for (const Loader& load : kLoaders) {
+    SCOPED_TRACE(load.name);
+    EXPECT_TRUE(load(path));  // the untouched file loads
+    EXPECT_FALSE(load(forged));
+  }
+  std::remove(path.c_str());
+  std::remove(forged.c_str());
 }
 
 TEST(Snapshot, EmptyIndexRoundTrips) {
