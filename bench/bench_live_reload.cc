@@ -1,13 +1,14 @@
 // Live snapshot reload measured end-to-end: query latency while a
-// background task hot-swaps shard snapshots in a loop.
+// background task publishes new index generations in a loop.
 //
 // The serving setup is the storage bench's: a 4-shard mmap-served
 // ShardedIndex over one shared BlockCache, queried through
 // ShardedSearcher on a shared executor. What this bench adds is a
-// *reloader* — a background thread that round-robins over the shards,
-// re-mapping each from an equivalent snapshot file (alternating between
-// two byte-identical generations, the rolling-restart pattern) via
-// ShardedIndex::ReloadShard while the measured batches run.
+// *reloader* — a background thread that publishes equivalent
+// generations via ShardedIndex::ReloadGeneration, alternating between
+// two directories of byte-identical `shard-i-of-4.gats` files, while
+// the measured batches run. A publication that rebuilt any shard
+// instead of loading it would measure a different cost: fatal.
 //
 // What is measured and asserted:
 //
@@ -23,14 +24,16 @@
 //     printed; the serving bar is <= 1.25x at --threads 4 (wall-clock,
 //     so a soft warning here; the committed-baseline diff gates the
 //     counters).
-//   * startup/reload-latency: wall-clock of one ReloadShard (load +
-//     validate + swap) with the executor-parallel CRC sweep — the cold
-//     path the reload work moved off the serving threads.
+//   * startup/reload-latency: wall-clock of one whole-generation
+//     ReloadGeneration (partition + load + validate + swap) with the
+//     executor-parallel CRC sweep — the cold path the reload work moved
+//     off the serving threads.
 //
-// JSON: reload=live records carry the append-only `shard_reloads` and
-// `invalidated_blocks` fields (advisory in diffs — the reloader is
-// wall-clock scheduled) plus the deterministic `index_pins` counter
-// (queries x shards) every ShardedSearcher record now reports.
+// JSON: reload=live records carry the append-only `shard_reloads`
+// (generations published) and `invalidated_blocks` fields (advisory in
+// diffs — the reloader is wall-clock scheduled) plus the deterministic
+// `index_pins` counter (queries x shards) every ShardedSearcher record
+// reports.
 
 #include <unistd.h>
 
@@ -39,7 +42,6 @@
 #include <filesystem>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "harness.h"
 
@@ -85,24 +87,31 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     std::exit(1);
   }
 
-  // The reload source files: a second byte-identical generation of each
-  // shard snapshot. The reloader alternates serving between the two
-  // paths — equivalent content, distinct files, exactly the shape of a
-  // rolling re-map — so answers are provably unchanged and any
-  // divergence under swap is a reload bug, not a data change.
-  std::vector<std::string> gen_a(kShards), gen_b(kShards);
+  // The reload sources: a second directory primed with byte-identical
+  // copies of every shard snapshot — equivalent content, distinct
+  // files — so answers are provably unchanged and any divergence under
+  // swap is a reload bug, not a data change.
+  const std::string dir_a = options.snapshot_dir;
+  const std::string dir_b = (dir / "incoming").string();
+  std::filesystem::create_directories(dir_b);
   for (uint32_t shard = 0; shard < kShards; ++shard) {
-    gen_a[shard] =
-        ShardedIndex::SnapshotPath(options.snapshot_dir, shard, kShards);
-    gen_b[shard] = (dir / ("incoming-shard-" + std::to_string(shard) +
-                           ".gats")).string();
+    const std::string to = ShardedIndex::SnapshotPath(dir_b, shard, kShards);
     std::error_code ec;
-    std::filesystem::copy_file(gen_a[shard], gen_b[shard], ec);
+    std::filesystem::copy_file(
+        ShardedIndex::SnapshotPath(dir_a, shard, kShards), to, ec);
     if (ec) {
-      std::fprintf(stderr, "FATAL: cannot stage %s\n", gen_b[shard].c_str());
+      std::fprintf(stderr, "FATAL: cannot stage %s\n", to.c_str());
       std::exit(1);
     }
   }
+  auto reload = [&](const std::string& from) {
+    if (!sharded.ReloadGeneration(city, kShards, from, &executor) ||
+        sharded.shards_loaded_from_snapshot() != kShards) {
+      std::fprintf(stderr, "FATAL: reload from %s rebuilt a shard\n",
+                   from.c_str());
+      std::exit(1);
+    }
+  };
 
   // Unsharded in-memory reference for the bit-identity asserts.
   const GatIndex reference_index(city);
@@ -119,32 +128,23 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   // ------------------------------------------------- one reload, timed
   {
     Stopwatch timer;
-    if (!sharded.ReloadShard(0, gen_b[0], &executor)) {
-      std::fprintf(stderr, "FATAL: warm ReloadShard failed\n");
-      std::exit(1);
-    }
+    reload(dir_b);
     const double reload_ms = timer.ElapsedMillis();
     report.AddRaw("startup/reload-latency", reload_ms * 1e6, 0.0, 1, 1);
-    std::printf("\none ReloadShard (load + validate + swap): %.2f ms\n",
+    std::printf("\none ReloadGeneration (load + validate + swap): %.2f ms\n",
                 reload_ms);
   }
 
   // ----------------------------------------------- live: reload + serve
   const BlockCacheStats cache_before = sharded.block_cache()->Snapshot();
-  const uint64_t reloads_before = sharded.reloads_completed();
+  const uint64_t reloads_before = sharded.generations_published();
   std::atomic<bool> stop{false};
   std::thread reloader([&] {
-    // Round-robin over the shards, alternating the two generations —
-    // continuous, no pacing: the worst case the 25% latency bar is
-    // meant to cover.
+    // Alternate the two directories (dir_b serves now) — continuous, no
+    // pacing: the worst case the 25% latency bar is meant to cover.
     uint64_t n = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      const uint32_t shard = static_cast<uint32_t>(n % kShards);
-      const auto& path = (n / kShards) % 2 == 0 ? gen_b[shard] : gen_a[shard];
-      if (!sharded.ReloadShard(shard, path, &executor)) {
-        std::fprintf(stderr, "FATAL: background ReloadShard failed\n");
-        std::exit(1);
-      }
+      reload(n % 2 == 0 ? dir_a : dir_b);
       ++n;
     }
   });
@@ -177,17 +177,12 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
 
   Measurement live_tagged = live;
   live_tagged.has_reload = true;
-  live_tagged.shard_reloads = sharded.reloads_completed() - reloads_before;
+  live_tagged.shard_reloads = sharded.generations_published() - reloads_before;
   const BlockCacheStats cache_after = sharded.block_cache()->Snapshot();
   live_tagged.invalidated_blocks =
       cache_after.invalidated - cache_before.invalidated;
   report.Add("NY/ATSQ/reload=live", live_tagged, queries.size(), kShards);
 
-  if (sharded.reloads_failed() != 0) {
-    std::fprintf(stderr, "FATAL: %llu reloads failed\n",
-                 static_cast<unsigned long long>(sharded.reloads_failed()));
-    std::exit(1);
-  }
   // Equivalent-snapshot swaps must be invisible to the algorithm: the
   // deterministic counters of the live run equal the quiescent run's.
   if (live.totals.candidates_retrieved != off.totals.candidates_retrieved ||
@@ -198,8 +193,9 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     std::exit(1);
   }
 
-  std::printf("\nlive reload: %llu hot-swaps behind the measured batches, "
-              "%llu cache blocks invalidated, %llu files retired\n",
+  std::printf("\nlive reload: %llu generations published behind the "
+              "measured batches, %llu cache blocks invalidated, %llu files "
+              "retired\n",
               static_cast<unsigned long long>(live_tagged.shard_reloads),
               static_cast<unsigned long long>(live_tagged.invalidated_blocks),
               static_cast<unsigned long long>(cache_after.files_retired -

@@ -274,7 +274,7 @@ struct Measurement {
   uint64_t prefetched_blocks = 0;
   /// Live-reload observability (bench_live_reload): set by the bench
   /// after MeasureWorkload when a background reloader ran alongside the
-  /// measurement. `shard_reloads` = completed hot-swaps during the
+  /// measurement. `shard_reloads` = generations published during the
   /// measurement, `invalidated_blocks` = cache blocks purged by retired
   /// mappings. Both are interleaving-dependent — advisory in diffs.
   bool has_reload = false;
@@ -537,17 +537,17 @@ class BenchReport {
                      r.p50_ms, r.p95_ms, r.p99_ms);
       }
       if (r.shards > 0) std::fprintf(f, ", \"shards\": %u", r.shards);
-      // One pin per shard visit under the live-reload epoch guard:
-      // deterministic (queries x shards), 0 for fixed-index searchers.
-      // Sharded records emit the field even at 0 — a serving path that
-      // stops pinning must show up as counter drift against its
-      // baseline, not as a silently absent field.
+      // One per shard visit: deterministic (queries x shards), 0 for
+      // single-index searchers. Sharded records emit the field even at
+      // 0 — a serving path that stops visiting shards must show up as
+      // counter drift against its baseline, not as a silently absent
+      // field.
       if (r.index_pins > 0 || r.shards > 0) {
         std::fprintf(f, ", \"index_pins\": %llu",
                      static_cast<unsigned long long>(r.index_pins));
       }
       if (r.has_reload) {
-        // Hot-swap activity behind the measurement — interleaving-
+        // Generation swaps behind the measurement — interleaving-
         // dependent, diffed advisorily (see docs/BENCH_PROTOCOL.md).
         std::fprintf(f, ", \"shard_reloads\": %llu, "
                         "\"invalidated_blocks\": %llu",
@@ -627,7 +627,7 @@ class BenchReport {
     uint64_t block_hits = 0;
     uint64_t blocks_read = 0;
     uint64_t prefetched_blocks = 0;
-    uint64_t index_pins = 0;   // epoch-guard pins; emitted when > 0
+    uint64_t index_pins = 0;   // shard visits; emitted when > 0
     bool has_reload = false;   // reload fields below are meaningful
     uint64_t shard_reloads = 0;
     uint64_t invalidated_blocks = 0;

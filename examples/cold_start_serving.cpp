@@ -15,11 +15,11 @@
 // directly — run it twice and compare the startup line.
 //
 // The demo then exercises the live-operations path: serve a batch,
-// hot-swap every shard to an equivalent incoming snapshot with
-// ShardedIndex::ReloadShard (no drain — in-flight readers pin the old
-// revision, whose cache blocks are purged once it retires), and serve
-// the same batch again to show the answers are bit-identical across
-// the swap.
+// publish an equivalent generation from a second primed snapshot
+// directory with ShardedIndex::ReloadGeneration (no drain — in-flight
+// readers pin the old generation, whose cache blocks are purged once
+// it retires), and serve the same batch again to show the answers are
+// bit-identical across the swap.
 //
 // Build & run:   ./build/examples/cold_start_serving   (run it twice!)
 
@@ -51,7 +51,7 @@ int main() {
   options.mmap_disk_tier = true;                     // the storage subsystem
   options.cache_config.capacity_bytes = 8ull << 20;  // shared across shards
   options.cache_config.block_bytes = 4096;
-  ShardedIndex sharded(city, GatConfig{}, options);  // mutable: hot-swapped
+  ShardedIndex sharded(city, GatConfig{}, options);  // mutable: reloaded
   const double startup_ms = startup.ElapsedMillis();
 
   const auto footprint = sharded.memory_breakdown();
@@ -66,9 +66,9 @@ int main() {
       startup_ms, footprint.MainMemoryTotal(), footprint.DiskTotal());
 
   // Serving: shard fan-out + batch pipelining + prefetch on one pool.
-  // The pin-aware scheduler overload: it re-pins each shard's current
-  // revision per query, so it stays valid across the hot-swap below
-  // (the fixed-pointer overload would dangle once a shard reloads).
+  // The pin-aware scheduler overload: it re-pins the current generation
+  // per query, so it stays valid across the generation swap below (the
+  // fixed-pointer overload would dangle once the old one retires).
   const ShardedSearcher searcher(sharded, {}, &executor);
   const PrefetchScheduler prefetcher(sharded);
   const QueryEngine engine(
@@ -116,35 +116,35 @@ int main() {
               static_cast<unsigned long long>(warmed.queries),
               static_cast<unsigned long long>(warmed.rows_warmed));
 
-  // Live reload: stage an equivalent "incoming" generation of every
-  // shard snapshot and hot-swap it in while the process keeps serving.
-  // A real deployment points this at a freshly produced snapshot; the
-  // mechanics — validate off the serving path, atomic swap, drain-then-
-  // invalidate — are identical.
-  std::printf("\n--- hot-swap: serve -> reload every shard -> serve ---\n");
+  // Live reload: publish an equivalent copy of every shard snapshot as
+  // a new generation while the process keeps serving. A deployment
+  // points this at freshly produced snapshots; the mechanics — validate
+  // off the serving path, atomic swap, drain-then-invalidate — are the
+  // same.
+  std::printf("\n--- generation swap: serve -> reload -> serve ---\n");
+  const uint32_t shards = sharded.num_shards();
+  const std::string incoming = options.snapshot_dir + "/incoming";
+  std::error_code ec;
+  std::filesystem::create_directories(incoming, ec);
+  for (uint32_t shard = 0; shard < shards && !ec; ++shard) {
+    std::filesystem::copy_file(
+        ShardedIndex::SnapshotPath(options.snapshot_dir, shard, shards),
+        ShardedIndex::SnapshotPath(incoming, shard, shards),
+        std::filesystem::copy_options::overwrite_existing, ec);
+  }
   const auto cache_before = sharded.block_cache()->Snapshot();
   Stopwatch reload_timer;
-  for (uint32_t shard = 0; shard < sharded.num_shards(); ++shard) {
-    const std::string current = ShardedIndex::SnapshotPath(
-        options.snapshot_dir, shard, sharded.num_shards());
-    const std::string incoming =
-        options.snapshot_dir + "/incoming-" + std::to_string(shard) + ".gats";
-    std::error_code ec;
-    std::filesystem::copy_file(
-        current, incoming, std::filesystem::copy_options::overwrite_existing,
-        ec);
-    if (ec || !sharded.ReloadShard(shard, incoming, &executor)) {
-      std::printf("shard %u: reload failed — old revision keeps serving\n",
-                  shard);
-    }
+  if (ec || !sharded.ReloadGeneration(city, shards, incoming, &executor)) {
+    std::printf("reload failed: the old generation keeps serving\n");
+    return 1;
   }
   const auto cache_after = sharded.block_cache()->Snapshot();
   std::printf(
-      "reloaded %llu/%u shards in %.2f ms (epochs now at %llu); "
+      "published generation %llu (%u/%u shards from snapshot) in %.2f ms; "
       "%llu cached blocks of the retired mappings invalidated\n",
-      static_cast<unsigned long long>(sharded.reloads_completed()),
-      sharded.num_shards(), reload_timer.ElapsedMillis(),
-      static_cast<unsigned long long>(sharded.shard_epoch(0)),
+      static_cast<unsigned long long>(sharded.generation_number()),
+      sharded.shards_loaded_from_snapshot(), shards,
+      reload_timer.ElapsedMillis(),
       static_cast<unsigned long long>(cache_after.invalidated -
                                       cache_before.invalidated));
 

@@ -14,12 +14,13 @@ Implements the comparison rules of docs/BENCH_PROTOCOL.md:
     experiments.
   * Fails (exit 1) when any deterministic work counter
     (candidates_verified, tas_pruned, distance_computations, disk_reads,
-    index_pins) drifts: counters are scheduling-independent, so any
+    index_pins = shard visits) drifts: counters are scheduling-independent, so any
     change is a behavioral change, not noise (``--allow-counter-drift``
     downgrades this to a warning for PRs that intentionally change the
     algorithm).
-  * Live-reload fields (``shard_reloads``, ``invalidated_blocks``,
-    bench_live_reload): background-loop scheduled, so never gated —
+  * Live-reload fields (``shard_reloads`` = generations published,
+    ``invalidated_blocks``, bench_live_reload): background-loop
+    scheduled, so never gated —
     but a baseline showing reload activity against a candidate showing
     none warns (the live machinery stopped being exercised).
   * Block-cache fields (storage benches): records carrying a

@@ -26,8 +26,8 @@ namespace gat {
 /// history.
 ///
 /// Stats: the base sweep accounts exactly like ShardedSearcher
-/// (`index_pins` = shards visited — the gated pin counter is untouched
-/// by the delta side); each delta trajectory scanned adds one
+/// (`index_pins` = shards visited — the gated counter is untouched by
+/// the delta side); each delta trajectory scanned adds one
 /// `candidates_retrieved` and whatever the refinement kernel charges
 /// (disk_reads, activity_rejected, mib_rejected,
 /// distance_computations).
@@ -39,7 +39,7 @@ namespace gat {
 /// so).
 ///
 /// Thread-safety: const Search, all per-query state on the stack; safe
-/// against concurrent Ingest / MergeDelta / ReloadShard.
+/// against concurrent Ingest / MergeDelta / ReloadGeneration.
 class LiveSearcher : public Searcher {
  public:
   /// `index` must outlive the searcher; so must `executor` when given.

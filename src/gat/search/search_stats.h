@@ -36,12 +36,11 @@ struct SearchStats {
   /// the misses — the page-granular reads that did real I/O.
   uint64_t block_hits = 0;
   uint64_t blocks_read = 0;
-  /// Serving-revision pins acquired during the query (live-reload
-  /// epoch guard): a ShardedSearcher pins each shard's current
-  /// revision once per visit, so this is a deterministic
-  /// `num_shards` per query — and 0 for searchers that serve a fixed
-  /// index. The counter that proves the hot-swap path was exercised
-  /// without perturbing any work counter.
+  /// Shard visits made during the query: a ShardedSearcher counts one
+  /// per shard of the generation it pinned, so this is a deterministic
+  /// `num_shards` per query — and 0 for searchers that serve a single
+  /// index. The field keeps its historical name on the wire and in
+  /// bench JSON.
   uint64_t index_pins = 0;
   /// Task-boundary deadline checks that found the request's budget
   /// already spent and skipped the work behind them: one per query the

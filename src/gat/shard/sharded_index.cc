@@ -18,14 +18,9 @@ const Dataset& ShardGeneration::shard_dataset(uint32_t shard) const {
   return shard_datasets_[shard];
 }
 
-std::shared_ptr<const ShardRevision> ShardGeneration::PinShard(
-    uint32_t shard) const {
+const ShardRevision* ShardGeneration::PinShard(uint32_t shard) const {
   GAT_CHECK(shard < num_shards_);
-  return handles_[shard].Pin();
-}
-
-uint64_t ShardGeneration::shard_epoch(uint32_t shard) const {
-  return PinShard(shard)->epoch;
+  return &revisions_[shard];
 }
 
 std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
@@ -37,7 +32,7 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
   gen->num_shards_ = num_shards;
   gen->total_trajectories_ = dataset.size();
   gen->shard_datasets_ = dataset.PartitionRoundRobin(num_shards);
-  gen->handles_ = std::make_unique<IndexHandle[]>(num_shards);
+  gen->revisions_.resize(num_shards);
 
   const bool use_snapshots = !snapshot_dir.empty();
   // The mmap tier *is* the snapshot file; there is nothing to map
@@ -49,9 +44,10 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
   }
 
   std::atomic<uint32_t> loaded{0};
-  auto install = [&gen](uint32_t shard,
-                        std::shared_ptr<ShardRevision> revision) {
-    gen->handles_[shard].Install(std::move(revision));  // stamps epoch 0
+  // Each task writes only its own slot; the group barrier publishes the
+  // slots to whoever pins the finished generation.
+  auto install = [&gen](uint32_t shard, LoadedSnapshot snapshot) {
+    gen->revisions_[shard] = ShardRevision(std::move(snapshot));
   };
   auto build_shard = [&](uint32_t shard, Executor* shard_executor) {
     const Dataset& shard_dataset = gen->shard_datasets_[shard];
@@ -64,8 +60,8 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
         use_snapshots ? SnapshotPath(snapshot_dir, shard, num_shards)
                       : std::string();
     if (use_snapshots) {
-      if (auto revision = LoadRevision(path, fingerprint, shard_executor)) {
-        install(shard, std::move(revision));
+      if (auto snapshot = LoadShard(path, fingerprint, shard_executor)) {
+        install(shard, std::move(snapshot));
         loaded.fetch_add(1, std::memory_order_relaxed);
         return;
       }
@@ -79,13 +75,13 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
         // mapped serving form immediately, so even the first process
         // generation serves its disk tier from the file. Falls back to
         // the built index if the fresh file cannot be mapped.
-        if (auto revision = LoadRevision(path, fingerprint, shard_executor)) {
-          install(shard, std::move(revision));
+        if (auto snapshot = LoadShard(path, fingerprint, shard_executor)) {
+          install(shard, std::move(snapshot));
           return;
         }
       }
     }
-    install(shard, ShardRevision::Of(std::move(built)));
+    install(shard, LoadedSnapshot::FromOwned(std::move(built)));
   };
 
   // Builds and snapshot loads are tasks on the shared executor when the
@@ -117,19 +113,19 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
   return gen;
 }
 
-std::shared_ptr<ShardRevision> ShardedIndex::LoadRevision(
-    const std::string& path, uint32_t fingerprint, Executor* executor) const {
+LoadedSnapshot ShardedIndex::LoadShard(const std::string& path,
+                                       uint32_t fingerprint,
+                                       Executor* executor) const {
   if (cache_ == nullptr) {
-    auto index = LoadSnapshot(path, &config_, fingerprint, executor);
-    return index == nullptr ? nullptr : ShardRevision::Of(std::move(index));
+    return LoadedSnapshot::FromOwned(
+        LoadSnapshot(path, &config_, fingerprint, executor));
   }
   MappedSnapshotOptions options;
   options.expected = &config_;
   options.expected_fingerprint = fingerprint;
   options.executor = executor;
   options.cache = cache_.get();
-  auto snap = LoadedSnapshot::LoadMapped(path, options);
-  return snap ? ShardRevision::Of(std::move(snap)) : nullptr;
+  return LoadedSnapshot::LoadMapped(path, options);
 }
 
 ShardedIndex::ShardedIndex(const Dataset& dataset, const GatConfig& config,
@@ -154,71 +150,6 @@ std::shared_ptr<const ShardGeneration> ShardedIndex::PinGeneration() const {
   return current_;
 }
 
-const Dataset& ShardedIndex::shard_dataset(uint32_t shard) const {
-  // The generation outlives the returned reference only while it stays
-  // current; see the header note. The pin is dropped deliberately — the
-  // datasets of the current generation are kept alive by `current_`.
-  return PinGeneration()->shard_dataset(shard);
-}
-
-PinnedShard ShardedIndex::shard_index(uint32_t shard) const {
-  return PinnedShard(PinGeneration()->PinShard(shard));
-}
-
-std::shared_ptr<const ShardRevision> ShardedIndex::PinShard(
-    uint32_t shard) const {
-  return PinGeneration()->PinShard(shard);
-}
-
-uint64_t ShardedIndex::shard_epoch(uint32_t shard) const {
-  return PinGeneration()->shard_epoch(shard);
-}
-
-bool ShardedIndex::ReloadShard(uint32_t shard,
-                               const std::string& snapshot_path,
-                               Executor* executor) {
-  // The handshake: pin the generation whose cut this reload targets.
-  // Everything below — fingerprint, validation, the handle itself — is
-  // against this pinned cut, and the install happens only if it is
-  // still the published one.
-  const std::shared_ptr<const ShardGeneration> gen = PinGeneration();
-  GAT_CHECK(shard < gen->num_shards());
-  // Same gating as construction: the incoming snapshot must be built
-  // under this index's config *and* over this exact shard dataset —
-  // anything else (including a corrupt or truncated file) fails here,
-  // before the serving path is touched.
-  const uint32_t fingerprint = DatasetFingerprint(gen->shard_dataset(shard));
-  std::shared_ptr<ShardRevision> next =
-      LoadRevision(snapshot_path, fingerprint, executor);
-  if (next == nullptr) {
-    reloads_failed_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  {
-    // Refuse to resurrect a retired cut: if a generation change landed
-    // while the snapshot was loading, this file describes a dataset cut
-    // that is no longer served, and installing it into the dead
-    // generation's handle would waste the work at best (the next drain
-    // destroys it) and confuse pinned readers' epoch observations at
-    // worst. The check and the install need no shared critical section
-    // with the generation swap beyond this one: publishing is also
-    // under gen_mu_, so current_ cannot change between the comparison
-    // and the Install below.
-    std::lock_guard<std::mutex> lock(gen_mu_);
-    if (current_ != gen) {
-      reloads_failed_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    // The install is the only serving-path touch (it stamps the epoch
-    // to predecessor + 1 under the handle mutex); the retired revision
-    // is dropped here and destroyed — tier unregistered, blocks purged
-    // — by whichever in-flight reader drains last.
-    gen->handles_[shard].Install(std::move(next));
-  }
-  reloads_completed_.fetch_add(1, std::memory_order_relaxed);
-  return true;
-}
-
 bool ShardedIndex::ReloadGeneration(const Dataset& dataset,
                                     uint32_t num_shards,
                                     const std::string& snapshot_dir,
@@ -238,8 +169,8 @@ bool ShardedIndex::ReloadGeneration(const Dataset& dataset,
     current_ = std::move(gen);
   }
   // `retired` drops here; readers that pinned the old generation keep
-  // it (datasets, handles, revisions) alive until they drain, at which
-  // point its mapped revisions unregister from the shared cache.
+  // it (datasets, revisions) alive until they drain, at which point its
+  // mapped revisions unregister from the shared cache.
   generations_published_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
@@ -259,8 +190,7 @@ bool ShardedIndex::SaveSnapshots(const std::string& dir) const {
   const auto gen = PinGeneration();
   bool ok = true;
   for (uint32_t shard = 0; shard < gen->num_shards(); ++shard) {
-    const auto revision = gen->PinShard(shard);
-    ok = SaveSnapshot(*revision->index,
+    ok = SaveSnapshot(*gen->PinShard(shard)->index,
                       SnapshotPath(dir, shard, gen->num_shards()),
                       DatasetFingerprint(gen->shard_dataset(shard))) &&
          ok;
@@ -278,8 +208,7 @@ GatIndex::MemoryBreakdown ShardedIndex::memory_breakdown() const {
   const auto gen = PinGeneration();
   GatIndex::MemoryBreakdown total;
   for (uint32_t shard = 0; shard < gen->num_shards(); ++shard) {
-    const auto revision = gen->PinShard(shard);
-    const auto b = revision->index->memory_breakdown();
+    const auto b = gen->PinShard(shard)->index->memory_breakdown();
     total.hicl_memory += b.hicl_memory;
     total.hicl_disk += b.hicl_disk;
     total.itl_memory += b.itl_memory;

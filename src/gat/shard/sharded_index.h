@@ -6,13 +6,14 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gat/engine/executor.h"
 #include "gat/index/gat_index.h"
 #include "gat/model/dataset.h"
-#include "gat/shard/index_handle.h"
 #include "gat/storage/block_cache.h"
+#include "gat/storage/loaded_snapshot.h"
 #include "gat/storage/mapped_snapshot.h"
 
 namespace gat {
@@ -52,18 +53,36 @@ struct ShardOptions {
   BlockCacheConfig cache_config;
 };
 
+/// One shard's serving index: a `LoadedSnapshot` — the index plus
+/// whatever owns its storage (a mapping + block-cached tier, or a
+/// heap-built `GatIndex`). Set once when its generation is built and
+/// fixed for the generation's whole life; it is destroyed with the
+/// generation, which is what runs the `MappedDiskTier` destructor and
+/// purges the mapping's blocks from the shared `BlockCache` only after
+/// the generation's last reader drained.
+struct ShardRevision {
+  ShardRevision() = default;
+  explicit ShardRevision(LoadedSnapshot loaded)
+      : snapshot(std::move(loaded)), index(snapshot.index()) {}
+
+  /// Owns the index and its storage together (the lifetime rule is the
+  /// wrapper's whole point — see storage/loaded_snapshot.h).
+  LoadedSnapshot snapshot;
+  /// The serving index (`snapshot.index()`); never null once built.
+  const GatIndex* index = nullptr;
+
+  /// The mapped storage side when this revision serves out of a
+  /// mapping; nullptr in heap-owned mode.
+  const MappedSnapshot* mapped() const { return snapshot.mapped(); }
+};
+
 /// One shard cut of one dataset generation: the partition (per-shard
-/// datasets), its shard count, and one epoch-guarded `IndexHandle` per
-/// shard. The serving unit of `ShardedIndex` — published as a whole
-/// through a reference-counted pointer, so a reader that pinned a
-/// generation sees one consistent cut (shard count, datasets, global-ID
-/// mapping, indexes) for its entire visit, no matter how many
+/// datasets), its shard count, and one `ShardRevision` per shard. The
+/// serving unit of `ShardedIndex` — immutable once built and published
+/// as a whole through a reference-counted pointer, so a reader that
+/// pinned a generation sees one consistent cut (shard count, datasets,
+/// global-ID mapping, indexes) for its entire visit, no matter how many
 /// generation changes land meanwhile.
-///
-/// The partition and metadata are immutable after publication; the
-/// handles keep swapping *within* the generation (`ReloadShard`), which
-/// is what makes an intra-generation snapshot swap invisible to pinned
-/// readers.
 class ShardGeneration {
  public:
   /// Monotonic dataset-generation number: 0 for the constructed cut,
@@ -78,12 +97,10 @@ class ShardGeneration {
   /// dataset this cut partitions (delta global IDs start here).
   size_t total_trajectories() const { return total_trajectories_; }
 
-  /// Pins the shard's current serving revision within this generation.
-  std::shared_ptr<const ShardRevision> PinShard(uint32_t shard) const;
-
-  /// Epoch of the shard's serving revision (0 at generation build, +1
-  /// per completed intra-generation reload).
-  uint64_t shard_epoch(uint32_t shard) const;
+  /// The shard's serving revision. A plain accessor: the revision is
+  /// fixed for the generation's life, so the caller's generation pin is
+  /// what keeps it (index, mapping, disk tier) alive.
+  const ShardRevision* PinShard(uint32_t shard) const;
 
   /// Inverse of the round-robin partition: the parent-dataset ID of
   /// local trajectory `local` in `shard` under THIS generation's cut.
@@ -101,11 +118,7 @@ class ShardGeneration {
   uint64_t number_ = 0;
   uint32_t num_shards_ = 1;
   std::vector<Dataset> shard_datasets_;
-  /// One epoch-guarded swap point per shard; every revision holds a
-  /// `LoadedSnapshot` (mapped, or heap-owned). IndexHandle is
-  /// internally synchronized, so the array can be reached through the
-  /// otherwise-immutable generation.
-  std::unique_ptr<IndexHandle[]> handles_;
+  std::vector<ShardRevision> revisions_;  // one per shard
   size_t total_trajectories_ = 0;
   uint32_t loaded_from_snapshot_ = 0;
 };
@@ -128,31 +141,23 @@ class ShardGeneration {
 ///
 /// ## Generations
 ///
-/// The serving state — shard count, partition, per-shard handles — is
+/// The serving state — shard count, partition, per-shard indexes — is
 /// one published `ShardGeneration`. `PinGeneration` is the read side:
-/// a searcher pins the current generation once per query and uses its
-/// accessors throughout, so shard count and global-ID mapping cannot
-/// shift under a single query's feet. Two write paths exist:
-///
-///  * `ReloadShard` swaps ONE shard's snapshot within the current
-///    generation (same cut, same dataset — the rolling re-map). Its
-///    fingerprint gate is a *generation handshake*: the incoming file
-///    must match the pinned generation's shard dataset, and the install
-///    is refused if a generation change retired that cut while the
-///    snapshot was loading.
-///  * `ReloadGeneration` publishes a whole new cut — typically a new
-///    dataset generation (live ingestion's delta compacted in) and
-///    possibly a different shard count, which subsumes shard
-///    rebalancing. The new generation is partitioned, built or
-///    snapshot-loaded entirely off the serving path, then swapped in
-///    atomically; readers that pinned the old generation drain on it,
-///    and its retirement purges its mappings' blocks from the shared
-///    cache exactly like a shard reload does.
+/// a searcher pins the current generation once per query and reads
+/// every shard index, dataset and global-ID mapping through it, so
+/// nothing can shift under a single query's feet. `ReloadGeneration`
+/// is the only write path: it publishes a whole new cut — typically a
+/// new dataset generation (live ingestion's delta compacted in), and
+/// possibly a different shard count, which subsumes shard rebalancing.
+/// The new generation is partitioned, built or snapshot-loaded entirely
+/// off the serving path, then swapped in atomically; readers that
+/// pinned the old generation drain on it, and when the last pin drops
+/// its mapped indexes unregister from the shared cache, purging their
+/// blocks.
 ///
 /// Thread-safety: the query path (all const members) is safe against
-/// any number of concurrent `ReloadShard` / `ReloadGeneration` calls;
-/// writers may run concurrently with each other (they serialize at the
-/// publish points).
+/// any number of concurrent `ReloadGeneration` calls; writers may run
+/// concurrently with each other (they serialize at the publish point).
 class ShardedIndex {
  public:
   /// Partitions `dataset` and builds (or snapshot-loads) all shard
@@ -163,7 +168,7 @@ class ShardedIndex {
   explicit ShardedIndex(const Dataset& dataset, const GatConfig& config = {},
                         const ShardOptions& options = {});
 
-  /// Pins the current generation: cut, datasets, handles and global-ID
+  /// Pins the current generation: cut, datasets, indexes and global-ID
   /// mapping stay valid (and mutually consistent) until the pointer is
   /// dropped, across any number of generation changes. The pin itself
   /// is two uncontended mutex ops + a refcount.
@@ -178,51 +183,13 @@ class ShardedIndex {
 
   const GatConfig& config() const { return config_; }
 
-  /// Current generation's shard dataset. The reference is valid while
-  /// that generation lives; callers racing a `ReloadGeneration` must
-  /// hold `PinGeneration()` and use its accessor instead.
-  const Dataset& shard_dataset(uint32_t shard) const;
-
-  /// The shard's current serving index, pinned: the returned RAII view
-  /// keeps the revision (index, mapping, disk tier) alive until it is
-  /// dropped, across any number of concurrent `ReloadShard`s. There is
-  /// no unpinned accessor — a bare reference was a use-after-free trap
-  /// under reload. Pins must not outlive the ShardedIndex.
-  PinnedShard shard_index(uint32_t shard) const;
-
-  /// Pins the shard's current serving revision: index, mapping and disk
-  /// tier stay valid until the returned pointer is dropped, across any
-  /// number of reloads. Pins must not outlive the ShardedIndex (the
-  /// shard datasets the searchers also need live there).
-  std::shared_ptr<const ShardRevision> PinShard(uint32_t shard) const;
-
-  /// Epoch of the shard's serving revision (0 at construction, +1 per
-  /// completed reload) in the current generation.
-  uint64_t shard_epoch(uint32_t shard) const;
-
-  /// Hot-swaps `shard`'s serving index with the snapshot at
-  /// `snapshot_path`, without draining queries: the incoming file is
-  /// mapped (mmap mode) or deserialized (default mode) and fully
-  /// CRC/structurally validated off the serving path — on `executor`
-  /// when given, making the load multi-core — then swapped in
-  /// atomically. In-flight searches drain on the old revision, whose
-  /// blocks are purged from the shared cache on destruction.
-  ///
-  /// The gate is a generation handshake: the incoming snapshot must
-  /// match the construction `GatConfig` and the *pinned* generation's
-  /// shard-dataset fingerprint, and the install is refused when a
-  /// `ReloadGeneration` retired that cut while the file was loading —
-  /// a reload can never resurrect a shard of a dead generation.
-  /// Returns false — leaving serving untouched — on any failure.
-  bool ReloadShard(uint32_t shard, const std::string& snapshot_path,
-                   Executor* executor = nullptr);
-
   /// Publishes a new generation: partitions `dataset` into `num_shards`
   /// shards, builds or snapshot-loads them entirely off the serving
-  /// path (under `snapshot_dir` when non-empty — use a FRESH directory
-  /// per generation: writing over a snapshot file that an older
-  /// generation still maps would corrupt it under its readers), then
-  /// atomically swaps the published cut. Queries keep answering on
+  /// path (under `snapshot_dir` when non-empty, with the same
+  /// self-priming rule as construction — a rebuilt shard's file is
+  /// replaced by rename, never rewritten in place, so an older
+  /// generation still mapping it keeps its bytes), then atomically
+  /// swaps the published cut. Queries keep answering on
   /// whichever generation they pinned; the retired generation is
   /// destroyed — mappings unmapped, cache blocks purged — when its last
   /// reader drains. The new cut may change the shard count (shard
@@ -234,23 +201,9 @@ class ShardedIndex {
                         const std::string& snapshot_dir = std::string(),
                         Executor* executor = nullptr);
 
-  /// Completed / failed `ReloadShard` calls over this index's lifetime.
-  uint64_t reloads_completed() const {
-    return reloads_completed_.load(std::memory_order_relaxed);
-  }
-  uint64_t reloads_failed() const {
-    return reloads_failed_.load(std::memory_order_relaxed);
-  }
-
   /// `ReloadGeneration` publications over this index's lifetime.
   uint64_t generations_published() const {
     return generations_published_.load(std::memory_order_relaxed);
-  }
-
-  /// Inverse of the round-robin partition under the current generation.
-  /// Within one query, map IDs through the pinned generation instead.
-  TrajectoryId GlobalId(uint32_t shard, TrajectoryId local) const {
-    return PinGeneration()->GlobalId(shard, local);
   }
 
   /// Writes every shard's snapshot into `dir` (created if missing).
@@ -294,10 +247,9 @@ class ShardedIndex {
 
   /// Loads one shard snapshot in this index's serving form: mapped
   /// through the shared cache in mmap mode, else copied onto the heap.
-  /// Gated on `config_` and `fingerprint`; nullptr on any failure.
-  std::shared_ptr<ShardRevision> LoadRevision(const std::string& path,
-                                              uint32_t fingerprint,
-                                              Executor* executor) const;
+  /// Gated on `config_` and `fingerprint`; empty on any failure.
+  LoadedSnapshot LoadShard(const std::string& path, uint32_t fingerprint,
+                           Executor* executor) const;
 
   GatConfig config_;
   /// Declared before the published generation on purpose: every mapped
@@ -307,8 +259,6 @@ class ShardedIndex {
   std::unique_ptr<BlockCache> cache_;  // shared budget, mmap mode only
   mutable std::mutex gen_mu_;
   std::shared_ptr<const ShardGeneration> current_;
-  std::atomic<uint64_t> reloads_completed_{0};
-  std::atomic<uint64_t> reloads_failed_{0};
   std::atomic<uint64_t> generations_published_{0};
   double build_seconds_ = 0.0;
 };

@@ -35,7 +35,7 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
   const uint32_t num_shards = generation.num_shards();
 
   // Entry task boundary: an already-expired query touches no shard —
-  // no pin, no task submission, no partial work.
+  // no task submission, no partial work.
   if (context != nullptr && context->Expired()) {
     if (stats != nullptr) stats->deadline_skips += 1;
     return {};
@@ -46,19 +46,17 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
   std::vector<char> expired_slots(num_shards, 0);
   auto search_shard = [&](uint32_t shard) {
     // Per-shard task boundary: a deadline that passed while this sweep
-    // sat in the queue refuses the sweep before pinning anything.
+    // sat in the queue refuses the sweep before touching the shard.
     if (context != nullptr && context->Expired()) {
       expired_slots[shard] = 1;
       if (stats != nullptr) shard_stats[shard].deadline_skips = 1;
       return;
     }
-    // Pin for exactly this visit: the revision (and under mmap serving,
-    // its mapping and tier) cannot be retired under the search, however
-    // many ReloadShard swaps land meanwhile. The searcher itself is
-    // stack-local — revision-dependent state never outlives the pin.
-    const auto revision = generation.PinShard(shard);
+    // The shard's index (and under mmap serving, its mapping and tier)
+    // lives as long as the generation the caller pinned, so the visit
+    // takes no lock and no reference of its own.
     const GatSearcher searcher(generation.shard_dataset(shard),
-                               *revision->index, params_);
+                               *generation.PinShard(shard)->index, params_);
     shard_results[shard] =
         searcher.Search(query, k, kind,
                         stats != nullptr ? &shard_stats[shard] : nullptr,
@@ -100,9 +98,8 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
       slowest_branch = std::max(slowest_branch, s.CriticalDiskReads());
       sum_of_branches += s.CriticalDiskReads();
     }
-    // One revision pin per shard visit actually made — deterministic,
-    // and the engine-level signal that serving went through the epoch
-    // guard. Refused sweeps pin nothing.
+    // One per shard visit actually made — deterministic; refused sweeps
+    // count nothing.
     stats->index_pins += visited;
     // Counters stay sums (deterministic totals); the disk critical path
     // models the overlap the fan-out actually buys: at most `threads`

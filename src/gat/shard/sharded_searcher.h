@@ -22,16 +22,16 @@ namespace gat {
 /// trajectory landed in — the merged result is bit-identical to running
 /// one GatSearcher over the unpartitioned dataset.
 ///
-/// ## Live reload
+/// ## Generations
 ///
-/// Every shard visit pins the shard's current serving revision
-/// (`ShardedIndex::PinShard`) for exactly the duration of that visit
-/// and runs a stack-local `GatSearcher` over the pinned index, so a
-/// concurrent `ReloadShard` never invalidates an in-flight search: the
-/// old revision (index, mapping, block-cached tier) stays alive until
-/// its last reader drains. A swap to an *equivalent* snapshot is
-/// therefore invisible in the results — answers stay bit-identical
-/// through any number of mid-batch swaps. Each pin is counted in
+/// `Search` pins the published `ShardGeneration` once per query and
+/// reads every shard's index, dataset and global-ID mapping through it,
+/// so a concurrent `ShardedIndex::ReloadGeneration` never invalidates
+/// an in-flight search: the old generation (indexes, mappings,
+/// block-cached tiers) stays alive until its last reader drains. A
+/// swap to an *equivalent* generation is therefore invisible in the
+/// results — answers stay bit-identical through any number of
+/// mid-batch swaps. Each shard visit is counted in
 /// `SearchStats::index_pins` (a deterministic `num_shards` per query).
 ///
 /// ## Per-query shard parallelism
@@ -52,8 +52,8 @@ namespace gat {
 /// ## Deadlines
 ///
 /// When `context` carries a deadline, it is checked at every task
-/// boundary: once on entry (an already-expired query touches no shard,
-/// pins nothing, and submits nothing) and once at the start of each
+/// boundary: once on entry (an already-expired query touches no shard
+/// and submits nothing) and once at the start of each
 /// shard visit. A query that expires mid-fan-out never returns partial
 /// results — the merge is abandoned, the result list is empty, and
 /// `SearchStats::deadline_skips` counts the refused sweeps. Shard tasks
@@ -62,7 +62,7 @@ namespace gat {
 /// Thread-safety: implements the Searcher contract (const Search, all
 /// per-query state on the caller's stack), so one instance can back a
 /// whole QueryEngine pool at any engine thread count — concurrently
-/// with `ReloadShard` on the underlying index.
+/// with `ReloadGeneration` on the underlying index.
 class ShardedSearcher : public Searcher {
  public:
   /// `index` must outlive the searcher; so must `executor` when given
@@ -76,8 +76,8 @@ class ShardedSearcher : public Searcher {
                     const QueryContext* context = nullptr) const override;
   std::string name() const override { return "GAT-sharded"; }
 
-  /// The fan-out/merge core against one explicit generation: every pin,
-  /// dataset access and global-ID mapping goes through `generation`, so
+  /// The fan-out/merge core against one explicit generation: every
+  /// index, dataset access and global-ID mapping goes through it, so
   /// the sweep is immune to a concurrent `ReloadGeneration` changing the
   /// published cut mid-query. `Search` is exactly `PinGeneration()` +
   /// this; the live-ingestion searcher calls it with the generation its

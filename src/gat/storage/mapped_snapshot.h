@@ -31,8 +31,8 @@ class MappedDiskTier final : public DiskTier {
   /// every block this mapping made resident — the invalidation that
   /// makes hot-swapping a snapshot against a *shared* cache safe. The
   /// caller owns the drain contract: no `Fetch`/`Prefetch` may be in
-  /// flight when the tier is destroyed (the epoch-pinned
-  /// `ShardRevision` of gat/shard enforces this on the serving path;
+  /// flight when the tier is destroyed (gat/shard's pinned
+  /// `ShardGeneration` enforces this on the serving path;
   /// a straggler that slips through is dropped by the cache's
   /// generation check rather than served stale).
   MappedDiskTier(const MappedFile* file, BlockCache* cache,

@@ -44,15 +44,12 @@ uint64_t PrefetchScheduler::WarmIndex(const GatIndex& index,
 void PrefetchScheduler::PrefetchQuery(const Query& query) const {
   uint64_t rows = 0;
   if (sharded_ != nullptr) {
-    // One generation pin for the whole warm-up: the shard count cannot
-    // change under the loop when a ReloadGeneration publishes a new cut
-    // mid-query.
+    // One generation pin for the whole warm-up: the shard count and
+    // every shard's index (with its mapping) stay put under the loop,
+    // however many ReloadGeneration swaps land mid-query.
     const auto generation = sharded_->PinGeneration();
     for (uint32_t shard = 0; shard < generation->num_shards(); ++shard) {
-      // Pin for exactly this shard's sweep: a concurrent ReloadShard
-      // retires the revision only after the warm-up is done with it.
-      const auto revision = generation->PinShard(shard);
-      rows += WarmIndex(*revision->index, query);
+      rows += WarmIndex(*generation->PinShard(shard)->index, query);
     }
   } else {
     for (const GatIndex* index : indexes_) rows += WarmIndex(*index, query);

@@ -44,17 +44,18 @@ class PrefetchScheduler {
   /// block cache the batch stats should report (nullptr = none, e.g.
   /// purely simulated setups). All pointers are non-owning and must
   /// outlive the scheduler. The indexes are fixed for the scheduler's
-  /// lifetime — for an index whose shards hot-swap, use the
+  /// lifetime — for an index that publishes new generations, use the
   /// ShardedIndex overload below.
   explicit PrefetchScheduler(std::vector<const GatIndex*> indexes,
                              const BlockCache* cache = nullptr);
 
   /// Live-reload-safe variant: instead of fixed index pointers, each
-  /// query sweep pins every shard's *current* serving revision
-  /// (`ShardedIndex::PinShard`) for the duration of its warm-up, so the
-  /// scheduler keeps predicting and warming through any number of
-  /// `ReloadShard` swaps without ever touching a retired mapping. Batch
-  /// stats report the index's shared block cache (if any).
+  /// query sweep pins the *current* generation
+  /// (`ShardedIndex::PinGeneration`) for the duration of its warm-up
+  /// and reads every shard's index through it, so the scheduler keeps
+  /// predicting and warming through any number of `ReloadGeneration`
+  /// swaps without ever touching a retired mapping. Batch stats report
+  /// the index's shared block cache (if any).
   explicit PrefetchScheduler(const ShardedIndex& index);
 
   /// Warms the predicted APL rows of one query across every index.

@@ -1,7 +1,7 @@
 // Tests for live snapshot reload: the BlockCache file-generation /
 // Unregister protocol, the parallel CRC sweep of MappedSnapshot::Load,
-// and the epoch-guarded hot-swap (ShardedIndex::ReloadShard +
-// PinShard) end to end.
+// and whole-generation publication (ShardedIndex::ReloadGeneration +
+// PinGeneration) end to end.
 //
 // The load-bearing invariants:
 //   * Crc32Combine folds chunk CRCs to exactly the sequential checksum,
@@ -10,12 +10,11 @@
 //     the generation check makes a recycled file id airtight: a token
 //     kept past its Unregister can neither hit the successor's blocks
 //     nor resurrect its own — even racing the retirement;
-//   * ReloadShard swaps atomically under fire: queries hammering the
-//     index through any number of mid-flight equivalent-snapshot swaps
-//     stay bit-identical to the unsharded reference, old revisions
-//     drain before their blocks are purged, and a corrupted / truncated
-//     / missing / wrong-dataset incoming snapshot leaves the serving
-//     revision untouched.
+//   * ReloadGeneration swaps atomically under fire: queries hammering
+//     the index through any number of mid-flight equivalent-generation
+//     swaps stay bit-identical to the unsharded reference, a pinned
+//     generation drains before its blocks are purged, and a corrupted
+//     snapshot in the reload directory is rebuilt, never served.
 
 #include <gtest/gtest.h>
 
@@ -23,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -265,70 +265,78 @@ TEST(ParallelCrcSweep, RejectsCorruptionIdenticallyToSequential) {
 }
 
 // ---------------------------------------------------------------------------
-// ShardedIndex::ReloadShard
+// ShardedIndex::ReloadGeneration
 // ---------------------------------------------------------------------------
 
 struct ReloadFixture {
   explicit ReloadFixture(const std::string& name, uint32_t num_shards,
                          bool mmap)
       : dataset(GenerateCity(CityProfile::Testing(240, 61))),
-        dir(TempPath(name)) {
-    std::error_code ec;  // a crashed previous run may have left the dir
-    std::filesystem::remove_all(dir, ec);
+        num_shards(num_shards),
+        dir_a(TempPath(name + "_a")),
+        dir_b(TempPath(name + "_b")) {
+    std::error_code ec;  // a crashed previous run may have left the dirs
+    std::filesystem::remove_all(dir_a, ec);
+    std::filesystem::remove_all(dir_b, ec);
     ShardOptions options;
     options.num_shards = num_shards;
     options.build_threads = 1;
-    options.snapshot_dir = dir;
+    options.snapshot_dir = dir_a;
     options.mmap_disk_tier = mmap;
     options.cache_config.block_bytes = 1024;
     options.cache_config.capacity_bytes = 1 << 20;
     sharded = std::make_unique<ShardedIndex>(dataset, GatConfig{}, options);
-    // A second byte-identical generation of every shard snapshot — the
-    // "incoming" files a rolling reload serves next.
+    // A second primed directory holding byte-identical copies of every
+    // shard snapshot: the "incoming" generation a reload publishes next.
+    std::filesystem::create_directories(dir_b);
     for (uint32_t shard = 0; shard < num_shards; ++shard) {
-      gen_a.push_back(ShardedIndex::SnapshotPath(dir, shard, num_shards));
-      gen_b.push_back(dir + "/incoming-" + std::to_string(shard) + ".gats");
-      std::filesystem::copy_file(gen_a.back(), gen_b.back());
+      std::filesystem::copy_file(
+          ShardedIndex::SnapshotPath(dir_a, shard, num_shards),
+          ShardedIndex::SnapshotPath(dir_b, shard, num_shards));
     }
   }
   ~ReloadFixture() {
     std::error_code ec;
     sharded.reset();
-    std::filesystem::remove_all(dir, ec);
+    std::filesystem::remove_all(dir_a, ec);
+    std::filesystem::remove_all(dir_b, ec);
+  }
+
+  bool Reload(const std::string& dir, Executor* executor = nullptr) {
+    return sharded->ReloadGeneration(dataset, num_shards, dir, executor);
   }
 
   Dataset dataset;
-  std::string dir;
+  uint32_t num_shards;
+  std::string dir_a, dir_b;
   std::unique_ptr<ShardedIndex> sharded;
-  std::vector<std::string> gen_a, gen_b;
 };
 
-TEST(ReloadShard, EquivalentSwapKeepsAnswersAndPurgesTheOldMapping) {
+TEST(ReloadGeneration, EquivalentSwapKeepsAnswersAndPurgesTheOldMapping) {
   ReloadFixture fx("reload_equivalent", 2, /*mmap=*/true);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
   const ShardedSearcher searcher(*fx.sharded);
   const auto queries = TestQueries(fx.dataset, 71);
 
-  ASSERT_EQ(fx.sharded->shard_epoch(0), 0u);
+  ASSERT_EQ(fx.sharded->generation_number(), 0u);
   const uint64_t retired_before =
       fx.sharded->block_cache()->Snapshot().files_retired;
 
-  // Warm the cache through the current generation, then swap both
-  // shards and verify: epochs bumped, old mappings retired (their
-  // blocks purged), answers unchanged.
+  // Warm the cache through the current generation, then publish the
+  // equivalent one and verify: every shard loaded from the primed
+  // directory, old mappings retired (their blocks purged), answers
+  // unchanged.
   for (const Query& q : queries) {
     SearchStats stats;
     ASSERT_EQ(searcher.Search(q, 9, QueryKind::kAtsq, &stats),
               reference.Search(q, 9, QueryKind::kAtsq));
-    EXPECT_EQ(stats.index_pins, 2u);  // one pin per shard visit
+    EXPECT_EQ(stats.index_pins, 2u);  // one per shard visit
   }
-  ASSERT_TRUE(fx.sharded->ReloadShard(0, fx.gen_b[0]));
-  ASSERT_TRUE(fx.sharded->ReloadShard(1, fx.gen_b[1]));
-  EXPECT_EQ(fx.sharded->shard_epoch(0), 1u);
-  EXPECT_EQ(fx.sharded->shard_epoch(1), 1u);
-  EXPECT_EQ(fx.sharded->reloads_completed(), 2u);
-  EXPECT_EQ(fx.sharded->reloads_failed(), 0u);
+  ASSERT_TRUE(fx.Reload(fx.dir_b));
+  EXPECT_EQ(fx.sharded->generation_number(), 1u);
+  EXPECT_EQ(fx.sharded->generations_published(), 1u);
+  EXPECT_EQ(fx.sharded->shards_loaded_from_snapshot(), 2u);
   EXPECT_EQ(fx.sharded->shards_mmap_served(), 2u);
 
   const BlockCacheStats stats = fx.sharded->block_cache()->Snapshot();
@@ -341,100 +349,106 @@ TEST(ReloadShard, EquivalentSwapKeepsAnswersAndPurgesTheOldMapping) {
   }
 }
 
-TEST(ReloadShard, PinnedRevisionSurvivesTheSwapAndDrainsOnRelease) {
+TEST(ReloadGeneration, PinnedGenerationSurvivesTheSwapAndDrainsOnRelease) {
   ReloadFixture fx("reload_pin", 1, /*mmap=*/true);
   const auto queries = TestQueries(fx.dataset, 31, 3);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
+  const ShardedSearcher searcher(*fx.sharded);
 
-  auto pinned = fx.sharded->PinShard(0);
-  ASSERT_EQ(pinned->epoch, 0u);
-  const uint64_t retired_before =
-      fx.sharded->block_cache()->Snapshot().files_retired;
-
-  ASSERT_TRUE(fx.sharded->ReloadShard(0, fx.gen_b[0]));
-  EXPECT_EQ(fx.sharded->shard_epoch(0), 1u);
-
-  // The pinned (retired) revision still serves, bit-identically — its
-  // mapping and tier cannot be torn down under the reader.
-  const GatSearcher old_reader(fx.sharded->shard_dataset(0), *pinned->index);
+  auto pinned = fx.sharded->PinGeneration();
+  // Warm some of the pinned generation's blocks, so its retirement has
+  // something to purge.
   for (const Query& q : queries) {
-    EXPECT_EQ(old_reader.Search(q, 9, QueryKind::kAtsq),
+    ASSERT_EQ(searcher.SearchGeneration(*pinned, q, 9, QueryKind::kAtsq),
               reference.Search(q, 9, QueryKind::kAtsq));
   }
+  const BlockCacheStats before = fx.sharded->block_cache()->Snapshot();
+
+  ASSERT_TRUE(fx.Reload(fx.dir_b));
+  EXPECT_EQ(fx.sharded->generation_number(), 1u);
+  EXPECT_EQ(pinned->number(), 0u);
+
+  // The pinned (retired) generation still serves, bit-identically — its
+  // mapping and tier cannot be torn down under the reader.
+  const GatSearcher old_reader(pinned->shard_dataset(0),
+                               *pinned->PinShard(0)->index);
+  for (const Query& q : queries) {
+    const ResultList want = reference.Search(q, 9, QueryKind::kAtsq);
+    EXPECT_EQ(old_reader.Search(q, 9, QueryKind::kAtsq), want);
+    EXPECT_EQ(searcher.SearchGeneration(*pinned, q, 9, QueryKind::kAtsq),
+              want);
+  }
   // Not until the last pin drops is the old mapping unregistered.
-  EXPECT_EQ(fx.sharded->block_cache()->Snapshot().files_retired,
-            retired_before);
+  const BlockCacheStats swapped = fx.sharded->block_cache()->Snapshot();
+  EXPECT_EQ(swapped.files_retired, before.files_retired);
+  EXPECT_EQ(swapped.invalidated, before.invalidated);
   pinned.reset();
-  EXPECT_EQ(fx.sharded->block_cache()->Snapshot().files_retired,
-            retired_before + 1);
+  const BlockCacheStats drained = fx.sharded->block_cache()->Snapshot();
+  EXPECT_EQ(drained.files_retired, before.files_retired + 1);
+  EXPECT_GT(drained.invalidated, before.invalidated);
 }
 
-TEST(ReloadShard, CorruptedIncomingSnapshotLeavesTheOldServing) {
-  ReloadFixture fx("reload_corrupt", 1, /*mmap=*/true);
+TEST(ReloadGeneration, CorruptSnapshotIsRebuiltAndNeverServed) {
+  ReloadFixture fx("reload_corrupt", 2, /*mmap=*/true);
   const auto queries = TestQueries(fx.dataset, 43, 3);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
   const ShardedSearcher searcher(*fx.sharded);
 
-  // Corrupt, truncated, missing, and wrong-dataset incoming files: all
-  // must fail the reload without touching the serving revision.
-  const std::string bytes = ReadFileBytes(fx.gen_b[0]);
-  std::string corrupt = bytes;
-  corrupt[bytes.size() / 2] ^= 0x5C;
-  const std::string corrupt_path = fx.dir + "/corrupt.gats";
+  // Flip one payload byte of shard 0's snapshot in the reload directory.
+  const std::string good_path = ShardedIndex::SnapshotPath(fx.dir_a, 0, 2);
+  const std::string corrupt_path = ShardedIndex::SnapshotPath(fx.dir_b, 0, 2);
+  const std::string good = ReadFileBytes(good_path);
+  std::string corrupt = good;
+  corrupt[good.size() / 2] ^= 0x5C;
   WriteFileBytes(corrupt_path, corrupt);
-  EXPECT_FALSE(fx.sharded->ReloadShard(0, corrupt_path));
+  const uint64_t retired_before =
+      fx.sharded->block_cache()->Snapshot().files_retired;
 
-  const std::string truncated_path = fx.dir + "/truncated.gats";
-  WriteFileBytes(truncated_path, bytes.substr(0, bytes.size() / 2));
-  EXPECT_FALSE(fx.sharded->ReloadShard(0, truncated_path));
-
-  EXPECT_FALSE(fx.sharded->ReloadShard(0, fx.dir + "/missing.gats"));
-
-  // A valid snapshot of a *different* dataset: the fingerprint gate.
-  const Dataset other = GenerateCity(CityProfile::Testing(120, 5));
-  const GatIndex other_index(other);
-  const std::string other_path = fx.dir + "/other.gats";
-  ASSERT_TRUE(SaveSnapshot(other_index, other_path,
-                           DatasetFingerprint(other)));
-  EXPECT_FALSE(fx.sharded->ReloadShard(0, other_path));
-
-  EXPECT_EQ(fx.sharded->reloads_failed(), 4u);
-  EXPECT_EQ(fx.sharded->reloads_completed(), 0u);
-  EXPECT_EQ(fx.sharded->shard_epoch(0), 0u);
+  ASSERT_TRUE(fx.Reload(fx.dir_b));
+  // Shard 0 failed the CRC gate and was rebuilt from the dataset; only
+  // shard 1 came from the file.
+  EXPECT_EQ(fx.sharded->shards_loaded_from_snapshot(), 1u);
+  EXPECT_EQ(fx.sharded->shards_mmap_served(), 2u);
+  // The rebuild replaced the corrupt file before mapping it for
+  // serving: what shard 0 now maps is the good bytes.
+  EXPECT_EQ(ReadFileBytes(corrupt_path), good);
+  // Retired: the old generation's two mappings plus the rejected load's
+  // tentative tier, which unregistered before any block was served.
+  EXPECT_EQ(fx.sharded->block_cache()->Snapshot().files_retired,
+            retired_before + 3);
   for (const Query& q : queries) {
     EXPECT_EQ(searcher.Search(q, 9, QueryKind::kAtsq),
               reference.Search(q, 9, QueryKind::kAtsq));
   }
 }
 
-TEST(ReloadShard, StreamModeReloadsWithoutAnMmapTier) {
+TEST(ReloadGeneration, RamModeLoadsEveryShardFromThePrimedDirectory) {
   // snapshot_dir without mmap_disk_tier: revisions are heap-owned
-  // indexes and ReloadShard goes through LoadSnapshot — the epoch
-  // guard is tier-independent.
-  ReloadFixture fx("reload_stream", 2, /*mmap=*/false);
+  // indexes copied out by LoadSnapshot — publication is tier-independent.
+  ReloadFixture fx("reload_ram", 2, /*mmap=*/false);
   ASSERT_EQ(fx.sharded->block_cache(), nullptr);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
   const ShardedSearcher searcher(*fx.sharded);
   const auto queries = TestQueries(fx.dataset, 83, 4);
 
-  ASSERT_TRUE(fx.sharded->ReloadShard(0, fx.gen_b[0]));
-  ASSERT_TRUE(fx.sharded->ReloadShard(1, fx.gen_b[1]));
-  EXPECT_EQ(fx.sharded->shard_epoch(0), 1u);
+  ASSERT_TRUE(fx.Reload(fx.dir_b));
+  EXPECT_EQ(fx.sharded->shards_loaded_from_snapshot(), 2u);
+  EXPECT_EQ(fx.sharded->shards_mmap_served(), 0u);
   for (const Query& q : queries) {
     EXPECT_EQ(searcher.Search(q, 9, QueryKind::kAtsq),
               reference.Search(q, 9, QueryKind::kAtsq));
   }
 }
 
-TEST(ReloadShard, QueriesStayBitIdenticalUnderContinuousSwaps) {
+TEST(ReloadGeneration, QueriesStayBitIdenticalUnderContinuousSwaps) {
   // The TSan centerpiece: searchers (with executor fan-out and a
   // pin-aware prefetcher) hammer the index from several threads while a
-  // reloader rolls equivalent snapshots across both shards. Every
-  // answer must equal the precomputed reference; afterwards, every
-  // retired generation must have been unregistered from the cache.
+  // reloader alternates generations between the two primed directories.
+  // Every answer must equal the precomputed reference; afterwards,
+  // every retired generation must have been unregistered from the cache.
   ReloadFixture fx("reload_race", 2, /*mmap=*/true);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
@@ -448,7 +462,7 @@ TEST(ReloadShard, QueriesStayBitIdenticalUnderContinuousSwaps) {
   const ShardedSearcher searcher(*fx.sharded, {}, &executor);
   const PrefetchScheduler prefetcher(*fx.sharded);  // pins per query
 
-  constexpr int kReloadsPerShard = 12;
+  constexpr int kReloads = 12;
   std::atomic<bool> stop{false};
   std::atomic<bool> diverged{false};
   std::vector<std::thread> readers;
@@ -468,26 +482,22 @@ TEST(ReloadShard, QueriesStayBitIdenticalUnderContinuousSwaps) {
       }
     });
   }
-  for (int round = 0; round < kReloadsPerShard; ++round) {
-    for (uint32_t shard = 0; shard < 2; ++shard) {
-      const auto& path =
-          round % 2 == 0 ? fx.gen_b[shard] : fx.gen_a[shard];
-      ASSERT_TRUE(fx.sharded->ReloadShard(shard, path, &executor));
-    }
+  for (int round = 0; round < kReloads; ++round) {
+    ASSERT_TRUE(fx.Reload(round % 2 == 0 ? fx.dir_b : fx.dir_a, &executor));
+    ASSERT_EQ(fx.sharded->shards_loaded_from_snapshot(), 2u);
   }
   stop.store(true, std::memory_order_relaxed);
   for (auto& r : readers) r.join();
   EXPECT_FALSE(diverged.load());
-  EXPECT_EQ(fx.sharded->reloads_completed(), 2u * kReloadsPerShard);
-  EXPECT_EQ(fx.sharded->reloads_failed(), 0u);
-  EXPECT_EQ(fx.sharded->shard_epoch(0), kReloadsPerShard);
+  EXPECT_EQ(fx.sharded->generations_published(),
+            static_cast<uint64_t>(kReloads));
 
   // Every retired generation drained and unregistered: only the two
   // currently-serving mappings remain live in the cache.
   const BlockCacheStats stats = fx.sharded->block_cache()->Snapshot();
-  EXPECT_EQ(stats.files_retired, 2u * kReloadsPerShard);
+  EXPECT_EQ(stats.files_retired, 2u * kReloads);
 
-  // And the engine view: a batch run across a final pair of swaps is
+  // And the engine view: a batch run across a final swap is
   // bit-identical, with the cache's invalidation deltas visible in the
   // batch storage stats.
   const QueryEngine engine(
@@ -495,10 +505,7 @@ TEST(ReloadShard, QueriesStayBitIdenticalUnderContinuousSwaps) {
                               .prefetcher = &prefetcher});
   const uint64_t invalidated_before =
       fx.sharded->block_cache()->Snapshot().invalidated;
-  std::thread swapper([&] {
-    ASSERT_TRUE(fx.sharded->ReloadShard(0, fx.gen_b[0]));
-    ASSERT_TRUE(fx.sharded->ReloadShard(1, fx.gen_b[1]));
-  });
+  std::thread swapper([&] { ASSERT_TRUE(fx.Reload(fx.dir_b)); });
   const BatchResult batch = engine.Run(queries, 9, QueryKind::kAtsq);
   swapper.join();
   for (size_t i = 0; i < queries.size(); ++i) {

@@ -419,7 +419,7 @@ TEST(ServeSharded, ExpiredQueryRefusesEveryShardSweep) {
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(stats.deadline_skips, 1u);
   // The entry boundary refused the query before any shard visit: no
-  // revision pinned, no disk touched.
+  // shard searched, no disk touched.
   EXPECT_EQ(stats.index_pins, 0u);
   EXPECT_EQ(stats.disk_reads, 0u);
 }

@@ -311,7 +311,7 @@ TEST(ShardedIndex, SnapshotDirectoryIsASelfPrimingCache) {
   const GatConfig deeper{.depth = 7, .memory_levels = 5, .tas_intervals = 2};
   const ShardedIndex rebuilt(dataset, deeper, reconfigured);
   EXPECT_EQ(rebuilt.shards_loaded_from_snapshot(), 0u);
-  EXPECT_EQ(rebuilt.shard_index(0)->config(), deeper);
+  EXPECT_EQ(rebuilt.PinGeneration()->PinShard(0)->index->config(), deeper);
 
   // A shard-count change produces differently named snapshots — also a
   // clean rebuild, not a mismatched load.
@@ -345,8 +345,9 @@ TEST(ShardedIndex, StaleSnapshotOfDifferentDatasetIsRebuilt) {
   const Dataset smaller = GenerateCity(CityProfile::Testing(60, 52));
   const ShardedIndex rebuilt(smaller, {}, options);
   EXPECT_EQ(rebuilt.shards_loaded_from_snapshot(), 0u);
-  EXPECT_EQ(rebuilt.shard_index(0)->tas().num_trajectories(),
-            rebuilt.shard_dataset(0).size());
+  const auto generation = rebuilt.PinGeneration();
+  EXPECT_EQ(generation->PinShard(0)->index->tas().num_trajectories(),
+            generation->shard_dataset(0).size());
 
   // ...and the nasty case: same trajectory count, different content
   // (row counts match, only the fingerprint differs).
@@ -364,9 +365,11 @@ TEST(ShardedIndex, StaleSnapshotOfDifferentDatasetIsRebuilt) {
 TEST(ShardedIndex, MemoryBreakdownSumsShards) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(90, 29));
   const ShardedIndex sharded(dataset, {}, ShardOptions{.num_shards = 2});
+  const auto generation = sharded.PinGeneration();
   size_t main_total = 0;
   for (uint32_t s = 0; s < 2; ++s) {
-    main_total += sharded.shard_index(s)->memory_breakdown().MainMemoryTotal();
+    main_total +=
+        generation->PinShard(s)->index->memory_breakdown().MainMemoryTotal();
   }
   EXPECT_EQ(sharded.memory_breakdown().MainMemoryTotal(), main_total);
   EXPECT_GT(main_total, 0u);
