@@ -15,18 +15,18 @@
 //     with GAT_BENCH_SCALE. Block hit rate must rise monotonically with
 //     the budget (LRU inclusion; hard-asserted at --threads 1 where the
 //     access sequence is deterministic) and avg_ms falls as misses —
-//     the real reads — disappear.
-//   * cold/io=mmap: the cold working set — a thrash-sized cache
-//     (file/16) in front of the pagefault tier with batch prefetch.
-//     Logical disk_reads must equal the simulated reference (fatal
-//     otherwise); wall-clock percentiles are advisory.
+//     the real reads — disappear. At every budget, down to the
+//     thrash-sized file/64, logical disk_reads must equal the simulated
+//     reference (fatal otherwise): residency changes what a read
+//     costs, never how many the algorithm performs.
 //   * mmap/shards=N: ShardedIndex in mmap mode (one shared cache
 //     budget) at 1/2/4 shards, asserted bit-identical to the reference.
 //   * startup/...: stream-load vs mmap-load wall-clock — what not
 //     materializing the disk tier buys a cold start.
 //
 // JSON adds the append-only cache fields (block_size, blocks_read,
-// cache_hit_rate, prefetched_blocks; see docs/BENCH_PROTOCOL.md).
+// cache_hit_rate; see docs/BENCH_PROTOCOL.md). block_size is read from
+// the BlockCache each point built.
 // blocks_read is deterministic at --threads 1; scripts/bench_diff.py
 // treats it as a counter there and as advisory at higher thread counts.
 
@@ -45,7 +45,6 @@
 #include "gat/shard/sharded_searcher.h"
 #include "gat/storage/loaded_snapshot.h"
 #include "gat/storage/mapped_snapshot.h"
-#include "gat/storage/prefetch.h"
 
 namespace gat::bench {
 namespace {
@@ -128,8 +127,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   // --threads 1 (deterministic sequence) any inversion is a bug.
   const SweepPoint sweep[] = {
       {"1-64", 64}, {"1-16", 16}, {"1-4", 4}, {"1-1", 1}};
-  std::printf("\n%-14s%14s%14s%14s%14s\n", "cache", "hit rate", "blocks read",
-              "prefetched", "avg ms/query");
+  std::printf("\n%-14s%14s%14s%14s\n", "cache", "hit rate", "blocks read",
+              "avg ms/query");
   double prev_hit_rate = -1.0;
   double prev_avg_ms = -1.0;
   bool avg_ms_monotone = true;
@@ -146,20 +145,24 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
       std::exit(1);
     }
     const GatSearcher mapped(city, *snap);
-    const PrefetchScheduler prefetcher({snap.index()},
-                                       &snap.mapped()->cache());
     const Measurement m = MeasureWorkload(mapped, queries, kTopK, kKind,
-                                          proto, &prefetcher);
+                                          proto, &snap.mapped()->cache());
     char name[128];
     std::snprintf(name, sizeof(name), "NY/ATSQ/mmap/cache=%s", point.label);
     report.Add(name, m, queries.size());
+    if (m.totals.disk_reads != sim.totals.disk_reads) {
+      std::fprintf(stderr,
+                   "FATAL: %s changed logical disk_reads (%llu, simulated "
+                   "reference %llu)\n",
+                   name, static_cast<unsigned long long>(m.totals.disk_reads),
+                   static_cast<unsigned long long>(sim.totals.disk_reads));
+      std::exit(1);
+    }
 
     const double hit_rate = CacheHitRate(
         m.totals.block_hits, m.totals.block_hits + m.totals.blocks_read);
-    std::printf("%-14s%13.1f%%%14llu%14llu%14.3f\n", point.label,
-                100.0 * hit_rate,
+    std::printf("%-14s%13.1f%%%14llu%14.3f\n", point.label, 100.0 * hit_rate,
                 static_cast<unsigned long long>(m.totals.blocks_read),
-                static_cast<unsigned long long>(m.prefetched_blocks),
                 m.avg_ms);
     if (proto.threads == 1 && hit_rate + 1e-12 < prev_hit_rate) {
       std::fprintf(stderr,
@@ -178,42 +181,6 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     std::printf("note: avg_ms not strictly monotone across the sweep "
                 "(wall-clock noise; hit rate is the deterministic "
                 "signal)\n");
-  }
-
-  // ------------------------------------------------- cold working set
-  // A cold cache sized to thrash (file/16) — the regime where the miss
-  // path matters. Logical disk_reads must equal the simulated reference:
-  // residency changes what a read costs, never how many logical reads
-  // the algorithm performs.
-  {
-    MappedSnapshotOptions options;
-    options.cache_config.block_bytes = 1024;
-    options.cache_config.shards = 4;
-    options.cache_config.capacity_bytes =
-        std::max<uint64_t>(file_bytes / 16, 4 * 1024);
-    const LoadedSnapshot snap =
-        LoadedSnapshot::LoadMapped(snapshot_path, options);
-    if (!snap) {
-      std::fprintf(stderr, "FATAL: load failed at cold/io=mmap\n");
-      std::exit(1);
-    }
-    const GatSearcher mapped(city, *snap);
-    const PrefetchScheduler prefetcher({snap.index()},
-                                       &snap.mapped()->cache());
-    const Measurement m = MeasureWorkload(mapped, queries, kTopK, kKind,
-                                          proto, &prefetcher);
-    report.Add("NY/ATSQ/cold/io=mmap", m, queries.size());
-    if (m.totals.disk_reads != sim.totals.disk_reads) {
-      std::fprintf(stderr,
-                   "FATAL: cold/io=mmap changed logical disk_reads (%llu, "
-                   "simulated reference %llu)\n",
-                   static_cast<unsigned long long>(m.totals.disk_reads),
-                   static_cast<unsigned long long>(sim.totals.disk_reads));
-      std::exit(1);
-    }
-    std::printf("\ncold/io=mmap: %llu blocks read, p95 %.3f ms\n",
-                static_cast<unsigned long long>(m.totals.blocks_read),
-                m.p95_ms);
   }
 
   // ------------------------------------------------- sharded mmap serving
@@ -235,12 +202,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     }
     const ShardedSearcher searcher(sharded, {},
                                    proto.threads > 1 ? &executor : nullptr);
-    // Pin-per-query mode: same prediction over the same shard indexes
-    // and the same shared cache, so the blocks_read counters the
-    // baseline gates are unchanged.
-    const PrefetchScheduler prefetcher(sharded);
     const Measurement m = MeasureWorkload(searcher, queries, kTopK, kKind,
-                                          proto, &prefetcher);
+                                          proto, sharded.block_cache());
     char name[128];
     std::snprintf(name, sizeof(name), "NY/ATSQ/mmap/shards=%u", num_shards);
     report.Add(name, m, queries.size(), num_shards);

@@ -54,7 +54,7 @@
 #include "gat/index/gat_index.h"
 #include "gat/model/dataset_stats.h"
 #include "gat/search/gat_search.h"
-#include "gat/storage/prefetch.h"
+#include "gat/storage/block_cache.h"
 #include "gat/util/stopwatch.h"
 
 namespace gat::bench {
@@ -265,13 +265,10 @@ struct Measurement {
   uint32_t repeats = 0;      ///< timed batches actually run
   uint32_t threads = 1;      ///< QueryEngine workers used
   /// Block-cache observability (mmap disk tier only): block size of the
-  /// cache behind the measured searcher, and the blocks the prefetch
-  /// sweep warmed during the last timed batch. `has_cache` gates the
-  /// cache fields in the JSON record; the per-query block counters
-  /// (`totals.block_hits` / `totals.blocks_read`) ride along either way.
-  bool has_cache = false;
+  /// cache behind the measured searcher, 0 when the bench passed none.
+  /// The per-query block counters (`totals.block_hits` /
+  /// `totals.blocks_read`) ride along either way.
   uint32_t cache_block_bytes = 0;
-  uint64_t prefetched_blocks = 0;
   /// Live-reload observability (bench_live_reload): set by the bench
   /// after MeasureWorkload when a background reloader ran alongside the
   /// measurement. `shard_reloads` = generations published during the
@@ -318,16 +315,17 @@ inline double PercentileMs(const std::vector<double>& sorted, double p) {
 /// (or `max_repeat` batches). `avg_cost_ms` is the paper-comparable
 /// "running time": CPU wall-clock plus the simulated disk latency of the
 /// method's critical-path fetches (see Measurement::avg_cost_ms).
+/// `cache`, when given, is the block cache behind `searcher`; it only
+/// stamps the record's `block_size`.
 inline Measurement MeasureWorkload(const Searcher& searcher,
                                    const std::vector<Query>& queries, size_t k,
                                    QueryKind kind, const BenchProtocol& proto,
-                                   const PrefetchScheduler* prefetcher =
-                                       nullptr) {
+                                   const BlockCache* cache = nullptr) {
   Measurement m;
   if (queries.empty()) return m;
-  QueryEngine engine(searcher, EngineOptions{.threads = proto.threads,
-                                             .prefetcher = prefetcher});
+  QueryEngine engine(searcher, EngineOptions{.threads = proto.threads});
   m.threads = engine.threads();
+  if (cache != nullptr) m.cache_block_bytes = cache->block_bytes();
 
   for (uint32_t w = 0; w < proto.warmup; ++w) {
     (void)engine.Run(queries, k, kind);
@@ -362,11 +360,6 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
     }
     // Counters are deterministic across repeats; keep the last batch's.
     m.totals = batch.totals;
-    if (batch.storage.present) {
-      m.has_cache = true;
-      m.cache_block_bytes = batch.storage.block_bytes;
-      m.prefetched_blocks = batch.storage.prefetched;
-    }
     if (batch_ms.size() >= 2) {
       m.rsd_pct = rsd_of(batch_ms);
       if (m.rsd_pct <= proto.target_rsd_pct) break;
@@ -391,18 +384,6 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
                                      m.totals.CriticalDiskReads()) /
                                  static_cast<double>(queries.size());
   return m;
-}
-
-/// Backwards-compatible single-shot measurement (no warmup, one batch,
-/// caller's thread only).
-inline Measurement RunWorkload(const Searcher& searcher,
-                               const std::vector<Query>& queries, size_t k,
-                               QueryKind kind) {
-  BenchProtocol single;
-  single.threads = 1;
-  single.warmup = 0;
-  single.max_repeat = 1;
-  return MeasureWorkload(searcher, queries, k, kind, single);
 }
 
 /// Accumulates measured points and writes the `BENCH_<name>.json` payload
@@ -442,15 +423,14 @@ class BenchReport {
     rec.has_latency = true;
     rec.shards = shards;
     // Emit the block fields whenever there was block traffic, not only
-    // when a cache-backed prefetcher reported its block size — a bench
-    // driving a mapped searcher without a prefetcher still wants its
-    // blocks_read gated (block_size then reads 0 = "not reported").
-    rec.has_cache =
-        m.has_cache || m.totals.block_hits + m.totals.blocks_read > 0;
+    // when the bench passed its cache — a bench driving a mapped
+    // searcher without naming the cache still wants its blocks_read
+    // gated (block_size then reads 0 = "not reported").
+    rec.has_cache = m.cache_block_bytes > 0 ||
+                    m.totals.block_hits + m.totals.blocks_read > 0;
     rec.block_size = m.cache_block_bytes;
     rec.block_hits = m.totals.block_hits;
     rec.blocks_read = m.totals.blocks_read;
-    rec.prefetched_blocks = m.prefetched_blocks;
     rec.index_pins = m.totals.index_pins;
     rec.has_reload = m.has_reload;
     rec.shard_reloads = m.shard_reloads;
@@ -591,10 +571,9 @@ class BenchReport {
             CacheHitRate(r.block_hits, r.block_hits + r.blocks_read);
         std::fprintf(f,
                      ", \"block_size\": %u, \"blocks_read\": %llu, "
-                     "\"cache_hit_rate\": %.6f, \"prefetched_blocks\": %llu",
+                     "\"cache_hit_rate\": %.6f",
                      r.block_size,
-                     static_cast<unsigned long long>(r.blocks_read), hit_rate,
-                     static_cast<unsigned long long>(r.prefetched_blocks));
+                     static_cast<unsigned long long>(r.blocks_read), hit_rate);
       }
       std::fprintf(f, "}");
     }
@@ -626,7 +605,6 @@ class BenchReport {
     uint32_t block_size = 0;
     uint64_t block_hits = 0;
     uint64_t blocks_read = 0;
-    uint64_t prefetched_blocks = 0;
     uint64_t index_pins = 0;   // shard visits; emitted when > 0
     bool has_reload = false;   // reload fields below are meaningful
     uint64_t shard_reloads = 0;

@@ -6,9 +6,7 @@
 // disk-resident components (all APL postings, the deep HICL levels)
 // stay in the files as zero-copy views and are read page-granularly
 // through one shared BlockCache, while only the small RAM tier (ITL,
-// TAS, high HICL levels) is materialized. A PrefetchScheduler warms
-// each batch's predicted posting blocks ahead of refinement on the same
-// executor the queries run on.
+// TAS, high HICL levels) is materialized.
 //
 // First run (cold): shards are built, snapshotted, and immediately
 // re-served from their mappings. Second run (warm): the mappings load
@@ -32,7 +30,7 @@
 #include "gat/engine/query_engine.h"
 #include "gat/shard/sharded_index.h"
 #include "gat/shard/sharded_searcher.h"
-#include "gat/storage/prefetch.h"
+#include "gat/storage/block_cache.h"
 #include "gat/util/stopwatch.h"
 
 int main() {
@@ -65,15 +63,11 @@ int main() {
           : "cold start — run again for a warm one",
       startup_ms, footprint.MainMemoryTotal(), footprint.DiskTotal());
 
-  // Serving: shard fan-out + batch pipelining + prefetch on one pool.
-  // The pin-aware scheduler overload: it re-pins the current generation
-  // per query, so it stays valid across the generation swap below (the
-  // fixed-pointer overload would dangle once the old one retires).
+  // Serving: shard fan-out + batch pipelining on one pool. The searcher
+  // pins the current generation per query, so it stays valid across the
+  // generation swap below.
   const ShardedSearcher searcher(sharded, {}, &executor);
-  const PrefetchScheduler prefetcher(sharded);
-  const QueryEngine engine(
-      searcher,
-      EngineOptions{.executor = &executor, .prefetcher = &prefetcher});
+  const QueryEngine engine(searcher, EngineOptions{.executor = &executor});
 
   QueryWorkloadParams wp;
   wp.num_queries = 8;
@@ -88,7 +82,10 @@ int main() {
   std::printf("time-to-first-query: %.2f ms startup + %.2f ms query\n",
               startup_ms, first_query.ElapsedMillis());
 
+  const BlockCache& cache = *sharded.block_cache();
+  const BlockCacheStats batch_before = cache.Snapshot();
   const BatchResult batch = engine.Run(queries, /*k=*/3, QueryKind::kAtsq);
+  const BlockCacheStats batch_after = cache.Snapshot();
   std::printf("\nbatch of %zu queries on %u shared workers: %.1f ms\n",
               queries.size(), batch.threads_used, batch.wall_ms);
   for (size_t i = 0; i < batch.results.size(); ++i) {
@@ -100,21 +97,17 @@ int main() {
   }
 
   std::printf("\ncounters: %s\n", batch.totals.ToString().c_str());
-  if (batch.storage.present) {
-    std::printf(
-        "block cache: %.1f%% hit rate (%llu hits / %llu misses), "
-        "%llu blocks prefetched, %llu evictions, %u B blocks\n",
-        100.0 * batch.storage.HitRate(),
-        static_cast<unsigned long long>(batch.storage.hits),
-        static_cast<unsigned long long>(batch.storage.misses),
-        static_cast<unsigned long long>(batch.storage.prefetched),
-        static_cast<unsigned long long>(batch.storage.evictions),
-        batch.storage.block_bytes);
-  }
-  const auto warmed = prefetcher.stats();
-  std::printf("prefetch: %llu queries swept, %llu APL rows warmed\n",
-              static_cast<unsigned long long>(warmed.queries),
-              static_cast<unsigned long long>(warmed.rows_warmed));
+  const uint64_t hits = batch_after.hits - batch_before.hits;
+  const uint64_t misses = batch_after.misses - batch_before.misses;
+  std::printf(
+      "block cache: %.1f%% hit rate (%llu hits / %llu misses), "
+      "%llu evictions, %u B blocks\n",
+      100.0 * CacheHitRate(hits, hits + misses),
+      static_cast<unsigned long long>(hits),
+      static_cast<unsigned long long>(misses),
+      static_cast<unsigned long long>(batch_after.evictions -
+                                      batch_before.evictions),
+      cache.block_bytes());
 
   // Live reload: publish an equivalent copy of every shard snapshot as
   // a new generation while the process keeps serving. A deployment
@@ -132,13 +125,13 @@ int main() {
         ShardedIndex::SnapshotPath(incoming, shard, shards),
         std::filesystem::copy_options::overwrite_existing, ec);
   }
-  const auto cache_before = sharded.block_cache()->Snapshot();
+  const BlockCacheStats cache_before = cache.Snapshot();
   Stopwatch reload_timer;
   if (ec || !sharded.ReloadGeneration(city, shards, incoming, &executor)) {
     std::printf("reload failed: the old generation keeps serving\n");
     return 1;
   }
-  const auto cache_after = sharded.block_cache()->Snapshot();
+  const BlockCacheStats cache_after = cache.Snapshot();
   std::printf(
       "published generation %llu (%u/%u shards from snapshot) in %.2f ms; "
       "%llu cached blocks of the retired mappings invalidated\n",

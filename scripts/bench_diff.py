@@ -26,12 +26,16 @@ Implements the comparison rules of docs/BENCH_PROTOCOL.md:
   * Block-cache fields (storage benches): records carrying a
     ``block_size`` must agree on it — block granularity defines what a
     ``blocks_read`` means, so a mismatch is refused like a protocol
-    mismatch. ``blocks_read`` is deterministic only when the access
-    sequence is (single-threaded, equal warmup and repeat counts): it
-    is gated as a counter at ``protocol.threads == 1`` with equal
-    ``protocol.warmup`` and ``repeats``, and advisory (>10% drift
-    warns) otherwise. ``cache_hit_rate`` drift
-    beyond 2 points warns (advisory at any thread count).
+    mismatch. A record carrying ``blocks_read`` whose ``block_size`` is
+    nonzero on one side only is refused too: ``block_size`` 0 (or
+    absent) demotes the exact ``blocks_read`` gate to an advisory, so a
+    candidate that stops reporting it would otherwise loosen the gate
+    without a message. ``blocks_read`` is deterministic only when the
+    access sequence is (single-threaded, equal warmup and repeat
+    counts): it is gated as a counter at ``protocol.threads == 1`` with
+    equal ``protocol.warmup`` and ``repeats``, and advisory (>10% drift
+    warns) otherwise. ``cache_hit_rate`` drift beyond 2 points warns
+    (advisory at any thread count).
   * Fails (exit 1) when ``avg_ms_per_query`` — or, when both sides
     carry it, the per-query ``p95_ms`` latency — regresses by more than
     ``--max-regress-pct`` (default 15) on any record present in both
@@ -211,13 +215,21 @@ def main():
 
         # Same record, different cache-block granularity: blocks_read
         # and cache_hit_rate count different units — refuse. block_size
-        # 0 means "not reported" (a mapped searcher measured without a
-        # cache-reporting prefetcher) and is treated as absent.
+        # 0 means "not reported" (a mapped searcher measured without the
+        # bench passing its BlockCache) and is treated as absent — but
+        # only when both sides agree on that: one-sided reporting would
+        # silently demote the exact blocks_read gate below to an
+        # advisory, so it is refused as well.
         bs_old, bs_new = o.get("block_size", 0), n.get("block_size", 0)
         if bs_old and bs_new and bs_old != bs_new:
             refuse(f"{name}: block_size differs ({bs_old} vs {bs_new}); "
                    "block-granular counters are not comparable across "
                    "block sizes")
+        if (("blocks_read" in o or "blocks_read" in n)
+                and bool(bs_old) != bool(bs_new)):
+            refuse(f"{name}: block_size reported on one side only "
+                   f"({bs_old} vs {bs_new}); blocks_read would lose its "
+                   "exact gate")
 
         # blocks_read: a deterministic counter only when the block
         # access sequence is — single-threaded and the same number of

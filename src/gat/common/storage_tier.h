@@ -51,10 +51,9 @@ struct TierUsage {
 /// `blocks_read` the misses that did real page-granular I/O.
 ///
 /// Counters are relaxed atomics so one counter may be shared across
-/// concurrent search branches (shard fan-out, prefetch tasks) without
-/// torn updates; the usual pattern is still one counter per task merged
-/// at the join barrier (`SearchStats::operator+=`), where relaxed
-/// increments cost nothing.
+/// concurrent search branches (shard fan-out) without torn updates; the
+/// usual pattern is still one counter per task merged at the join barrier
+/// (`SearchStats::operator+=`), where relaxed increments cost nothing.
 struct DiskAccessCounter {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> block_hits{0};

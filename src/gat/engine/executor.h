@@ -57,9 +57,12 @@ uint32_t ResolveThreadCount(uint32_t requested);
 /// tasks: the waiter *helps*, draining its own group's tasks from the
 /// executor's queue until the group completes. That is what makes
 /// per-query shard fan-out inside an engine worker safe — no
-/// thread-in-thread spawning, no worker starvation, and a
-/// single-threaded executor degrades to plain (deterministic) inline
-/// execution because the submitting thread runs every task itself.
+/// thread-in-thread spawning and no worker starvation. `Executor(1)`
+/// still spawns one worker, and the helping waiter races it for the
+/// group's tasks, so which thread runs a task is not fixed at any pool
+/// size. The deterministic inline paths bypass the executor altogether:
+/// `QueryEngine` with `threads = 1` and `ShardedSearcher` without an
+/// executor run every query (or shard) on the calling thread.
 /// Helping is deliberately restricted to the waiter's own group: a
 /// waiter never executes a stranger's task, so a timed section around a
 /// fan-out (e.g. the engine's per-query stopwatch) measures only its

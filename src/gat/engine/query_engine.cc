@@ -4,8 +4,6 @@
 
 #include "gat/common/check.h"
 #include "gat/engine/work_queue.h"
-#include "gat/storage/block_cache.h"
-#include "gat/storage/prefetch.h"
 #include "gat/util/stopwatch.h"
 
 namespace gat {
@@ -20,7 +18,7 @@ const Searcher& DerefSearcher(const std::unique_ptr<Searcher>& searcher) {
 }  // namespace
 
 QueryEngine::QueryEngine(const Searcher& searcher, EngineOptions options)
-    : searcher_(searcher), prefetcher_(options.prefetcher) {
+    : searcher_(searcher) {
   if (options.executor != nullptr) {
     executor_ = options.executor;
     threads_ = executor_->threads();
@@ -55,14 +53,6 @@ BatchResult QueryEngine::Run(const std::vector<Query>& queries, size_t k,
     batch.wall_ms = timer.ElapsedMillis();
     return batch;
   }
-
-  // Storage observability: sample the prefetcher's cache around the
-  // batch so the result carries the hit/miss/prefetch deltas this batch
-  // caused (interleaved when batches share the cache concurrently).
-  const BlockCache* cache =
-      prefetcher_ != nullptr ? prefetcher_->cache() : nullptr;
-  BlockCacheStats cache_before;
-  if (cache != nullptr) cache_before = cache->Snapshot();
 
   // One task per slot, each draining the shared work-stealing queue. A
   // task writes only results[i]/latencies[i] for the indices it claimed
@@ -101,25 +91,10 @@ BatchResult QueryEngine::Run(const std::vector<Query>& queries, size_t k,
     }
   };
 
-  const bool expired_at_start = context != nullptr && context->Expired();
   if (executor_ == nullptr) {
-    // Inline path: the prefetch sweep runs before the batch loop —
-    // deterministic, so --threads 1 bench counters stay exact.
-    if (prefetcher_ != nullptr && !expired_at_start) {
-      prefetcher_->PrefetchBatch(queries);
-    }
     task_body(0);
   } else {
     TaskGroup group(*executor_, TaskPriorityFor(context));
-    // Prefetch tasks first: the FIFO queue hands them to the first free
-    // workers, so they sweep ahead while the remaining workers start on
-    // the search slots — I/O of later queries overlaps the search of
-    // earlier ones. A batch already past its deadline skips the sweep:
-    // no I/O on behalf of queries that will all be refused.
-    if (prefetcher_ != nullptr && !expired_at_start) {
-      prefetcher_->SubmitBatch(queries, group,
-                               std::max<uint32_t>(1, threads_ / 4));
-    }
     for (uint32_t slot = 0; slot < fanout; ++slot) {
       group.Submit([&task_body, slot] { task_body(slot); });
     }
@@ -131,18 +106,6 @@ BatchResult QueryEngine::Run(const std::vector<Query>& queries, size_t k,
   for (const SearchStats& s : batch.per_thread) batch.totals += s;
   for (const QueryStatus s : batch.statuses) {
     if (s == QueryStatus::kDeadlineExceeded) ++batch.deadline_exceeded;
-  }
-  if (cache != nullptr) {
-    const BlockCacheStats after = cache->Snapshot();
-    batch.storage.present = true;
-    batch.storage.block_bytes = cache->block_bytes();
-    batch.storage.hits = after.hits - cache_before.hits;
-    batch.storage.misses = after.misses - cache_before.misses;
-    batch.storage.evictions = after.evictions - cache_before.evictions;
-    batch.storage.prefetched = after.prefetched - cache_before.prefetched;
-    batch.storage.invalidated = after.invalidated - cache_before.invalidated;
-    batch.storage.files_retired =
-        after.files_retired - cache_before.files_retired;
   }
   batch.wall_ms = timer.ElapsedMillis();
   return batch;

@@ -5,7 +5,6 @@
 #include <memory>
 #include <vector>
 
-#include "gat/common/storage_tier.h"
 #include "gat/core/result_set.h"
 #include "gat/core/searcher.h"
 #include "gat/engine/executor.h"
@@ -13,8 +12,6 @@
 #include "gat/search/search_stats.h"
 
 namespace gat {
-
-class PrefetchScheduler;  // gat/storage/prefetch.h; engine holds a pointer
 
 /// Outcome of one query inside a batch. A deadline-exceeded query has
 /// an empty result list — never partial answers.
@@ -34,34 +31,6 @@ struct EngineOptions {
   /// outlive the engine). The way a serving process runs query batches,
   /// shard fan-out and index rebuilds on one thread set.
   Executor* executor = nullptr;
-
-  /// Warm the disk tier for each batch ahead of refinement (non-owning;
-  /// must outlive the engine). With an executor the sweep is submitted
-  /// as tasks *before* the batch's search tasks, overlapping prefetch
-  /// I/O of later queries with the search of earlier ones; inline
-  /// engines run it before the batch loop. nullptr = no prefetch.
-  const PrefetchScheduler* prefetcher = nullptr;
-};
-
-/// Block-cache activity observed across one batch (deltas of the
-/// prefetcher's cache around `Run`). Diagnostic: when several batches
-/// share one cache concurrently, their deltas interleave.
-struct BatchStorageStats {
-  /// False when the engine has no prefetcher or the prefetcher has no
-  /// cache (simulated tier) — the other fields are then meaningless.
-  bool present = false;
-  uint32_t block_bytes = 0;
-  uint64_t hits = 0;        ///< demand lookups served by the cache
-  uint64_t misses = 0;      ///< demand lookups that did real block reads
-  uint64_t evictions = 0;
-  uint64_t prefetched = 0;  ///< blocks warmed by the prefetch sweep
-  /// Live-reload activity around the batch: blocks purged because a
-  /// retired mapping was unregistered, and mappings retired. Both stay
-  /// 0 while no snapshot hot-swap overlaps the batch.
-  uint64_t invalidated = 0;
-  uint64_t files_retired = 0;
-
-  double HitRate() const { return CacheHitRate(hits, hits + misses); }
 };
 
 /// Wall-clock cost of one query as the engine observed it.
@@ -105,10 +74,6 @@ struct BatchResult {
 
   /// Engine parallelism the batch was submitted with.
   uint32_t threads_used = 1;
-
-  /// Block-cache deltas around this batch (present only with a
-  /// cache-backed prefetcher; see BatchStorageStats).
-  BatchStorageStats storage;
 };
 
 /// Executes batches of queries over one Searcher as task groups on an
@@ -190,7 +155,6 @@ class QueryEngine {
   uint32_t threads_;
   std::unique_ptr<Executor> owned_executor_;  // null when shared or inline
   Executor* executor_ = nullptr;              // null when threads_ == 1
-  const PrefetchScheduler* prefetcher_ = nullptr;  // null = no prefetch
 };
 
 }  // namespace gat

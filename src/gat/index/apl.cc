@@ -85,10 +85,4 @@ std::span<const ActivityId> Apl::ActivitiesOf(TrajectoryId t,
   return tp.activities;
 }
 
-void Apl::PrefetchRow(TrajectoryId t) const {
-  if (t >= rows_.size()) return;
-  const RowView& tp = rows_[t];
-  tier_->Prefetch(tp.tier_offset, tp.tier_bytes);
-}
-
 }  // namespace gat

@@ -50,11 +50,6 @@ class Apl {
   std::span<const ActivityId> ActivitiesOf(
       TrajectoryId t, DiskAccessCounter* disk = nullptr) const;
 
-  /// Warms the disk-tier blocks of trajectory `t`'s posting row without
-  /// charging a logical read — the prefetch path (no-op under the
-  /// simulated tier, where there is nothing to warm).
-  void PrefetchRow(TrajectoryId t) const;
-
   size_t DiskBytes() const { return disk_bytes_; }
   size_t num_trajectories() const { return rows_.size(); }
 

@@ -63,7 +63,7 @@ ServeResult FrontDoor::ServeAdmitted(const ServeRequest& request) {
   context.priority = request.priority;
 
   // Deadline gate before the engine: a request that is already dead
-  // creates no tasks, pins nothing, prefetches nothing.
+  // creates no tasks, pins nothing, reads no blocks.
   if (context.Expired()) {
     out.status = ServeStatus::kDeadlineExceeded;
     std::lock_guard<std::mutex> lock(mu_);

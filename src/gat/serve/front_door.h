@@ -148,7 +148,7 @@ struct FrontDoorCounters {
 ///
 /// The contract that makes overload survivable: a shed request performs
 /// ZERO engine work. `TryAdmit` consults only the tenant's bucket — no
-/// task is created, no shard pinned, no prefetch issued — so shedding
+/// task is created, no shard pinned, no block read — so shedding
 /// 10x overload costs a mutex and a multiply per refusal, and
 /// `Executor::tasks_submitted()` provably does not move (the soak tests
 /// assert exactly that). Deadlines are enforced next: an admitted

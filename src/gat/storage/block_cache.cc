@@ -110,15 +110,6 @@ BlockCache::Shard& BlockCache::ShardFor(uint64_t key) {
 }
 
 bool BlockCache::Touch(const BlockFileToken& token, uint64_t block) {
-  return LookupInternal(token, block, /*prefetch=*/false);
-}
-
-bool BlockCache::Warm(const BlockFileToken& token, uint64_t block) {
-  return LookupInternal(token, block, /*prefetch=*/true);
-}
-
-bool BlockCache::LookupInternal(const BlockFileToken& token, uint64_t block,
-                                bool prefetch) {
   const uint64_t key = PackKey(token.id, block);
   Shard& shard = ShardFor(key);
   bool hit;
@@ -135,12 +126,7 @@ bool BlockCache::LookupInternal(const BlockFileToken& token, uint64_t block,
     hit = it != shard.index.end();
     if (hit) shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
   }
-  if (prefetch) {
-    (hit ? prefetch_hits_ : prefetched_)
-        .fetch_add(1, std::memory_order_relaxed);
-  } else {
-    (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
-  }
+  (hit ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
   return hit;
 }
 
@@ -184,8 +170,6 @@ BlockCacheStats BlockCache::Snapshot() const {
   s.hits = hits_.load(std::memory_order_relaxed);
   s.misses = misses_.load(std::memory_order_relaxed);
   s.evictions = evictions_.load(std::memory_order_relaxed);
-  s.prefetch_hits = prefetch_hits_.load(std::memory_order_relaxed);
-  s.prefetched = prefetched_.load(std::memory_order_relaxed);
   s.invalidated = invalidated_.load(std::memory_order_relaxed);
   s.files_retired = files_retired_.load(std::memory_order_relaxed);
   s.stale_drops = stale_drops_.load(std::memory_order_relaxed);

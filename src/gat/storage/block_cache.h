@@ -32,9 +32,7 @@ struct BlockCacheConfig {
 };
 
 /// Point-in-time counters. `hits`/`misses` count demand lookups
-/// (`Touch`); `prefetch_hits`/`prefetched` count warm-path lookups
-/// (`Warm`) so prefetch effectiveness is visible separately and never
-/// distorts the demand hit rate. The reload counters: `invalidated` is
+/// (`Touch`). The reload counters: `invalidated` is
 /// resident blocks purged by `Unregister`, `files_retired` the
 /// unregistered file namespaces, and `stale_drops` the operations
 /// rejected because their token's generation was already retired (a
@@ -43,8 +41,6 @@ struct BlockCacheStats {
   uint64_t hits = 0;
   uint64_t misses = 0;
   uint64_t evictions = 0;
-  uint64_t prefetch_hits = 0;
-  uint64_t prefetched = 0;
   uint64_t invalidated = 0;
   uint64_t files_retired = 0;
   uint64_t stale_drops = 0;
@@ -127,12 +123,6 @@ class BlockCache {
   /// always misses (counted under `stale_drops`, not the demand stats).
   bool Touch(const BlockFileToken& token, uint64_t block);
 
-  /// Prefetch lookup: same residency semantics as `Touch`, but counted
-  /// under `prefetched`/`prefetch_hits` instead of the demand hit/miss
-  /// stats. Returns true when the block was already resident; a miss
-  /// must be read, verified and `Publish`ed like a demand miss.
-  bool Warm(const BlockFileToken& token, uint64_t block);
-
   /// Inserts a read-and-verified block as most-recently-used, evicting
   /// the shard's LRU tail if full. Idempotent under races: if another
   /// reader published the block first, this just bumps its recency. A
@@ -164,8 +154,6 @@ class BlockCache {
   };
 
   Shard& ShardFor(uint64_t key);
-  bool LookupInternal(const BlockFileToken& token, uint64_t block,
-                      bool prefetch);
   /// The current generation of `token`'s slot still matches the token.
   /// Reading it inside a shard's critical section is what closes the
   /// retire/lookup race: the purge runs under the same shard mutexes
@@ -191,8 +179,6 @@ class BlockCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> evictions_{0};
-  std::atomic<uint64_t> prefetch_hits_{0};
-  std::atomic<uint64_t> prefetched_{0};
   std::atomic<uint64_t> invalidated_{0};
   std::atomic<uint64_t> files_retired_{0};
   std::atomic<uint64_t> stale_drops_{0};

@@ -2,8 +2,6 @@
 
 namespace gat {
 
-void DiskTier::Prefetch(uint64_t /*offset*/, uint64_t /*bytes*/) const {}
-
 void SimulatedDiskTier::Fetch(uint64_t /*offset*/, uint64_t /*bytes*/,
                               DiskAccessCounter* counter) const {
   if (counter != nullptr) counter->RecordRead();

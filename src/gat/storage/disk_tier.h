@@ -33,11 +33,6 @@ class DiskTier {
   /// read is charged and no block I/O is performed.
   virtual void Fetch(uint64_t offset, uint64_t bytes,
                      DiskAccessCounter* counter) const = 0;
-
-  /// Warms the blocks covering [offset, offset + bytes) without
-  /// charging a logical read — the prefetch path. Default: no-op (a
-  /// simulated tier has nothing to warm).
-  virtual void Prefetch(uint64_t offset, uint64_t bytes) const;
 };
 
 /// The seed's accounting-only tier: every byte is heap-resident, a fetch

@@ -63,8 +63,8 @@ class LoadedSnapshot {
   const GatIndex* operator->() const { return index_; }
 
   /// The mapped storage side, when this snapshot serves out of a
-  /// mapping (the prefetcher needs its block cache); nullptr for
-  /// heap-owned indexes.
+  /// mapping (its block cache holds the block-level counters); nullptr
+  /// for heap-owned indexes.
   const MappedSnapshot* mapped() const { return mapped_.get(); }
 
   explicit operator bool() const { return index_ != nullptr; }

@@ -65,20 +65,6 @@ void MappedDiskTier::Fetch(uint64_t offset, uint64_t bytes,
   }
 }
 
-void MappedDiskTier::Prefetch(uint64_t offset, uint64_t bytes) const {
-  if (bytes == 0) return;
-  GAT_DCHECK(offset + bytes <= file_->size());
-  const uint32_t bs = cache_->block_bytes();
-  const uint64_t first = offset / bs;
-  const uint64_t last = (offset + bytes - 1) / bs;
-  for (uint64_t b = first; b <= last; ++b) {
-    if (!cache_->Warm(token_, b)) {
-      ReadBlock(b);
-      cache_->Publish(token_, b);
-    }
-  }
-}
-
 // --------------------------------------------------------------------------
 // MappedSnapshot
 // --------------------------------------------------------------------------

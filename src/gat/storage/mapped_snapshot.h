@@ -30,7 +30,7 @@ class MappedDiskTier final : public DiskTier {
   /// namespace in the cache; the destructor unregisters it, purging
   /// every block this mapping made resident — the invalidation that
   /// makes hot-swapping a snapshot against a *shared* cache safe. The
-  /// caller owns the drain contract: no `Fetch`/`Prefetch` may be in
+  /// caller owns the drain contract: no `Fetch` may be in
   /// flight when the tier is destroyed (gat/shard's pinned
   /// `ShardGeneration` enforces this on the serving path;
   /// a straggler that slips through is dropped by the cache's
@@ -41,7 +41,6 @@ class MappedDiskTier final : public DiskTier {
 
   void Fetch(uint64_t offset, uint64_t bytes,
              DiskAccessCounter* counter) const override;
-  void Prefetch(uint64_t offset, uint64_t bytes) const override;
 
   const BlockFileToken& token() const { return token_; }
   const BlockCache& cache() const { return *cache_; }

@@ -38,7 +38,6 @@
 #include "gat/storage/block_cache.h"
 #include "gat/storage/loaded_snapshot.h"
 #include "gat/storage/mapped_snapshot.h"
-#include "gat/storage/prefetch.h"
 #include "gat/util/rng.h"
 
 namespace gat {
@@ -151,7 +150,6 @@ TEST(BlockCacheReload, FileIdReuseAcrossGenerationsCannotAlias) {
   EXPECT_FALSE(cache.Touch(old_gen, 0));   // resident for new_gen only
   cache.Publish(old_gen, 1);               // dropped
   EXPECT_FALSE(cache.Touch(new_gen, 1));
-  EXPECT_FALSE(cache.Warm(old_gen, 0));
   EXPECT_GT(cache.Snapshot().stale_drops, 0u);
   // The successor's own view is exact.
   EXPECT_TRUE(cache.Touch(new_gen, 0));
@@ -444,11 +442,11 @@ TEST(ReloadGeneration, RamModeLoadsEveryShardFromThePrimedDirectory) {
 }
 
 TEST(ReloadGeneration, QueriesStayBitIdenticalUnderContinuousSwaps) {
-  // The TSan centerpiece: searchers (with executor fan-out and a
-  // pin-aware prefetcher) hammer the index from several threads while a
-  // reloader alternates generations between the two primed directories.
-  // Every answer must equal the precomputed reference; afterwards,
-  // every retired generation must have been unregistered from the cache.
+  // The TSan centerpiece: searchers (with executor fan-out) hammer the
+  // index from several threads while a reloader alternates generations
+  // between the two primed directories. Every answer must equal the
+  // precomputed reference; afterwards, every retired generation must
+  // have been unregistered from the cache.
   ReloadFixture fx("reload_race", 2, /*mmap=*/true);
   const GatIndex single(fx.dataset);
   const GatSearcher reference(fx.dataset, single);
@@ -460,7 +458,6 @@ TEST(ReloadGeneration, QueriesStayBitIdenticalUnderContinuousSwaps) {
 
   Executor executor(4);
   const ShardedSearcher searcher(*fx.sharded, {}, &executor);
-  const PrefetchScheduler prefetcher(*fx.sharded);  // pins per query
 
   constexpr int kReloads = 12;
   std::atomic<bool> stop{false};
@@ -471,7 +468,6 @@ TEST(ReloadGeneration, QueriesStayBitIdenticalUnderContinuousSwaps) {
       uint64_t i = static_cast<uint64_t>(t);
       while (!stop.load(std::memory_order_relaxed)) {
         const size_t qi = i++ % queries.size();
-        if (i % 7 == 0) prefetcher.PrefetchQuery(queries[qi]);
         SearchStats stats;
         if (searcher.Search(queries[qi], 9, QueryKind::kAtsq, &stats) !=
                 expected[qi] ||
@@ -498,23 +494,18 @@ TEST(ReloadGeneration, QueriesStayBitIdenticalUnderContinuousSwaps) {
   EXPECT_EQ(stats.files_retired, 2u * kReloads);
 
   // And the engine view: a batch run across a final swap is
-  // bit-identical, with the cache's invalidation deltas visible in the
-  // batch storage stats.
-  const QueryEngine engine(
-      searcher, EngineOptions{.executor = &executor,
-                              .prefetcher = &prefetcher});
-  const uint64_t invalidated_before =
-      fx.sharded->block_cache()->Snapshot().invalidated;
+  // bit-identical, and its demand reads went through the shared cache.
+  const QueryEngine engine(searcher, EngineOptions{.executor = &executor});
+  const BlockCacheStats before = fx.sharded->block_cache()->Snapshot();
   std::thread swapper([&] { ASSERT_TRUE(fx.Reload(fx.dir_b)); });
   const BatchResult batch = engine.Run(queries, 9, QueryKind::kAtsq);
   swapper.join();
   for (size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(batch.results[i], expected[i]);
   }
-  EXPECT_TRUE(batch.storage.present);
-  const uint64_t invalidated_after =
-      fx.sharded->block_cache()->Snapshot().invalidated;
-  EXPECT_GE(invalidated_after, invalidated_before);
+  const BlockCacheStats after = fx.sharded->block_cache()->Snapshot();
+  EXPECT_GT(after.DemandLookups(), before.DemandLookups());
+  EXPECT_GE(after.invalidated, before.invalidated);
 }
 
 }  // namespace

@@ -1,5 +1,5 @@
 // Tests for the storage subsystem (gat/storage): mmap-backed snapshot
-// serving, the block-cached disk tier, and prefetch.
+// serving and the block-cached disk tier.
 //
 // The load-bearing invariants:
 //   * a MappedSnapshot answers bit-identically to the built / stream-
@@ -35,7 +35,6 @@
 #include "gat/storage/mapped_file.h"
 #include "gat/storage/loaded_snapshot.h"
 #include "gat/storage/mapped_snapshot.h"
-#include "gat/storage/prefetch.h"
 
 namespace gat {
 namespace {
@@ -162,22 +161,6 @@ TEST(BlockCache, MissIsNotResidentUntilPublished) {
   cache.Publish(file, 5);  // racing duplicate publish is idempotent
   EXPECT_TRUE(cache.Touch(file, 5));
   EXPECT_EQ(cache.ResidentBlocks(), 1u);
-}
-
-TEST(BlockCache, WarmCountsSeparatelyFromDemand) {
-  BlockCache cache(BlockCacheConfig{.block_bytes = 512,
-                                    .capacity_bytes = 8 * 512,
-                                    .shards = 1});
-  const BlockFileToken file = cache.RegisterFile();
-  EXPECT_FALSE(cache.Warm(file, 3));  // prefetch fill...
-  cache.Publish(file, 3);             // ...published after the read
-  EXPECT_TRUE(cache.Warm(file, 3));   // prefetch re-touch
-  EXPECT_TRUE(cache.Touch(file, 3));  // demand hit on the warmed block
-  const BlockCacheStats stats = cache.Snapshot();
-  EXPECT_EQ(stats.prefetched, 1u);
-  EXPECT_EQ(stats.prefetch_hits, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
 }
 
 TEST(BlockCache, FilesDoNotAliasEachOthersBlocks) {
@@ -401,7 +384,7 @@ TEST(MappedSnapshot, EmptyShardSnapshotServes) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded mmap serving + prefetch
+// Sharded and engine-driven mmap serving
 // ---------------------------------------------------------------------------
 
 TEST(ShardedMmap, BitIdenticalAtOneTwoFourShards) {
@@ -457,10 +440,10 @@ TEST(ShardedMmap, BitIdenticalAtOneTwoFourShards) {
   }
 }
 
-TEST(Prefetch, WarmsPredictedRowsAndKeepsResultsIdentical) {
+TEST(MappedSnapshot, EngineBatchesMatchHeapAtOneAndFourThreads) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(240, 67));
   const GatIndex built(dataset);
-  const std::string path = TempPath("prefetch.gats");
+  const std::string path = TempPath("engine_mapped.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
   const auto queries = TestQueries(dataset, 73, 8);
 
@@ -471,37 +454,22 @@ TEST(Prefetch, WarmsPredictedRowsAndKeepsResultsIdentical) {
   ASSERT_TRUE(snap);
   const GatSearcher mapped(dataset, *snap);
 
-  const PrefetchScheduler prefetcher({snap.index()},
-                                     &snap.mapped()->cache());
-  prefetcher.PrefetchBatch(queries);
-  const auto prefetch_stats = prefetcher.stats();
-  EXPECT_EQ(prefetch_stats.queries, queries.size());
-  EXPECT_GT(prefetch_stats.rows_warmed, 0u);
-  EXPECT_GT(snap.mapped()->cache().Snapshot().prefetched, 0u);
-
-  // Warmed rows turn their first demand fetch into hits.
-  SearchStats stats;
-  (void)mapped.Search(queries.front(), 9, QueryKind::kAtsq, &stats);
-  EXPECT_GT(stats.block_hits, 0u);
-
-  // Through the engine: prefetching must never change answers, and the
-  // batch reports its cache activity.
-  const GatSearcher fresh(dataset, built);
-  const QueryEngine reference(fresh, EngineOptions{.threads = 1});
+  // Concurrent engine batches over one mapping answer exactly like the
+  // heap-resident index, with equal logical disk_reads.
+  const GatSearcher heap(dataset, built);
+  const QueryEngine reference(heap, EngineOptions{.threads = 1});
   const BatchResult want = reference.Run(queries, 9, QueryKind::kAtsq);
   for (const uint32_t threads : {1u, 4u}) {
     SCOPED_TRACE(threads);
-    const QueryEngine engine(
-        mapped, EngineOptions{.threads = threads, .prefetcher = &prefetcher});
+    const QueryEngine engine(mapped, EngineOptions{.threads = threads});
     const BatchResult got = engine.Run(queries, 9, QueryKind::kAtsq);
     ASSERT_EQ(got.results.size(), want.results.size());
     for (size_t i = 0; i < want.results.size(); ++i) {
       EXPECT_EQ(got.results[i], want.results[i]);
     }
     EXPECT_EQ(got.totals.disk_reads, want.totals.disk_reads);
-    EXPECT_TRUE(got.storage.present);
-    EXPECT_EQ(got.storage.block_bytes, 1024u);
   }
+  EXPECT_GT(snap.mapped()->cache().Snapshot().DemandLookups(), 0u);
   std::remove(path.c_str());
 }
 
