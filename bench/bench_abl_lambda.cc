@@ -22,7 +22,7 @@ void Run(const CityFixture& city, QueryKind kind, const BenchProtocol& proto,
     params.lambda = lambda;
     const GatSearcher searcher(city.dataset(), city.index(), params);
     const auto m = MeasureWorkload(searcher, queries, 9, kind, proto);
-    std::printf("%-10u%12.3f%14llu%12llu\n", lambda, m.avg_cost_ms,
+    std::printf("%-10u%12.3f%14llu%12llu\n", lambda, m.avg_ms,
                 static_cast<unsigned long long>(m.totals.candidates_retrieved),
                 static_cast<unsigned long long>(m.totals.rounds));
     char point[128];

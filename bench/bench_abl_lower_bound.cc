@@ -25,8 +25,7 @@ void Run(const CityFixture& city, QueryKind kind, const BenchProtocol& proto,
     const GatSearcher searcher(city.dataset(), city.index(), params);
     const auto m = MeasureWorkload(searcher, queries, /*k=*/9, kind, proto);
     std::printf("%-22s%12.3f%14llu%12llu%12llu\n",
-                tight ? "Algorithm 2 (tight)" : "PQ head (naive)",
-                m.avg_cost_ms,
+                tight ? "Algorithm 2 (tight)" : "PQ head (naive)", m.avg_ms,
                 static_cast<unsigned long long>(m.totals.candidates_retrieved),
                 static_cast<unsigned long long>(m.totals.rounds),
                 static_cast<unsigned long long>(m.totals.nodes_popped));

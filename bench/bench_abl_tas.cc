@@ -39,8 +39,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
       std::snprintf(label, sizeof(label), "M=%d", m);
     }
     std::printf("%-14s%14zu%12.3f%14llu%16llu%12llu\n", label,
-                m == 0 ? size_t{0} : index.tas().MemoryBytes(),
-                meas.avg_cost_ms,
+                m == 0 ? size_t{0} : index.tas().MemoryBytes(), meas.avg_ms,
                 static_cast<unsigned long long>(meas.totals.tas_pruned),
                 static_cast<unsigned long long>(meas.totals.activity_rejected),
                 static_cast<unsigned long long>(meas.totals.disk_reads));

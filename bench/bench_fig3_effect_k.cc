@@ -24,7 +24,7 @@ void RunPanel(const CityFixture& city, QueryKind kind,
     std::vector<double> row;
     for (const Searcher* s : city.searchers()) {
       const auto m = MeasureWorkload(*s, queries, k, kind, proto);
-      row.push_back(m.avg_cost_ms);
+      row.push_back(m.avg_ms);
       char point[128];
       std::snprintf(point, sizeof(point), "%s/%s/%s/k=%zu",
                     city.name().c_str(), ToString(kind).c_str(),

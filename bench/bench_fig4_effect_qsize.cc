@@ -25,7 +25,7 @@ void RunPanel(const CityFixture& city, QueryKind kind,
     std::vector<double> row;
     for (const Searcher* s : city.searchers()) {
       const auto m = MeasureWorkload(*s, queries, /*k=*/9, kind, proto);
-      row.push_back(m.avg_cost_ms);
+      row.push_back(m.avg_ms);
       char point[128];
       std::snprintf(point, sizeof(point), "%s/%s/%s/Q=%u",
                     city.name().c_str(), ToString(kind).c_str(),

@@ -51,7 +51,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
       std::vector<double> row;
       for (const Searcher* s : fixtures[i]->searchers()) {
         const auto m = MeasureWorkload(*s, queries, /*k=*/9, kind, proto);
-        row.push_back(m.avg_cost_ms);
+        row.push_back(m.avg_ms);
         char point[128];
         std::snprintf(point, sizeof(point), "%s/%s/%s",
                       fixtures[i]->name().c_str(), ToString(kind).c_str(),

@@ -39,8 +39,8 @@ void RunCity(const CityProfile& profile, const BenchProtocol& proto,
         (1024.0 * 1024.0);
     char label[32];
     std::snprintf(label, sizeof(label), "%dx%d", 1 << depth, 1 << depth);
-    std::printf("%-12s%14.3f%14.3f%18.3f\n", label, atsq.avg_cost_ms,
-                oatsq.avg_cost_ms, mem_mb);
+    std::printf("%-12s%14.3f%14.3f%18.3f\n", label, atsq.avg_ms, oatsq.avg_ms,
+                mem_mb);
     char point[128];
     std::snprintf(point, sizeof(point), "%s/ATSQ/GAT/grid=%s",
                   profile.name.c_str(), label);

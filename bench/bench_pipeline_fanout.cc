@@ -7,10 +7,11 @@
 //     ShardedSearcher that fans each query out across the shards as
 //     sibling tasks. Queries are submitted one at a time (engine
 //     threads = 1), so the percentiles isolate per-query fan-out from
-//     batch throughput. The per-query latency includes the simulated
-//     disk time of the query's *critical path* — parallel shards
-//     overlap their disk reads, sequential execution pays the sum — so
-//     p95 drops as shards are added when the pool has capacity.
+//     batch throughput. The latency is measured wall-clock only. On a
+//     4-core AMD EPYC host (scale 0.04, --threads 4) ATSQ p95 falls
+//     only modestly with shards: 0.38-0.48 / 0.31-0.34 / 0.27-0.29 ms
+//     at 1 / 2 / 4 shards with 50 queries (three runs), and at the
+//     default 15 queries the p95 column is not monotone in 2 of 5 runs.
 //   * pipeline/...: total wall-clock of K batches submitted from K
 //     concurrent caller threads vs the same batches run back-to-back.
 //     Cross-batch pipelining means the concurrent submission drains no

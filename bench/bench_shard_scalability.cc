@@ -78,7 +78,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     double row_ms[2] = {0.0, 0.0};
     for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
       const auto m = MeasureWorkload(searcher, queries, /*k=*/9, kind, proto);
-      row_ms[kind == QueryKind::kOatsq] = m.avg_cost_ms;
+      row_ms[kind == QueryKind::kOatsq] = m.avg_ms;
       std::snprintf(point, sizeof(point), "NY/%s/GAT-sharded/shards=%u",
                     ToString(kind).c_str(), num_shards);
       report.Add(point, m, queries.size());
@@ -95,7 +95,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
                   ToString(kind).c_str());
     report.Add(point, m, queries.size());
     std::printf("%-10s%14.3f  (%s, single index reference)\n", "1 (mono)",
-                m.avg_cost_ms, ToString(kind).c_str());
+                m.avg_ms, ToString(kind).c_str());
   }
   std::filesystem::remove_all(cache_dir);
 }

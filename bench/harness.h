@@ -73,20 +73,6 @@ inline uint32_t QueriesFromEnv() {
   return v > 0 ? static_cast<uint32_t>(v) : 15;
 }
 
-/// Per-read latency (ms) charged for simulated disk accesses. The paper's
-/// testbed (2013, 4 GB RAM, datasets + APL + low HICL levels on a hard
-/// disk) is I/O bound; every searcher counts its page/record fetches in
-/// SearchStats::disk_reads and the harness reports
-/// CPU time + disk_reads * penalty as the paper-comparable "running time".
-/// Default 2 ms (a seek-heavy HDD with some OS caching); set
-/// GAT_DISK_PENALTY_MS=0 for pure in-memory timings.
-inline double DiskPenaltyMsFromEnv() {
-  const char* s = std::getenv("GAT_DISK_PENALTY_MS");
-  if (s == nullptr) return 2.0;
-  const double v = std::atof(s);
-  return v >= 0.0 ? v : 2.0;
-}
-
 /// The measurement protocol shared by every figure/table bench. See
 /// docs/BENCH_PROTOCOL.md for the full semantics.
 struct BenchProtocol {
@@ -240,23 +226,14 @@ struct Measurement {
   /// searcher records. Thread-count independent (total CPU work divided
   /// by #queries), so it stays comparable across --threads settings.
   double avg_ms = 0.0;
-  /// The paper-comparable "running time": `avg_ms` plus the simulated
-  /// disk latency of the batch's *critical-path* reads
-  /// (SearchStats::CriticalDiskReads — the slowest parallel branch for
-  /// fan-out searchers, exactly `disk_reads` for sequential ones, which
-  /// keeps every sequential baseline number unchanged). Also
-  /// thread-independent.
-  double avg_cost_ms = 0.0;
   SearchStats totals;        ///< counters of one batch (deterministic)
   /// Throughput: mean batch wall-clock per query across timed repeats.
   /// With --threads > 1 this is smaller than avg_ms * 1e6 — it measures
   /// how fast the engine drains the batch, not per-query CPU.
   double ns_per_op = 0.0;
   /// Per-query latency percentiles over every (query, repeat) pair: the
-  /// engine-observed wall-clock of the `Search` call plus the simulated
-  /// disk time of the query's *critical path* (`QueryLatency`) — so a
-  /// fan-out searcher that overlaps per-shard I/O shows lower tails than
-  /// the same work paid sequentially. Unlike ns_per_op these measure one
+  /// engine-observed wall-clock of the `Search` call
+  /// (`QueryLatency::wall_ms`). Unlike ns_per_op these measure one
   /// query's latency, not batch throughput.
   double p50_ms = 0.0;
   double p95_ms = 0.0;
@@ -312,9 +289,8 @@ inline double PercentileMs(const std::vector<double>& sorted, double p) {
 /// Runs a workload through one searcher under the measurement protocol:
 /// `warmup` un-timed batches, then timed batches until the relative
 /// standard deviation of the batch wall-clocks reaches `target_rsd_pct`
-/// (or `max_repeat` batches). `avg_cost_ms` is the paper-comparable
-/// "running time": CPU wall-clock plus the simulated disk latency of the
-/// method's critical-path fetches (see Measurement::avg_cost_ms).
+/// (or `max_repeat` batches). Every time it reports is measured
+/// wall-clock; disk work is the `totals.disk_reads` counter.
 /// `cache`, when given, is the block cache behind `searcher`; it only
 /// stamps the record's `block_size`.
 inline Measurement MeasureWorkload(const Searcher& searcher,
@@ -345,7 +321,6 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
     return 100.0 * std::sqrt(var) / mean;
   };
 
-  const double disk_penalty_ms = DiskPenaltyMsFromEnv();
   std::vector<double> batch_ms;   // wall-clock per batch (throughput)
   std::vector<double> cpu_ms;     // summed per-query elapsed per batch
   std::vector<double> query_lat;  // per-(query, repeat) latency sample
@@ -354,9 +329,7 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
     batch_ms.push_back(batch.wall_ms);
     cpu_ms.push_back(batch.totals.elapsed_ms);
     for (const QueryLatency& lat : batch.latencies) {
-      query_lat.push_back(lat.wall_ms +
-                          disk_penalty_ms *
-                              static_cast<double>(lat.critical_disk_reads));
+      query_lat.push_back(lat.wall_ms);
     }
     // Counters are deterministic across repeats; keep the last batch's.
     m.totals = batch.totals;
@@ -375,14 +348,6 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
   // CPU time from the searchers' own per-query stopwatches: the sum over a
   // batch is invariant to how the engine spread the queries over threads.
   m.avg_ms = mean_of(cpu_ms) / static_cast<double>(queries.size());
-  // The simulated disk charge uses the *critical-path* reads: a fan-out
-  // searcher pays its slowest parallel branch, not the sum of branches —
-  // the same rule the per-query latency sample above already applies.
-  // For sequential searchers CriticalDiskReads() == disk_reads exactly.
-  m.avg_cost_ms = m.avg_ms + DiskPenaltyMsFromEnv() *
-                                 static_cast<double>(
-                                     m.totals.CriticalDiskReads()) /
-                                 static_cast<double>(queries.size());
   return m;
 }
 
@@ -416,7 +381,6 @@ class BenchReport {
     rec.distance_computations = m.totals.distance_computations;
     rec.disk_reads = m.totals.disk_reads;
     rec.avg_ms_per_query = m.avg_ms;
-    rec.avg_cost_ms_per_query = m.avg_cost_ms;
     rec.p50_ms = m.p50_ms;
     rec.p95_ms = m.p95_ms;
     rec.p99_ms = m.p99_ms;
@@ -481,11 +445,9 @@ class BenchReport {
     std::fprintf(f,
                  "  \"protocol\": {\"threads\": %u, \"warmup\": %u, "
                  "\"target_rsd_pct\": %g, \"max_repeat\": %u, "
-                 "\"scale\": %g, \"queries_per_point\": %u, "
-                 "\"disk_penalty_ms\": %g",
+                 "\"scale\": %g, \"queries_per_point\": %u",
                  proto_.threads, proto_.warmup, proto_.target_rsd_pct,
-                 proto_.max_repeat, ScaleFromEnv(), QueriesFromEnv(),
-                 DiskPenaltyMsFromEnv());
+                 proto_.max_repeat, ScaleFromEnv(), QueriesFromEnv());
     // Open-loop extension fields, append-only: absent for closed-loop
     // benches so every pre-existing artifact stays byte-stable.
     if (proto_.arrival_rate > 0.0) {
@@ -500,15 +462,14 @@ class BenchReport {
                       "\"rsd_pct\": %.3f, \"repeats\": %u, \"ops\": %zu, "
                       "\"candidates_verified\": %llu, \"tas_pruned\": %llu, "
                       "\"distance_computations\": %llu, \"disk_reads\": %llu, "
-                      "\"avg_ms_per_query\": %.6f, "
-                      "\"avg_cost_ms_per_query\": %.6f",
+                      "\"avg_ms_per_query\": %.6f",
                    i == 0 ? "" : ",", Escaped(r.name).c_str(), r.ns_per_op,
                    r.rsd_pct, r.repeats, r.ops,
                    static_cast<unsigned long long>(r.candidates_verified),
                    static_cast<unsigned long long>(r.tas_pruned),
                    static_cast<unsigned long long>(r.distance_computations),
                    static_cast<unsigned long long>(r.disk_reads),
-                   r.avg_ms_per_query, r.avg_cost_ms_per_query);
+                   r.avg_ms_per_query);
       // Optional fields (schema is append-only; consumers must ignore
       // keys they do not know — see docs/BENCH_PROTOCOL.md).
       if (r.has_latency) {
@@ -595,7 +556,6 @@ class BenchReport {
     uint64_t distance_computations = 0;
     uint64_t disk_reads = 0;
     double avg_ms_per_query = 0.0;
-    double avg_cost_ms_per_query = 0.0;
     double p50_ms = 0.0;
     double p95_ms = 0.0;
     double p99_ms = 0.0;
@@ -655,8 +615,7 @@ inline void PrintPanelHeader(const std::string& title,
   std::printf("\n=== %s ===\n", title.c_str());
   std::printf("%-10s", x_label.c_str());
   for (const auto* s : methods) std::printf("%12s", s->name().c_str());
-  std::printf("   (avg ms/query, incl. %.1fms/disk-read)\n",
-              DiskPenaltyMsFromEnv());
+  std::printf("   (avg ms/query, measured)\n");
 }
 
 inline void PrintPanelRow(const std::string& x_value,

@@ -4,9 +4,8 @@
 Implements the comparison rules of docs/BENCH_PROTOCOL.md:
 
   * Refuses (exit 2) incompatible pairs: different bench name, or
-    different ``protocol.scale`` / ``protocol.queries_per_point`` /
-    ``protocol.disk_penalty_ms`` — those change the workload, so a diff
-    would be meaningless. Cross-thread-count compares are refused too:
+    different ``protocol.scale`` / ``protocol.queries_per_point`` —
+    those change the workload, so a diff would be meaningless. Cross-thread-count compares are refused too:
     ``ns_per_op`` is throughput time and only comparable at equal
     ``protocol.threads``. Records (or protocol blocks) stamped with a
     ``shards`` count are refused when the counts differ: per-shard
@@ -108,7 +107,7 @@ INGEST_COUNTER_FIELDS = ("ingested_checkins", "delta_trajectories",
 # arrival_rate / virtual_time are the open-loop extension: offered load and
 # the clock the load runs on both define the experiment (absent = 0 / false
 # on closed-loop benches and pre-extension baselines).
-PROTOCOL_FIELDS = ("scale", "queries_per_point", "disk_penalty_ms")
+PROTOCOL_FIELDS = ("scale", "queries_per_point")
 
 
 def refuse(message):

@@ -9,8 +9,9 @@ two copies of the same serializer would cancel out gets caught here:
   2. send a well-formed request, check the response frame end to end
      (magic, version, type, CRC, full payload parse with no trailing
      bytes, status/shed cross-field discipline),
-  3. send a corrupted frame on a fresh connection, expect a clean EOF
-     with zero bytes — never a crash, never a partial frame,
+  3. send a corrupted frame, then a version-1 frame, each on a fresh
+     connection, and expect a clean EOF with zero bytes — never a
+     crash, never a partial frame,
   4. send an ingest frame interleaved with a request on one session;
      the ack must decode under the ingest cross-field rules and come
      back before the query answer (arrival order),
@@ -32,7 +33,7 @@ import sys
 import zlib
 
 MAGIC = b"GATW"
-VERSION = 1
+VERSION = 2
 FRAME_REQUEST = 1
 FRAME_RESPONSE = 2
 FRAME_INGEST = 3
@@ -48,15 +49,16 @@ INGEST_OK = 0
 INGEST_SHED = 1
 INGEST_INVALID = 2
 INGEST_UNAVAILABLE = 3
-NUM_STAT_COUNTERS = 14  # u64 counters before the trailing elapsed_ms f64
+NUM_STAT_COUNTERS = 13  # u64 counters before the trailing elapsed_ms f64
 
 
-def build_frame(frame_type: int, payload: bytes) -> bytes:
+def build_frame(frame_type: int, payload: bytes, version=VERSION) -> bytes:
     crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return HEADER.pack(MAGIC, VERSION, frame_type, len(payload), crc) + payload
+    return HEADER.pack(MAGIC, version, frame_type, len(payload), crc) + payload
 
 
-def build_request(tenant=7, priority=0, kind=0, k=3, deadline=0) -> bytes:
+def build_request(tenant=7, priority=0, kind=0, k=3, deadline=0,
+                  version=VERSION) -> bytes:
     # One query, two points, activities strictly ascending — the normal
     # form the decoder demands.
     payload = struct.pack("<IIIIQI", tenant, priority, kind, k, deadline, 1)
@@ -65,7 +67,7 @@ def build_request(tenant=7, priority=0, kind=0, k=3, deadline=0) -> bytes:
     for (x, y), activities in points:
         payload += struct.pack("<ddI", x, y, len(activities))
         payload += struct.pack(f"<{len(activities)}I", *activities)
-    return build_frame(FRAME_REQUEST, payload)
+    return build_frame(FRAME_REQUEST, payload, version)
 
 
 def build_ingest(tenant=7) -> bytes:
@@ -171,6 +173,15 @@ def check_response(raw_header: bytes, sock: socket.socket) -> None:
     assert num_queries == 1, num_queries
 
 
+def expect_clean_close(port: int, frame: bytes) -> None:
+    # The server must close the session without sending a single byte.
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(frame)
+        sock.settimeout(10)
+        leaked = sock.recv(1)
+        assert leaked == b"", f"server sent {leaked!r} after a bad frame"
+
+
 def check_flag_rejected(server_bin: str, flags: list) -> None:
     # A bad flag value must never be clamped, wrapped or read as 0: the
     # server refuses before it builds or binds anything.
@@ -210,12 +221,12 @@ def main() -> int:
         # --- a corrupted frame: clean close, zero bytes ---------------
         bad = bytearray(build_request())
         bad[HEADER.size + 3] ^= 0x20  # flip one payload bit
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-            sock.sendall(bytes(bad))
-            sock.settimeout(10)
-            leaked = sock.recv(1)
-            assert leaked == b"", f"server sent {leaked!r} after corruption"
+        expect_clean_close(port, bytes(bad))
         print("wire_smoke: corrupt frame closed cleanly")
+
+        # --- a version-1 frame: refused at the header, same close -----
+        expect_clean_close(port, build_request(version=1))
+        print("wire_smoke: version-1 frame closed cleanly")
 
         # --- and the server is still alive afterwards -----------------
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
@@ -239,11 +250,7 @@ def main() -> int:
         # ingest decoder itself, not the checksum gate the serve-side
         # case above already exercises.
         bad = build_frame(FRAME_INGEST, struct.pack("<II", 7, 0xFFFFFFFF))
-        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-            sock.sendall(bad)
-            sock.settimeout(10)
-            leaked = sock.recv(1)
-            assert leaked == b"", f"server sent {leaked!r} after corruption"
+        expect_clean_close(port, bad)
         print("wire_smoke: corrupt ingest closed cleanly")
 
         # --- serve path unaffected by the dead ingest session ---------

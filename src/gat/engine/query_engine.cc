@@ -79,7 +79,6 @@ BatchResult QueryEngine::Run(const std::vector<Query>& queries, size_t k,
       batch.results[idx] =
           searcher_.Search(queries[idx], k, kind, &per_query, context);
       batch.latencies[idx].wall_ms = query_timer.ElapsedMillis();
-      batch.latencies[idx].critical_disk_reads = per_query.CriticalDiskReads();
       // The searcher refusing any of its own task boundaries (shard
       // sweeps) also means deadline-exceeded — and it already returned
       // an empty list, never partial answers.

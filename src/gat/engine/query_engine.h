@@ -38,11 +38,6 @@ struct QueryLatency {
   /// Wall-clock of this query's `Search` call, including any per-query
   /// shard fan-out inside the searcher.
   double wall_ms = 0.0;
-
-  /// Simulated disk reads on the query's critical path: equals the
-  /// query's `disk_reads` for sequential searchers, the slowest parallel
-  /// branch for fan-out searchers (SearchStats::CriticalDiskReads).
-  uint64_t critical_disk_reads = 0;
 };
 
 /// Outcome of one batch: answers in query order plus merged statistics.
@@ -58,8 +53,8 @@ struct BatchResult {
   /// Number of queries in this batch with status kDeadlineExceeded.
   uint64_t deadline_exceeded = 0;
 
-  /// latencies[i] is the per-query wall-clock/critical-path cost of
-  /// queries[i] (the input of the bench protocol's p50/p95/p99 fields).
+  /// latencies[i] is the wall-clock of queries[i] (the input of the
+  /// bench protocol's p50/p95/p99 fields).
   std::vector<QueryLatency> latencies;
 
   /// Counters summed over all queries (merged from the per-task slots).

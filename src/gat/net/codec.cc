@@ -181,7 +181,6 @@ std::string EncodeResultPayload(const ServeResult& result) {
   w.U64(t.blocks_read);
   w.U64(t.index_pins);
   w.U64(t.deadline_skips);
-  w.U64(t.critical_disk_reads);
   w.F64(t.elapsed_ms);
   return w.Take();
 }
@@ -270,7 +269,6 @@ bool DecodeResultPayload(std::string_view payload, ServeResult* out) {
   if (!r.U64(&t.blocks_read)) return false;
   if (!r.U64(&t.index_pins)) return false;
   if (!r.U64(&t.deadline_skips)) return false;
-  if (!r.U64(&t.critical_disk_reads)) return false;
   if (!r.F64(&t.elapsed_ms)) return false;
   if (!r.AtEnd()) return false;
   *out = std::move(result);

@@ -32,7 +32,9 @@
 namespace gat::wire {
 
 inline constexpr char kMagic[4] = {'G', 'A', 'T', 'W'};
-inline constexpr uint32_t kVersion = 1;
+/// 2 since the response frame went from 14 to 13 SearchStats counters
+/// (docs/WIRE_PROTOCOL.md, "Versioning").
+inline constexpr uint32_t kVersion = 2;
 
 /// Frame types. Wire-stable: add at the end, never renumber. (Enum
 /// growth is NOT a version bump — old peers reject unknown types and

@@ -40,11 +40,6 @@ std::string SearchStats::ToString() const {
 }
 
 SearchStats& SearchStats::operator+=(const SearchStats& other) {
-  // Resolve both critical paths before any counter mutates: the sentinel
-  // (critical == 0 means "same as disk_reads") must read the pre-merge
-  // disk_reads of each side.
-  const uint64_t combined_critical =
-      CriticalDiskReads() + other.CriticalDiskReads();
   candidates_retrieved += other.candidates_retrieved;
   tas_pruned += other.tas_pruned;
   activity_rejected += other.activity_rejected;
@@ -58,9 +53,6 @@ SearchStats& SearchStats::operator+=(const SearchStats& other) {
   blocks_read += other.blocks_read;
   index_pins += other.index_pins;
   deadline_skips += other.deadline_skips;
-  // Sequential composition: critical paths add. Fan-out searchers
-  // overwrite the sum with their max-over-branches after merging.
-  critical_disk_reads = combined_critical;
   elapsed_ms += other.elapsed_ms;
   return *this;
 }

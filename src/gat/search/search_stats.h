@@ -50,22 +50,8 @@ struct SearchStats {
   /// under a virtual-time clock that is frozen while tasks run; under a
   /// wall clock the count depends on scheduling.
   uint64_t deadline_skips = 0;
-  /// Simulated disk reads on the query's *critical path*. 0 means "same
-  /// as disk_reads" (every sequential searcher leaves it unset); a
-  /// fan-out searcher that overlaps per-shard I/O across executor tasks
-  /// sets it to the slowest parallel branch. Read through
-  /// CriticalDiskReads(), never directly.
-  uint64_t critical_disk_reads = 0;
   /// Wall-clock of the whole query.
   double elapsed_ms = 0.0;
-
-  /// Disk reads a parallel execution cannot overlap away: `disk_reads`
-  /// for sequential searchers, the max over sibling branches for
-  /// fan-out searchers. The disk-model input of the bench protocol's
-  /// per-query latency percentiles.
-  uint64_t CriticalDiskReads() const {
-    return critical_disk_reads != 0 ? critical_disk_reads : disk_reads;
-  }
 
   void Reset() { *this = SearchStats{}; }
 

@@ -1,6 +1,5 @@
 #include "gat/shard/sharded_searcher.h"
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -91,28 +90,10 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
     }
   }
   if (stats != nullptr) {
-    uint64_t slowest_branch = 0;
-    uint64_t sum_of_branches = 0;
-    for (const SearchStats& s : shard_stats) {
-      *stats += s;
-      slowest_branch = std::max(slowest_branch, s.CriticalDiskReads());
-      sum_of_branches += s.CriticalDiskReads();
-    }
+    for (const SearchStats& s : shard_stats) *stats += s;
     // One per shard visit actually made — deterministic; refused sweeps
     // count nothing.
     stats->index_pins += visited;
-    // Counters stay sums (deterministic totals); the disk critical path
-    // models the overlap the fan-out actually buys: at most `threads`
-    // branches are in flight at once, so the path is the slowest branch
-    // or the pool-width-limited share of the total, whichever binds. A
-    // one-worker executor degrades to the sequential sum, exactly like
-    // running without an executor.
-    if (executor_ != nullptr && num_shards > 1) {
-      const uint64_t width = executor_->threads();
-      const uint64_t bandwidth_bound = (sum_of_branches + width - 1) / width;
-      stats->critical_disk_reads =
-          std::max(slowest_branch, bandwidth_bound);
-    }
   }
   // Never partial results: if any sweep was refused, the merged top-k
   // would silently miss that shard's candidates — report nothing.

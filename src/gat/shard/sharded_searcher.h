@@ -38,8 +38,12 @@ namespace gat {
 ///
 /// With an `Executor` (constructor argument), one `Search` call fans the
 /// shards out as sibling tasks on the pool and the calling thread helps
-/// drain them — so single-query p50/p95 latency drops as shards are
-/// added, instead of paying the shards sequentially. Submission is
+/// drain them instead of paying the shards sequentially. The measured
+/// gain is small: on a 4-core AMD EPYC host, `bench_pipeline_fanout`
+/// (scale 0.04, 50 queries, `--threads 4`) puts ATSQ wall-clock p95 at
+/// 0.38-0.48 / 0.31-0.34 / 0.27-0.29 ms for 1 / 2 / 4 shards over three
+/// runs, and at its default 15 queries the p95 column is not monotone
+/// in 2 of 5 runs. Submission is
 /// nest-safe: when the caller is itself an executor task (a QueryEngine
 /// batch worker), the shard tasks join the same pool with no
 /// thread-in-thread spawning. Each task writes one pre-sized slot and

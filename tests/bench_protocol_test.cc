@@ -79,7 +79,36 @@ TEST(MeasureWorkload, RespectsMaxRepeatAndReportsCounters) {
   EXPECT_EQ(m.threads, 2u);
   EXPECT_GT(m.ns_per_op, 0.0);
   EXPECT_GT(m.totals.candidates_retrieved, 0u);
-  EXPECT_GE(m.avg_cost_ms, m.avg_ms);  // disk penalty only adds
+}
+
+// Reports a million logical disk reads per query and returns at once.
+class DiskHeavyStub : public Searcher {
+ public:
+  ResultList Search(const Query&, size_t, QueryKind, SearchStats* stats,
+                    const QueryContext*) const override {
+    if (stats != nullptr) stats->disk_reads = 1'000'000;
+    return {};
+  }
+  std::string name() const override { return "disk-heavy-stub"; }
+};
+
+TEST(MeasureWorkload, TimesAreMeasuredAndDiskReadsAreOnlyCounted) {
+  // Disk work shows up in the disk_reads counter, never as charged
+  // milliseconds: a searcher that "reads" a million blocks but returns
+  // at once must measure far below a second per query.
+  const DiskHeavyStub stub;
+  const std::vector<Query> queries(4);
+  BenchProtocol proto;
+  proto.warmup = 0;
+  proto.max_repeat = 2;
+  const Measurement m =
+      MeasureWorkload(stub, queries, /*k=*/5, QueryKind::kAtsq, proto);
+
+  EXPECT_EQ(m.totals.disk_reads, 4'000'000u);
+  EXPECT_LT(m.avg_ms, 1000.0);
+  EXPECT_LT(m.p50_ms, 1000.0);
+  EXPECT_LT(m.p95_ms, 1000.0);
+  EXPECT_LT(m.p99_ms, 1000.0);
 }
 
 TEST(BenchReport, WritesWellFormedJson) {
@@ -93,7 +122,6 @@ TEST(BenchReport, WritesWellFormedJson) {
   m.rsd_pct = 2.25;
   m.repeats = 3;
   m.avg_ms = 0.0012345;
-  m.avg_cost_ms = 2.0012345;
   m.totals.candidates_retrieved = 42;
   m.totals.tas_pruned = 7;
   m.totals.distance_computations = 11;
@@ -120,7 +148,7 @@ TEST(BenchReport, WritesWellFormedJson) {
         "\"results\"", "\"threads\"", "\"warmup\"", "\"target_rsd_pct\"",
         "\"max_repeat\"", "\"ns_per_op\"", "\"rsd_pct\"", "\"repeats\"",
         "\"ops\"", "\"candidates_verified\"", "\"disk_reads\"",
-        "\"avg_cost_ms_per_query\""}) {
+        "\"avg_ms_per_query\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << "missing " << key;
   }
   // Quotes and backslashes in record names must be escaped.

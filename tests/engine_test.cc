@@ -221,14 +221,9 @@ TEST_F(QueryEngineTest, PerQueryLatenciesArePopulated) {
   QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
   const BatchResult batch = pooled.Run(queries_, /*k=*/5, QueryKind::kAtsq);
   ASSERT_EQ(batch.latencies.size(), queries_.size());
-  uint64_t critical_total = 0;
   for (const QueryLatency& lat : batch.latencies) {
     EXPECT_GE(lat.wall_ms, 0.0);
-    critical_total += lat.critical_disk_reads;
   }
-  // A sequential searcher's critical path is its disk_reads, so the
-  // per-query values must sum to the batch counter exactly.
-  EXPECT_EQ(critical_total, batch.totals.disk_reads);
 }
 
 }  // namespace

@@ -124,7 +124,6 @@ class NetSoakTest : public ::testing::Test {
     EXPECT_EQ(a.blocks_read, b.blocks_read);
     EXPECT_EQ(a.index_pins, b.index_pins);
     EXPECT_EQ(a.deadline_skips, b.deadline_skips);
-    EXPECT_EQ(a.critical_disk_reads, b.critical_disk_reads);
   }
 
   void ExpectMatchesReference(const ServeResult& got, uint32_t client) {

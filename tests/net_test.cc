@@ -100,7 +100,6 @@ bool StatsEqual(const SearchStats& a, const SearchStats& b) {
          a.disk_reads == b.disk_reads && a.block_hits == b.block_hits &&
          a.blocks_read == b.blocks_read && a.index_pins == b.index_pins &&
          a.deadline_skips == b.deadline_skips &&
-         a.critical_disk_reads == b.critical_disk_reads &&
          a.elapsed_ms == b.elapsed_ms;
 }
 
@@ -498,6 +497,18 @@ TEST(WireSession, MalformedInputClosesPermanently) {
     EXPECT_TRUE(session.closed());
     // Closed is absorbing: even a pristine frame is not read anymore.
     session.Append(frame.data(), frame.size());
+    EXPECT_EQ(session.Next(&out), Session::Event::kClosed);
+    EXPECT_EQ(session.frames_decoded(), 0u);
+  }
+
+  // A version-1 frame (the layout before the response lost a counter):
+  // refused at the header, closed without a decoded frame.
+  {
+    Session session;
+    std::string old = frame;
+    const uint32_t version_one = 1;
+    std::memcpy(&old[4], &version_one, sizeof(version_one));
+    session.Append(old.data(), old.size());
     EXPECT_EQ(session.Next(&out), Session::Event::kClosed);
     EXPECT_EQ(session.frames_decoded(), 0u);
   }
