@@ -1,5 +1,5 @@
 // Index tuning: how the GAT construction knobs trade memory for query
-// latency — grid depth d (Figure 8), TAS interval count M, the candidate
+// latency — grid depth d (Figure 8), TAS sketch width M, the candidate
 // batch size lambda, and the paper's memory-budget formula for the number
 // of HICL levels kept in RAM.
 //
@@ -47,11 +47,11 @@ int main() {
                 index.memory_breakdown().MainMemoryTotal() / 1024);
   }
 
-  std::printf("\nTAS interval sweep (sketch memory = 8*M*N bytes):\n");
+  std::printf("\nTAS width sweep (sketch memory = 8*M*N bytes):\n");
   std::printf("%-6s%16s%18s\n", "M", "TAS bytes", "sketch prune rate");
   for (int m : {1, 2, 4, 8}) {
     GatConfig config;
-    config.tas_intervals = m;
+    config.tas_width = m;
     const GatIndex index(city, config);
     const GatSearcher searcher(city, index);
     SearchStats total;

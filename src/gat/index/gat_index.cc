@@ -53,7 +53,7 @@ GatIndex::GatIndex(const Dataset& dataset, const GatConfig& config)
   hicl_ = std::make_unique<Hicl>(config_.depth, config_.memory_levels,
                                  std::move(leaf_cells_per_activity));
   itl_ = std::make_unique<Itl>(std::move(itl_builder));
-  tas_ = std::make_unique<Tas>(activity_sets, config_.tas_intervals);
+  tas_ = std::make_unique<Tas>(activity_sets, config_.tas_width);
   apl_ = std::make_unique<Apl>(dataset);
 
   build_seconds_ = timer.ElapsedMillis() / 1000.0;

@@ -25,8 +25,9 @@ struct GatConfig {
   /// disk-tier (the paper keeps levels 1-6 in RAM, 7-8 on disk).
   int memory_levels = 6;
 
-  /// TAS interval count M.
-  int tas_intervals = 2;
+  /// TAS width M: the activity sketch keeps 64·M bits per trajectory
+  /// (the bytes of the paper's M intervals).
+  int tas_width = 2;
 
   bool operator==(const GatConfig&) const = default;
 };

@@ -133,10 +133,10 @@ struct ByteReader {
   }
 };
 
-/// Structural check shared by the ITL / APL posting layouts and the TAS
-/// offset table: `offsets` must be [0, ..., payload_size] and
-/// non-decreasing, with one extra entry over `keys`. A snapshot failing
-/// this would hand out-of-range spans to the searchers.
+/// Structural check shared by the ITL / APL posting layouts: `offsets`
+/// must be [0, ..., payload_size] and non-decreasing, with one extra
+/// entry over `keys`. A snapshot failing this would hand out-of-range
+/// spans to the searchers.
 bool OffsetsValid(std::span<const uint32_t> offsets, size_t num_keys,
                   size_t payload_size) {
   if (offsets.size() != num_keys + 1) return false;
@@ -195,7 +195,7 @@ struct SnapshotIo {
     const GatConfig& config = index.config();
     WritePod(out, static_cast<int32_t>(config.depth));
     WritePod(out, static_cast<int32_t>(config.memory_levels));
-    WritePod(out, static_cast<int32_t>(config.tas_intervals));
+    WritePod(out, static_cast<int32_t>(config.tas_width));
     WritePod(out, dataset_fingerprint);
 
     WriteTag(out, kTagGrid);
@@ -228,15 +228,15 @@ struct SnapshotIo {
     }
 
     GatConfig config;
-    int32_t depth = 0, memory_levels = 0, tas_intervals = 0;
+    int32_t depth = 0, memory_levels = 0, tas_width = 0;
     uint32_t fingerprint = 0;
     if (!r.ReadPod(&depth) || !r.ReadPod(&memory_levels) ||
-        !r.ReadPod(&tas_intervals) || !r.ReadPod(&fingerprint)) {
+        !r.ReadPod(&tas_width) || !r.ReadPod(&fingerprint)) {
       return nullptr;
     }
     config.depth = depth;
     config.memory_levels = memory_levels;
-    config.tas_intervals = tas_intervals;
+    config.tas_width = tas_width;
     if (expected != nullptr && !(config == *expected)) return nullptr;
     // Pairing check: both sides must have opted in (non-zero) to bind.
     if (expected_fingerprint != 0 && fingerprint != 0 &&
@@ -244,7 +244,8 @@ struct SnapshotIo {
       return nullptr;
     }
     if (config.depth < 1 || config.depth > 12 || config.memory_levels < 0 ||
-        config.memory_levels > config.depth || config.tas_intervals < 1) {
+        config.memory_levels > config.depth || config.tas_width < 1 ||
+        config.tas_width > Tas::kMaxWidth) {
       return nullptr;
     }
 
@@ -455,20 +456,16 @@ struct SnapshotIo {
   // ------------------------------------------------------------------- TAS
   static void SaveTas(const Tas& tas, std::ostream& out) {
     WriteTag(out, kTagTas);
-    WriteVec(out, tas.intervals_);
-    WriteVec(out, tas.offsets_);
+    WriteVec(out, tas.words_);
   }
 
   static std::unique_ptr<Tas> ParseTas(ByteReader& r, const GatConfig& config) {
     if (!r.ExpectTag(kTagTas)) return nullptr;
     std::unique_ptr<Tas> tas(new Tas());
-    tas->num_intervals_ = config.tas_intervals;
-    if (!r.ReadVec(&tas->intervals_) || !r.ReadVec(&tas->offsets_)) {
-      return nullptr;
-    }
-    if (tas->offsets_.empty() ||
-        !OffsetsValid(tas->offsets_, tas->offsets_.size() - 1,
-                      tas->intervals_.size())) {
+    tas->row_words_ = 2 * static_cast<size_t>(config.tas_width);
+    // The row count is implied: a word array that is not whole rows was
+    // written at another width, or is damaged.
+    if (!r.ReadVec(&tas->words_) || tas->words_.size() % tas->row_words_ != 0) {
       return nullptr;
     }
     return tas;

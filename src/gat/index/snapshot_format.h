@@ -19,7 +19,9 @@
 namespace gat::snapshot_format {
 
 inline constexpr char kMagic[4] = {'G', 'A', 'T', 'S'};
-inline constexpr uint32_t kVersion = 1;
+/// Version 2: the `TAS_` section is the Bloom activity sketch's word array
+/// (version 1 stored intervals; it is refused, not converted).
+inline constexpr uint32_t kVersion = 2;
 /// magic + version + payload CRC32.
 inline constexpr size_t kHeaderBytes = 12;
 

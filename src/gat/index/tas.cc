@@ -1,81 +1,47 @@
 #include "gat/index/tas.h"
 
-#include <algorithm>
+#include <array>
 
 #include "gat/common/check.h"
 
 namespace gat {
 
-std::vector<Tas::Interval> Tas::PartitionIds(
-    const std::vector<ActivityId>& sorted_ids, int num_intervals) {
-  std::vector<Interval> out;
-  if (sorted_ids.empty()) return out;
-  GAT_CHECK(num_intervals >= 1);
-
-  // Gaps between consecutive IDs; the top (M-1) gaps are the optimal split
-  // positions (Section IV: moving any split from gap g to gap g' < g
-  // increases total width by g - g').
-  struct Gap {
-    ActivityId size;
-    uint32_t after_index;  // split between after_index and after_index+1
-  };
-  std::vector<Gap> gaps;
-  gaps.reserve(sorted_ids.size());
-  for (uint32_t i = 0; i + 1 < sorted_ids.size(); ++i) {
-    GAT_DCHECK(sorted_ids[i + 1] > sorted_ids[i]);
-    gaps.push_back(Gap{sorted_ids[i + 1] - sorted_ids[i], i});
+Tas::Tas(const std::vector<std::vector<ActivityId>>& activity_sets, int width)
+    : row_words_(2 * static_cast<size_t>(width)) {
+  GAT_CHECK(width >= 1 && width <= kMaxWidth);
+  words_.assign(activity_sets.size() * row_words_, 0);
+  for (size_t t = 0; t < activity_sets.size(); ++t) {
+    for (ActivityId a : activity_sets[t]) {
+      SetBits(a, words_.data() + t * row_words_);
+    }
   }
-  const size_t splits =
-      std::min<size_t>(static_cast<size_t>(num_intervals) - 1, gaps.size());
-  std::partial_sort(gaps.begin(), gaps.begin() + splits, gaps.end(),
-                    [](const Gap& a, const Gap& b) {
-                      if (a.size != b.size) return a.size > b.size;
-                      return a.after_index < b.after_index;  // deterministic
-                    });
-  std::vector<uint32_t> cut_after;
-  cut_after.reserve(splits);
-  for (size_t i = 0; i < splits; ++i) cut_after.push_back(gaps[i].after_index);
-  std::sort(cut_after.begin(), cut_after.end());
-
-  uint32_t start = 0;
-  for (uint32_t cut : cut_after) {
-    out.push_back(Interval{sorted_ids[start], sorted_ids[cut]});
-    start = cut + 1;
-  }
-  out.push_back(Interval{sorted_ids[start], sorted_ids.back()});
-  return out;
 }
 
-Tas::Tas(const std::vector<std::vector<ActivityId>>& activity_sets,
-         int num_intervals)
-    : num_intervals_(num_intervals) {
-  GAT_CHECK(num_intervals >= 1);
-  offsets_.reserve(activity_sets.size() + 1);
-  offsets_.push_back(0);
-  for (const auto& ids : activity_sets) {
-    const auto ivs = PartitionIds(ids, num_intervals);
-    intervals_.insert(intervals_.end(), ivs.begin(), ivs.end());
-    offsets_.push_back(static_cast<uint32_t>(intervals_.size()));
-  }
+std::array<uint32_t, 2> Tas::Bits(ActivityId a) const {
+  // A fixed 64-bit multiplicative mix (splitmix64's finalizer), not
+  // std::hash, so sketch bits and snapshot bytes are the same everywhere.
+  // Each 32-bit half picks one of the row's 32·row_words_ bits by a
+  // multiply-shift range reduction.
+  uint64_t h = (uint64_t{a} + 1) * 0x9E3779B97F4A7C15ull;
+  h = (h ^ (h >> 30)) * 0xBF58476D1CE4E5B9ull;
+  h = (h ^ (h >> 27)) * 0x94D049BB133111EBull;
+  h ^= h >> 31;
+  const uint64_t row_bits = 32 * row_words_;
+  return {static_cast<uint32_t>(((h & 0xFFFFFFFFu) * row_bits) >> 32),
+          static_cast<uint32_t>(((h >> 32) * row_bits) >> 32)};
+}
+
+void Tas::SetBits(ActivityId a, uint32_t* row) const {
+  for (const uint32_t bit : Bits(a)) row[bit / 32] |= uint32_t{1} << (bit % 32);
 }
 
 bool Tas::MightContain(TrajectoryId t, ActivityId a) const {
-  GAT_DCHECK(t + 1 < offsets_.size());
-  const uint32_t begin = offsets_[t];
-  const uint32_t end = offsets_[t + 1];
-  // Binary search over disjoint sorted intervals: find the first interval
-  // whose hi >= a and test its lo.
-  uint32_t lo = begin;
-  uint32_t hi = end;
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo) / 2;
-    if (intervals_[mid].hi < a) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
+  GAT_DCHECK(t < num_trajectories());
+  const uint32_t* row = words_.data() + t * row_words_;
+  for (const uint32_t bit : Bits(a)) {
+    if ((row[bit / 32] >> (bit % 32) & 1u) == 0) return false;
   }
-  return lo < end && intervals_[lo].lo <= a;
+  return true;
 }
 
 bool Tas::MightContainAll(TrajectoryId t,
@@ -86,10 +52,10 @@ bool Tas::MightContainAll(TrajectoryId t,
   return true;
 }
 
-std::vector<Tas::Interval> Tas::Intervals(TrajectoryId t) const {
-  GAT_DCHECK(t + 1 < offsets_.size());
-  return {intervals_.begin() + offsets_[t],
-          intervals_.begin() + offsets_[t + 1]};
+std::vector<uint32_t> Tas::Mask(std::span<const ActivityId> activities) const {
+  std::vector<uint32_t> mask(row_words_, 0);
+  for (ActivityId a : activities) SetBits(a, mask.data());
+  return mask;
 }
 
 }  // namespace gat

@@ -19,7 +19,8 @@ namespace gat {
 ///   1. normalizes per-point activity sets,
 ///   2. counts activity occurrences over the whole database,
 ///   3. re-ranks activity IDs by descending frequency (ties by old ID) —
-///      the prerequisite for compact TAS intervals (Section IV), and
+///      the paper's ID order for its interval TAS (Section IV); the
+///      Bloom sketch used here does not depend on it, and
 ///   4. computes the global bounding box used by the grid.
 /// Indexes and searchers require a finalized dataset.
 class Dataset {

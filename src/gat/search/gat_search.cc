@@ -47,6 +47,8 @@ struct GatSearcher::State {
   SearchStats& stats;
 
   std::vector<ActivityId> query_union;
+  /// The activity sketch's bits of `query_union`, built once per query.
+  std::vector<uint32_t> tas_mask;
   /// cellsn(q_i) of Section V-B, one binary min-heap per query point. It
   /// is also the priority queue of Section V-A: the global best-first pop
   /// takes the smallest head, ties going to the lower query index — the
@@ -161,6 +163,7 @@ ResultList GatSearcher::Search(const Query& query, size_t k, QueryKind kind,
   if (query.empty() || k == 0) return {};
 
   State state(query, k, kind, st, dataset_.size());
+  if (params_.use_tas) state.tas_mask = index_.tas().Mask(state.query_union);
 
   if (state.query_union.empty()) {
     // Degenerate query: every q.Phi is empty, so every trajectory matches
@@ -333,8 +336,7 @@ void GatSearcher::ProcessCandidate(State& state, TrajectoryId t) const {
   ++state.stats.candidates_retrieved;
 
   // Validation stage 1: trajectory activity sketch (no disk access).
-  if (params_.use_tas &&
-      !index_.tas().MightContainAll(t, state.query_union)) {
+  if (params_.use_tas && !index_.tas().MightContainMask(t, state.tas_mask)) {
     ++state.stats.tas_pruned;
     return;
   }

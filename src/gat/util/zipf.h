@@ -12,9 +12,8 @@ namespace gat {
 ///
 /// P(rank = r) ∝ 1 / (r + 1)^theta. The check-in generator uses this to give
 /// the synthetic activity vocabulary the heavy skew that real Foursquare tip
-/// words exhibit; that skew is what makes the paper's frequency-ranked TAS
-/// intervals compact (Section IV) and the per-activity inverted lists short
-/// for rare activities.
+/// words exhibit; that skew keeps the per-activity inverted lists short for
+/// rare activities.
 ///
 /// Sampling uses a precomputed CDF and binary search: O(log n) per draw,
 /// O(n) memory. This is fast enough for dataset construction (one-time) and

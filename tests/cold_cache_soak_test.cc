@@ -51,7 +51,7 @@ class ColdCacheSoakTest : public ::testing::Test {
     dataset_ = GenerateCity(CityProfile::Testing(/*trajectories=*/300,
                                                  /*seed=*/41));
     const GatConfig config{.depth = 6, .memory_levels = 4,
-                           .tas_intervals = 2};
+                           .tas_width = 2};
     index_ = std::make_unique<GatIndex>(dataset_, config);
     path_ = TempPath("cold_cache_soak.gats");
     ASSERT_TRUE(SaveSnapshot(*index_, path_));

@@ -202,89 +202,71 @@ TEST(Itl, EmptyBuilderFindsNothing) {
 // TAS
 // ---------------------------------------------------------------------------
 
-TEST(Tas, FigureTwoExample) {
-  // Figure 2(iii): Tr1 activities {a..e}\{f} sketch [a,b] [c,e];
-  // Tr2 {a,c,d,e,f}... the paper shows [a,c] [d,f]; Tr3 {b,c,e,f} ->
-  // [b,c] [e,f]. With a=0..f=5 and M=2.
-  const std::vector<std::vector<ActivityId>> sets = {
-      {0, 1, 2, 3, 4}, {0, 2, 3, 5}, {1, 2, 4, 5}};
-  Tas tas(sets, 2);
-  // Tr1 {a,b,c,d,e}: the largest gap is any of the unit gaps; the sketch
-  // must cover exactly the IDs and contain no false negatives.
-  for (size_t t = 0; t < sets.size(); ++t) {
-    for (ActivityId a : sets[t]) {
-      EXPECT_TRUE(tas.MightContain(static_cast<TrajectoryId>(t), a));
-    }
+using ActivitySets = std::vector<std::vector<ActivityId>>;
+
+/// Random sorted-unique activity sets over IDs [0, num_ids), including
+/// empty ones.
+ActivitySets RandomActivitySets(Rng& rng, size_t n, uint32_t num_ids) {
+  ActivitySets sets;
+  for (size_t t = 0; t < n; ++t) {
+    sets.push_back(rng.SampleDistinct(num_ids, rng.NextU32(13)));
   }
-  // Tr3's sketch is [b,c] ∪ [e,f] (gap between c=2 and e=4 is the largest):
-  const auto iv3 = tas.Intervals(2);
-  ASSERT_EQ(iv3.size(), 2u);
-  EXPECT_EQ(iv3[0].lo, 1u);
-  EXPECT_EQ(iv3[0].hi, 2u);
-  EXPECT_EQ(iv3[1].lo, 4u);
-  EXPECT_EQ(iv3[1].hi, 5u);
-  // And it correctly excludes a=0 and d=3 — the paper's Tr3 rejection.
-  EXPECT_FALSE(tas.MightContain(2, 0));
-  EXPECT_FALSE(tas.MightContain(2, 3));
-  EXPECT_FALSE(tas.MightContainAll(2, {0, 3}));
+  return sets;
 }
 
-TEST(Tas, PartitionIsGapOptimal) {
-  // IDs {0, 1, 10, 11, 50}: with M=3 the splits are at gaps 9 (1->10) and
-  // 39 (11->50), total width (1-0)+(11-10)+(50-50) = 2.
-  const auto ivs = Tas::PartitionIds({0, 1, 10, 11, 50}, 3);
-  ASSERT_EQ(ivs.size(), 3u);
-  EXPECT_EQ(ivs[0].lo, 0u);
-  EXPECT_EQ(ivs[0].hi, 1u);
-  EXPECT_EQ(ivs[1].lo, 10u);
-  EXPECT_EQ(ivs[1].hi, 11u);
-  EXPECT_EQ(ivs[2].lo, 50u);
-  EXPECT_EQ(ivs[2].hi, 50u);
-}
-
-TEST(Tas, PartitionOptimalityBruteForce) {
-  // Exhaustively verify gap-splitting optimality against all possible
-  // partitions for small inputs: total width must be minimal.
-  const std::vector<ActivityId> ids = {2, 3, 9, 14, 15, 30};
-  for (int m = 1; m <= 4; ++m) {
-    const auto ivs = Tas::PartitionIds(ids, m);
-    uint64_t width = 0;
-    for (const auto& iv : ivs) width += iv.hi - iv.lo;
-    // Brute force: choose m-1 split positions among the 5 gaps.
-    uint64_t best = UINT64_MAX;
-    const int gaps = static_cast<int>(ids.size()) - 1;
-    for (uint32_t mask = 0; mask < (1u << gaps); ++mask) {
-      if (__builtin_popcount(mask) != m - 1) continue;
-      uint64_t w = 0;
-      size_t start = 0;
-      for (int g = 0; g < gaps; ++g) {
-        if (mask & (1u << g)) {
-          w += ids[g] - ids[start];
-          start = g + 1;
-        }
+TEST(Tas, MembersPassAndMaskAgreesWithPerActivityAnd) {
+  Rng rng(4242);
+  const auto sets = RandomActivitySets(rng, 300, 400);
+  for (const int width : {1, 2, 4, 16}) {
+    SCOPED_TRACE(width);
+    const Tas tas(sets, width);
+    ASSERT_EQ(tas.num_trajectories(), sets.size());
+    ASSERT_EQ(tas.row_words(), 2u * static_cast<size_t>(width));
+    for (TrajectoryId t = 0; t < sets.size(); ++t) {
+      // No false negatives, singly or together.
+      for (ActivityId a : sets[t]) ASSERT_TRUE(tas.MightContain(t, a));
+      ASSERT_TRUE(tas.MightContainAll(t, sets[t]));
+      ASSERT_TRUE(tas.MightContainMask(t, tas.Mask(sets[t])));
+      // Random queries, members or not: the one-mask test is the AND of
+      // the per-activity tests.
+      for (int probe = 0; probe < 8; ++probe) {
+        const auto query = rng.SampleDistinct(400, 1 + rng.NextU32(4));
+        ASSERT_EQ(tas.MightContainMask(t, tas.Mask(query)),
+                  tas.MightContainAll(t, query));
       }
-      w += ids.back() - ids[start];
-      best = std::min(best, w);
     }
-    EXPECT_EQ(width, best) << "M=" << m;
   }
+  // An empty set passes the empty query and nothing else.
+  const Tas tas(ActivitySets(1), 2);
+  EXPECT_TRUE(tas.MightContainAll(0, {}));
+  EXPECT_TRUE(tas.MightContainMask(0, tas.Mask({})));
+  for (ActivityId a = 0; a < 64; ++a) EXPECT_FALSE(tas.MightContain(0, a));
 }
 
-TEST(Tas, SingleIntervalAndEmptySet) {
-  Tas tas({{3, 9}, {}}, 1);
-  EXPECT_TRUE(tas.MightContain(0, 3));
-  EXPECT_TRUE(tas.MightContain(0, 5));  // false positive by design
-  EXPECT_TRUE(tas.MightContain(0, 9));
-  EXPECT_FALSE(tas.MightContain(0, 2));
-  EXPECT_FALSE(tas.MightContain(0, 10));
-  // Empty activity set: nothing might be contained.
-  EXPECT_FALSE(tas.MightContain(1, 0));
-  EXPECT_TRUE(tas.MightContainAll(1, {}));
+TEST(Tas, FalsePositiveCountIsPinned) {
+  // Every (trajectory, non-member) pair of one fixed random workload. The
+  // hash is fixed, so the count is too; a changed hash or bit layout
+  // changes it (and with it every snapshot's TAS_ bytes).
+  Rng rng(2013);
+  const auto sets = RandomActivitySets(rng, 200, 300);
+  const Tas tas(sets, 2);
+  size_t non_members = 0;
+  size_t false_positives = 0;
+  for (TrajectoryId t = 0; t < sets.size(); ++t) {
+    const std::set<ActivityId> members(sets[t].begin(), sets[t].end());
+    for (ActivityId a = 0; a < 300; ++a) {
+      if (members.count(a) != 0) continue;
+      ++non_members;
+      false_positives += tas.MightContain(t, a) ? 1 : 0;
+    }
+  }
+  EXPECT_EQ(non_members, 58753u);
+  EXPECT_EQ(false_positives, 692u);  // 1.2%
 }
 
 TEST(Tas, MemoryCostMatchesPaperFormula) {
-  // 8 bytes per interval; N trajectories with >= M distinct IDs use
-  // exactly M intervals each -> 8*M*N bytes.
+  // 64*M bits per trajectory -> 8*M*N bytes, the paper's cost of M
+  // intervals, whatever the sets hold.
   const std::vector<std::vector<ActivityId>> sets = {
       {0, 10, 20, 30}, {1, 11, 21, 31}, {2, 12, 22, 32}};
   Tas tas(sets, 3);
@@ -352,7 +334,7 @@ TEST(GatIndex, BuildOnGeneratedCity) {
   GatConfig config;
   config.depth = 6;
   config.memory_levels = 4;
-  config.tas_intervals = 2;
+  config.tas_width = 2;
   GatIndex index(dataset, config);
 
   EXPECT_EQ(index.grid().depth(), 6);

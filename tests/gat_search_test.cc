@@ -15,7 +15,7 @@ namespace {
 struct GatConfigCase {
   int depth;
   int memory_levels;
-  int tas_intervals;
+  int tas_width;
   uint32_t lambda;
   uint32_t nearest_cells;
   bool tight_bound;
@@ -30,7 +30,7 @@ TEST_P(GatSearchConfigTest, MatchesBruteForceOnBothQueryKinds) {
   GatConfig config;
   config.depth = c.depth;
   config.memory_levels = c.memory_levels;
-  config.tas_intervals = c.tas_intervals;
+  config.tas_width = c.tas_width;
   const GatIndex index(dataset, config);
   GatSearchParams params;
   params.lambda = c.lambda;

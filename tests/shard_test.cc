@@ -297,7 +297,7 @@ TEST(ShardedIndex, SnapshotDirectoryIsASelfPrimingCache) {
 
   // A config change invalidates the cache instead of serving stale data.
   ShardOptions reconfigured = options;
-  const GatConfig deeper{.depth = 7, .memory_levels = 5, .tas_intervals = 2};
+  const GatConfig deeper{.depth = 7, .memory_levels = 5, .tas_width = 2};
   const ShardedIndex rebuilt(dataset, deeper, reconfigured);
   EXPECT_EQ(rebuilt.shards_loaded_from_snapshot(), 0u);
   EXPECT_EQ(rebuilt.PinGeneration()->PinShard(0)->index->config(), deeper);

@@ -115,7 +115,7 @@ constexpr Loader kLoaders[] = {{"LoadSnapshot", HeapLoad},
 
 TEST(Snapshot, RoundTripSearchesBitIdentically) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 31));
-  const GatConfig config{.depth = 6, .memory_levels = 4, .tas_intervals = 2};
+  const GatConfig config{.depth = 6, .memory_levels = 4, .tas_width = 2};
   const GatIndex built(dataset, config);
   const std::string path = TempPath("roundtrip.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
@@ -197,14 +197,44 @@ TEST(Snapshot, VersionMismatchIsRejected) {
     ASSERT_TRUE(load(path)) << load.name;
   }
 
-  // The version field sits right after the 4-byte magic.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    f.seekp(4);
-    const uint32_t future_version = 999;
-    f.write(reinterpret_cast<const char*>(&future_version),
-            sizeof(future_version));
+  // The version field sits right after the 4-byte magic. Version 1
+  // stored the interval sketch in TAS_; it is refused like a future one.
+  for (const uint32_t version : {1u, 999u}) {
+    SCOPED_TRACE(version);
+    {
+      std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+      f.seekp(4);
+      f.write(reinterpret_cast<const char*>(&version), sizeof(version));
+    }
+    for (const Loader& load : kLoaders) {
+      SCOPED_TRACE(load.name);
+      EXPECT_FALSE(load(path));
+    }
   }
+  std::remove(path.c_str());
+}
+
+TEST(Snapshot, TasWordsNotWholeRowsAreRejected) {
+  const Dataset dataset = GenerateCity(CityProfile::Testing(60, 10));
+  const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
+  const std::string path = TempPath("tas_words.gats");
+  ASSERT_TRUE(SaveSnapshot(index, path));
+  std::string bytes = ReadFileBytes(path);
+
+  // TAS_ is a u64 word count and the words, rows x 2*tas_width of them.
+  // One extra word keeps the floor of count / row width equal to the row
+  // count, so only the whole-rows check can refuse it.
+  const size_t tag = bytes.find("TAS_");
+  ASSERT_NE(tag, std::string::npos);
+  uint64_t words = 0;
+  std::memcpy(&words, bytes.data() + tag + 4, sizeof(words));
+  ASSERT_EQ(words, dataset.size() * 2 * index.config().tas_width);
+  const uint64_t forged = words + 1;
+  bytes.replace(tag + 4, sizeof(forged), reinterpret_cast<const char*>(&forged),
+                sizeof(forged));
+  bytes.insert(tag + 4 + sizeof(forged) + words * 4, 4, '\0');
+  ForgeChecksum(&bytes);
+  WriteFileBytes(path, bytes);
   for (const Loader& load : kLoaders) {
     SCOPED_TRACE(load.name);
     EXPECT_FALSE(load(path));
@@ -214,7 +244,7 @@ TEST(Snapshot, VersionMismatchIsRejected) {
 
 TEST(Snapshot, ConfigMismatchOnLoadIsRejected) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(60, 11));
-  const GatConfig saved{.depth = 5, .memory_levels = 3, .tas_intervals = 2};
+  const GatConfig saved{.depth = 5, .memory_levels = 3, .tas_width = 2};
   const GatIndex index(dataset, saved);
   const std::string path = TempPath("config.gats");
   ASSERT_TRUE(SaveSnapshot(index, path));
@@ -233,7 +263,7 @@ TEST(Snapshot, ConfigMismatchOnLoadIsRejected) {
     other.memory_levels = 2;
     EXPECT_FALSE(load(path, &other));
     other = saved;
-    other.tas_intervals = 3;
+    other.tas_width = 3;
     EXPECT_FALSE(load(path, &other));
   }
   std::remove(path.c_str());

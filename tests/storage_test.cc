@@ -220,7 +220,7 @@ TEST(DiskAccessCounter, ConcurrentAccumulationIsExact) {
 
 TEST(MappedSnapshot, BitIdenticalAnswersAndEqualDiskReads) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 31));
-  const GatConfig config{.depth = 6, .memory_levels = 4, .tas_intervals = 2};
+  const GatConfig config{.depth = 6, .memory_levels = 4, .tas_width = 2};
   const GatIndex built(dataset, config);
   const std::string path = TempPath("mapped_roundtrip.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
