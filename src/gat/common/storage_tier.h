@@ -9,20 +9,14 @@
 ///
 /// The paper (Section IV, VII) splits the GAT index between main memory and
 /// hard disk: HICL levels above `h` and all APL postings live on disk, while
-/// the high HICL levels, the ITL and the TAS are memory resident. Every
-/// component is tagged with the tier the paper assigns it to, so that (a)
-/// the memory-cost experiment of Figure 8 counts exactly what the paper
-/// counts and (b) search statistics can report how many disk accesses each
-/// algorithm performs. What a "disk access" physically is depends on the
-/// `DiskTier` the index reads through (gat/storage/disk_tier.h): the
+/// the high HICL levels, the ITL and the TAS are memory resident. Each
+/// component reports its bytes per tier (`GatIndex::memory_breakdown()`,
+/// the memory cost of Figure 8), and searches count their disk accesses.
+/// What a "disk access" physically is depends on the `DiskTier` the
+/// index reads through (gat/storage/disk_tier.h): the
 /// default simulated tier only counts, the mmap tier does page-granular
 /// block I/O through a cache — with identical logical-read counts.
 namespace gat {
-
-enum class StorageTier : uint8_t {
-  kMainMemory = 0,
-  kDisk = 1,
-};
 
 /// hits / lookups with the shared zero-lookups convention (0.0) — the
 /// one hit-rate formula every cache statistic in the tree reports.
@@ -31,15 +25,6 @@ inline double CacheHitRate(uint64_t hits, uint64_t lookups) {
              ? 0.0
              : static_cast<double>(hits) / static_cast<double>(lookups);
 }
-
-/// Byte/access counters for one component on one tier.
-struct TierUsage {
-  StorageTier tier = StorageTier::kMainMemory;
-  size_t bytes = 0;
-
-  TierUsage() = default;
-  TierUsage(StorageTier t, size_t b) : tier(t), bytes(b) {}
-};
 
 /// Mutable counter of disk reads, threaded through searches.
 ///

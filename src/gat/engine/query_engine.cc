@@ -2,20 +2,10 @@
 
 #include <algorithm>
 
-#include "gat/common/check.h"
 #include "gat/engine/work_queue.h"
 #include "gat/util/stopwatch.h"
 
 namespace gat {
-
-namespace {
-
-const Searcher& DerefSearcher(const std::unique_ptr<Searcher>& searcher) {
-  GAT_CHECK(searcher != nullptr);
-  return *searcher;
-}
-
-}  // namespace
 
 QueryEngine::QueryEngine(const Searcher& searcher, EngineOptions options)
     : searcher_(searcher) {
@@ -29,12 +19,6 @@ QueryEngine::QueryEngine(const Searcher& searcher, EngineOptions options)
       executor_ = owned_executor_.get();
     }
   }
-}
-
-QueryEngine::QueryEngine(std::unique_ptr<Searcher> searcher,
-                         EngineOptions options)
-    : QueryEngine(DerefSearcher(searcher), options) {
-  owned_ = std::move(searcher);
 }
 
 QueryEngine::~QueryEngine() = default;

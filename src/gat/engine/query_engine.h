@@ -121,10 +121,6 @@ class QueryEngine {
   /// Non-owning: `searcher` must outlive the engine.
   explicit QueryEngine(const Searcher& searcher, EngineOptions options = {});
 
-  /// Owning variant for callers that build the searcher ad hoc.
-  explicit QueryEngine(std::unique_ptr<Searcher> searcher,
-                       EngineOptions options = {});
-
   ~QueryEngine();
 
   QueryEngine(const QueryEngine&) = delete;
@@ -145,7 +141,6 @@ class QueryEngine {
   Executor* executor() const { return executor_; }
 
  private:
-  std::unique_ptr<Searcher> owned_;  // may be null (non-owning ctor)
   const Searcher& searcher_;
   uint32_t threads_;
   std::unique_ptr<Executor> owned_executor_;  // null when shared or inline

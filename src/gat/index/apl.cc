@@ -1,88 +1,106 @@
 #include "gat/index/apl.h"
 
 #include <algorithm>
-#include <map>
+#include <utility>
+
+#include "gat/common/check.h"
+#include "gat/index/snapshot_format.h"
 
 namespace gat {
 
+using snapshot_format::kCountWords;
+using snapshot_format::PutCount;
+
 Apl::Apl(const Dataset& dataset) {
-  owned_.resize(dataset.size());
-  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
+  // A row's (activity, point) pairs, sorted: activities ascending and,
+  // within one activity, its points. Returns the distinct activities.
+  std::vector<std::pair<ActivityId, PointIndex>> pairs;
+  const auto sort_row = [&dataset, &pairs](TrajectoryId t) {
     const auto& tr = dataset.trajectory(t);
-    // Ordered map keeps activities sorted; point indices arrive ascending.
-    std::map<ActivityId, std::vector<PointIndex>> lists;
+    pairs.clear();
     for (PointIndex i = 0; i < tr.size(); ++i) {
-      for (ActivityId a : tr[i].activities) lists[a].push_back(i);
+      for (ActivityId a : tr[i].activities) pairs.emplace_back(a, i);
     }
-    auto& tp = owned_[t];
-    tp.offsets.push_back(0);
-    for (auto& [a, pts] : lists) {
-      tp.activities.push_back(a);
-      tp.points.insert(tp.points.end(), pts.begin(), pts.end());
-      tp.offsets.push_back(static_cast<uint32_t>(tp.points.size()));
+    std::sort(pairs.begin(), pairs.end());
+    size_t k = 0;
+    for (size_t i = 0; i < pairs.size(); ++i) {
+      k += (i == 0 || pairs[i].first != pairs[i - 1].first) ? 1 : 0;
     }
-    disk_bytes_ += tp.activities.size() * sizeof(ActivityId) +
-                   tp.offsets.size() * sizeof(uint32_t) +
-                   tp.points.size() * sizeof(PointIndex);
+    return k;
+  };
+  // First pass sizes the image: per row three counts, k activities,
+  // k + 1 offsets and the points.
+  size_t words = 0;
+  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
+    words += 3 * kCountWords + 2 * sort_row(t) + 1 + pairs.size();
   }
-  RebuildViews();
+  image_.resize(words);
+  image_base_ = reinterpret_cast<const char*>(image_.data());
+  rows_.reserve(dataset.size());
+  // Second pass writes each row as the snapshot stores it.
+  uint32_t* out = image_.data();
+  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
+    const size_t k = sort_row(t), n = pairs.size();
+    uint32_t* activities = PutCount(out, k);
+    uint32_t* offsets = PutCount(activities + k, k + 1);
+    uint32_t* points = PutCount(offsets + k + 1, n);
+    out = points + n;
+    size_t run = 0;
+    for (size_t i = 0; i < n; ++i) {
+      if (i == 0 || pairs[i].first != pairs[i - 1].first) {
+        activities[run] = pairs[i].first;
+        offsets[run++] = static_cast<uint32_t>(i);
+      }
+      points[i] = pairs[i].second;
+    }
+    offsets[k] = static_cast<uint32_t>(n);
+    rows_.push_back({{activities, k}, {offsets, k + 1}, {points, n}});
+    disk_bytes_ += (2 * k + 1 + n) * sizeof(uint32_t);
+  }
+  GAT_CHECK(out == image_.data() + image_.size());
 }
 
-void Apl::RebuildViews() {
-  rows_.clear();
-  rows_.reserve(owned_.size());
-  for (const auto& tp : owned_) {
-    RowView row;
-    row.activities = {tp.activities.data(), tp.activities.size()};
-    row.offsets = {tp.offsets.data(), tp.offsets.size()};
-    row.points = {tp.points.data(), tp.points.size()};
-    row.tier_bytes = tp.activities.size() * sizeof(ActivityId) +
-                     tp.offsets.size() * sizeof(uint32_t) +
-                     tp.points.size() * sizeof(PointIndex);
-    rows_.push_back(row);
-  }
-}
-
-std::span<const PointIndex> Apl::Postings(TrajectoryId t, ActivityId activity,
-                                          DiskAccessCounter* disk) const {
+const Apl::RowView* Apl::FetchRow(TrajectoryId t,
+                                  DiskAccessCounter* disk) const {
   // Charge-then-check, like the seed: a probe of a nonexistent row is
   // still one (fruitless) fetch.
   if (t >= rows_.size()) {
     tier_->Fetch(0, 0, disk);
-    return {};
+    return nullptr;
   }
-  const RowView& tp = rows_[t];
-  tier_->Fetch(tp.tier_offset, tp.tier_bytes, disk);
-  const auto it =
-      std::lower_bound(tp.activities.begin(), tp.activities.end(), activity);
-  if (it == tp.activities.end() || *it != activity) return {};
-  const size_t idx = static_cast<size_t>(it - tp.activities.begin());
-  return {tp.points.data() + tp.offsets[idx],
-          tp.points.data() + tp.offsets[idx + 1]};
+  const RowView& row = rows_[t];
+  const auto [offset, bytes] =
+      snapshot_format::ArrayExtent(image_base_, row.activities, row.points);
+  tier_->Fetch(offset, bytes, disk);
+  return &row;
+}
+
+std::span<const PointIndex> Apl::Postings(TrajectoryId t, ActivityId activity,
+                                          DiskAccessCounter* disk) const {
+  const RowView* row = FetchRow(t, disk);
+  if (row == nullptr) return {};
+  const auto it = std::lower_bound(row->activities.begin(),
+                                  row->activities.end(), activity);
+  if (it == row->activities.end() || *it != activity) return {};
+  const size_t idx = static_cast<size_t>(it - row->activities.begin());
+  return row->points.subspan(row->offsets[idx],
+                             row->offsets[idx + 1] - row->offsets[idx]);
 }
 
 bool Apl::HasAllActivities(TrajectoryId t,
                            const std::vector<ActivityId>& activities,
                            DiskAccessCounter* disk) const {
-  if (t >= rows_.size()) {
-    tier_->Fetch(0, 0, disk);
-    return activities.empty();
-  }
-  const RowView& tp = rows_[t];
-  tier_->Fetch(tp.tier_offset, tp.tier_bytes, disk);
-  return std::includes(tp.activities.begin(), tp.activities.end(),
+  const RowView* row = FetchRow(t, disk);
+  if (row == nullptr) return activities.empty();
+  return std::includes(row->activities.begin(), row->activities.end(),
                        activities.begin(), activities.end());
 }
 
 std::span<const ActivityId> Apl::ActivitiesOf(TrajectoryId t,
                                               DiskAccessCounter* disk) const {
-  if (t >= rows_.size()) {
-    tier_->Fetch(0, 0, disk);
-    return {};
-  }
-  const RowView& tp = rows_[t];
-  tier_->Fetch(tp.tier_offset, tp.tier_bytes, disk);
-  return tp.activities;
+  const RowView* row = FetchRow(t, disk);
+  if (row == nullptr) return {};
+  return row->activities;
 }
 
 }  // namespace gat

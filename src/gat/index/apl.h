@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "gat/common/storage_tier.h"
@@ -25,11 +24,13 @@ struct SnapshotIo;
 /// row (and, for an mmap-backed tier, runs the row's covering cache blocks
 /// through the block cache).
 ///
-/// The read path is uniform over two storages: rows built from a dataset
-/// (or copied out of a snapshot by `LoadSnapshot`) own their vectors;
-/// rows served by a `MappedSnapshot` are zero-copy spans into the file
-/// mapping, with their byte extents recorded for block-granular I/O
-/// accounting. One parser (`ParseSnapshot`) produces both.
+/// Storage is one image of u32 words laid out like the snapshot's `APL_`
+/// rows: per trajectory its activities, offsets and points, each a u64
+/// count and then the elements. A row is three spans into it. A build
+/// writes the image into one heap buffer, `LoadSnapshot` copies the
+/// section into one, and a `MappedSnapshot` serves it from the file
+/// mapping. A fetched row's byte extent runs from its first count word
+/// through its last point, measured from the image base.
 class Apl {
  public:
   explicit Apl(const Dataset& dataset);
@@ -53,36 +54,27 @@ class Apl {
   size_t DiskBytes() const { return disk_bytes_; }
   size_t num_trajectories() const { return rows_.size(); }
 
-  /// The tier this APL reads through (process-wide simulated instance by
-  /// default; a MappedSnapshot attaches its block-cached tier).
-  const DiskTier& disk_tier() const { return *tier_; }
+  Apl(const Apl&) = delete;  // rows are spans into the image
+  Apl& operator=(const Apl&) = delete;
 
  private:
-  friend struct SnapshotIo;  // snapshot save/parse (both storages)
+  friend struct SnapshotIo;  // snapshot save/parse
   Apl() = default;           // only for snapshot loading
 
-  /// Owned storage of one built or copied-out row.
-  struct TrajectoryPostings {
-    std::vector<ActivityId> activities;  // sorted
-    std::vector<uint32_t> offsets;       // size + 1
-    std::vector<PointIndex> points;      // concatenated runs
-  };
-
-  /// The uniform read-path view of one row, plus its byte extent for
-  /// the disk tier (file offsets for mapped rows; 0/logical-size for
-  /// owned rows, where only the size feeds the accounting).
   struct RowView {
-    std::span<const ActivityId> activities;
-    std::span<const uint32_t> offsets;
-    std::span<const PointIndex> points;
-    uint64_t tier_offset = 0;
-    uint64_t tier_bytes = 0;
+    std::span<const ActivityId> activities;  // sorted
+    std::span<const uint32_t> offsets;       // size + 1
+    std::span<const PointIndex> points;      // concatenated runs
   };
 
-  /// Rebuilds `rows_` as views over `owned_` (after build/deserialize).
-  void RebuildViews();
+  /// Charges one fetch of row `t` to `disk` and returns the row; nullptr
+  /// past the last row, after charging a fruitless fetch, as the seed did.
+  const RowView* FetchRow(TrajectoryId t, DiskAccessCounter* disk) const;
 
-  std::vector<TrajectoryPostings> owned_;  // empty when mmap-served
+  /// The heap image; empty when the rows are served from a mapping.
+  std::vector<uint32_t> image_;
+  /// Start of the image the rows point into: `image_` or the mapping.
+  const char* image_base_ = nullptr;
   std::vector<RowView> rows_;
   const DiskTier* tier_ = SimulatedDiskTier::Instance();
   size_t disk_bytes_ = 0;

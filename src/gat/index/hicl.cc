@@ -4,56 +4,57 @@
 
 #include "gat/common/check.h"
 #include "gat/geo/zorder.h"
+#include "gat/index/snapshot_format.h"
 
 namespace gat {
+
+namespace {
+
+/// The distinct level ancestors of sorted `leaf` codes, `shift` bits up
+/// (Section IV: "aggregate the cells that belong to the same parent
+/// cell"); shifting keeps them sorted. Writes them to `out` unless it is
+/// null, and returns how many there are.
+size_t Ancestors(const std::vector<uint32_t>& leaf, int shift, uint32_t* out) {
+  size_t n = 0;
+  for (size_t i = 0; i < leaf.size(); ++i) {
+    if (i > 0 && leaf[i] >> shift == leaf[i - 1] >> shift) continue;
+    if (out != nullptr) out[n] = leaf[i] >> shift;
+    ++n;
+  }
+  return n;
+}
+
+}  // namespace
 
 Hicl::Hicl(int depth, int memory_levels,
            std::vector<std::vector<uint32_t>> leaf_cells_per_activity)
     : depth_(depth), memory_levels_(memory_levels) {
   GAT_CHECK(depth >= 1);
   GAT_CHECK(memory_levels >= 0 && memory_levels <= depth);
-  owned_.resize(leaf_cells_per_activity.size());
-  for (size_t a = 0; a < leaf_cells_per_activity.size(); ++a) {
-    auto& lists = owned_[a];
-    lists.cells.resize(depth_);
-    auto& leaf = leaf_cells_per_activity[a];
+  // First pass sizes the image: a count word and the codes per list.
+  size_t words = 0;
+  for (auto& leaf : leaf_cells_per_activity) {
     std::sort(leaf.begin(), leaf.end());
     leaf.erase(std::unique(leaf.begin(), leaf.end()), leaf.end());
-    lists.cells[depth_ - 1] = std::move(leaf);
-    // Aggregate upward: parent code = child >> 2 (Section IV: "aggregate
-    // the cells that belong to the same parent cell").
-    for (int level = depth_ - 1; level >= 1; --level) {
-      const auto& child = lists.cells[level];
-      auto& parent = lists.cells[level - 1];
-      parent.reserve(child.size());
-      for (uint32_t code : child) {
-        const uint32_t p = zorder::Parent(code);
-        if (parent.empty() || parent.back() != p) parent.push_back(p);
-      }
-    }
     for (int level = 1; level <= depth_; ++level) {
-      const size_t bytes = lists.cells[level - 1].size() * sizeof(uint32_t);
-      if (level <= memory_levels_) {
-        memory_bytes_ += bytes;
-      } else {
-        disk_bytes_ += bytes;
-      }
+      words += snapshot_format::kCountWords +
+               Ancestors(leaf, 2 * (depth_ - level), nullptr);
     }
   }
-  RebuildViews();
-}
-
-void Hicl::RebuildViews() {
-  num_activities_ = static_cast<uint32_t>(owned_.size());
-  views_.clear();
-  views_.resize(static_cast<size_t>(num_activities_) *
-                static_cast<size_t>(depth_));
-  for (size_t a = 0; a < owned_.size(); ++a) {
+  image_.resize(words);
+  image_base_ = reinterpret_cast<const char*>(image_.data());
+  lists_.reserve(leaf_cells_per_activity.size() * depth_);
+  // Second pass writes every list as the snapshot stores it.
+  uint32_t* out = image_.data();
+  for (const auto& leaf : leaf_cells_per_activity) {
     for (int level = 1; level <= depth_; ++level) {
-      const auto& cells = owned_[a].cells[level - 1];
-      LevelView& view = views_[a * static_cast<size_t>(depth_) + (level - 1)];
-      view.cells = {cells.data(), cells.size()};
-      view.tier_bytes = cells.size() * sizeof(uint32_t);
+      uint32_t* cells = out + snapshot_format::kCountWords;
+      const size_t n = Ancestors(leaf, 2 * (depth_ - level), cells);
+      snapshot_format::PutCount(out, n);
+      out = cells + n;
+      lists_.emplace_back(cells, n);
+      (level <= memory_levels_ ? memory_bytes_ : disk_bytes_) +=
+          n * sizeof(uint32_t);
     }
   }
 }
@@ -67,12 +68,15 @@ bool Hicl::Contains(ActivityId a, int level, uint32_t code,
 std::span<const uint32_t> Hicl::CellsAt(ActivityId a, int level,
                                         DiskAccessCounter* disk) const {
   GAT_DCHECK(level >= 1 && level <= depth_);
-  if (a >= num_activities_) return {};
-  const LevelView& view = ViewAt(a, level);
+  const size_t list = static_cast<size_t>(a) * depth_ + (level - 1);
+  if (list >= lists_.size()) return {};  // an activity the index lacks
+  const auto cells = lists_[list];
   if (level > memory_levels_ && disk != nullptr) {
-    tier_->Fetch(view.tier_offset, view.tier_bytes, disk);
+    const auto [offset, bytes] =
+        snapshot_format::ArrayExtent(image_base_, cells, cells);
+    tier_->Fetch(offset, bytes, disk);
   }
-  return view.cells;
+  return cells;
 }
 
 std::vector<uint32_t> Hicl::CellsWithAny(

@@ -26,9 +26,14 @@ struct SnapshotIo;
 /// that formula and let callers pick). Queries against disk levels fetch
 /// the list through the attached `DiskTier` (one logical read charged to
 /// the supplied DiskAccessCounter; block I/O under an mmap-backed tier).
-/// Like `Apl`, the read path is uniform over owned vectors (built, or
-/// copied out of a snapshot by `LoadSnapshot`) and zero-copy spans into
-/// a snapshot mapping.
+///
+/// Like `Apl`, every list is a span into an image of u32 words laid out
+/// like the snapshot's `HICL` lists (a u64 count, then the codes). A build
+/// writes every list into one heap buffer and `LoadSnapshot` copies them
+/// into one. A `MappedSnapshot` copies only the memory levels into the
+/// buffer, so they stay RAM-resident; the disk levels are served from the
+/// file mapping. A disk-level fetch reads the list's count word and codes,
+/// at their offset from the image base.
 class Hicl {
  public:
   /// `leaf_cells_per_activity[a]` = sorted unique leaf Morton codes where
@@ -38,7 +43,9 @@ class Hicl {
 
   int depth() const { return depth_; }
   int memory_levels() const { return memory_levels_; }
-  uint32_t num_activities() const { return num_activities_; }
+  uint32_t num_activities() const {
+    return static_cast<uint32_t>(lists_.size() / depth_);
+  }
 
   /// Does cell (level, code) contain activity `a` anywhere inside it?
   bool Contains(ActivityId a, int level, uint32_t code,
@@ -67,49 +74,28 @@ class Hicl {
   size_t MemoryBytes() const { return memory_bytes_; }
   size_t DiskBytes() const { return disk_bytes_; }
 
-  /// The tier disk-level lists are read through.
-  const DiskTier& disk_tier() const { return *tier_; }
-
   /// The paper's memory-budget formula: largest h with sum_{i=1..h} 4^i * C
   /// <= budget_bytes / 4 (each cell-id costs 4 bytes), i.e. the number of
   /// grid levels whose *worst-case* inverted cell lists fit in the budget.
   static int MemoryLevelsForBudget(size_t budget_bytes, uint32_t vocabulary,
                                    int depth);
 
+  Hicl(const Hicl&) = delete;  // lists are spans into the image
+  Hicl& operator=(const Hicl&) = delete;
+
  private:
-  friend struct SnapshotIo;  // snapshot save/parse (both storages)
+  friend struct SnapshotIo;  // snapshot save/parse
   Hicl() = default;          // only for snapshot loading
-
-  struct ActivityLists {
-    /// cells[l-1] = sorted codes at level l.
-    std::vector<std::vector<uint32_t>> cells;
-  };
-
-  /// Read-path view of one (activity, level) list, with its byte extent
-  /// for the disk tier (meaningful for disk levels only).
-  struct LevelView {
-    std::span<const uint32_t> cells;
-    uint64_t tier_offset = 0;
-    uint64_t tier_bytes = 0;
-  };
-
-  const LevelView& ViewAt(ActivityId a, int level) const {
-    return views_[static_cast<size_t>(a) * static_cast<size_t>(depth_) +
-                  static_cast<size_t>(level - 1)];
-  }
-
-  /// Rebuilds `views_` over `owned_` (after the build).
-  void RebuildViews();
 
   int depth_ = 0;
   int memory_levels_ = 0;
-  uint32_t num_activities_ = 0;
-  /// Heap storage. Built or copied by `LoadSnapshot`: every level.
-  /// Mmap-served: the memory levels only (copied per the paper's tier
-  /// split); disk-level vectors stay empty, their views point into the
+  /// The heap image: every list, or only the memory levels when the disk
+  /// levels are served from a mapping.
+  std::vector<uint32_t> image_;
+  /// Start of the image the disk levels point into: `image_` or the
   /// mapping.
-  std::vector<ActivityLists> owned_;
-  std::vector<LevelView> views_;  // a * depth + (level - 1)
+  const char* image_base_ = nullptr;
+  std::vector<std::span<const uint32_t>> lists_;  // a * depth + (level - 1)
   const DiskTier* tier_ = SimulatedDiskTier::Instance();
   size_t memory_bytes_ = 0;
   size_t disk_bytes_ = 0;

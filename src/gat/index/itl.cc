@@ -43,10 +43,6 @@ Itl::Itl(Builder builder) {
       offsets.push_back(static_cast<uint32_t>(ids.size()));
     }
     AppendCell(code, activities, offsets, ids);
-    memory_bytes_ += activities.size() * sizeof(ActivityId) +
-                     offsets.size() * sizeof(uint32_t) +
-                     ids.size() * sizeof(TrajectoryId) +
-                     sizeof(uint32_t);  // cell code
   }
 }
 

@@ -45,8 +45,13 @@ class Itl {
   size_t num_cells() const { return codes_.size(); }
   /// The paper's accounting of the per-cell layout (Figure 8): per cell a
   /// 4-byte code, its activity IDs, |activities| + 1 offsets and its
-  /// trajectory IDs, 4 bytes each.
-  size_t MemoryBytes() const { return memory_bytes_; }
+  /// trajectory IDs, 4 bytes each: two words per cell and per run, one
+  /// per ID.
+  size_t MemoryBytes() const {
+    return (2 * codes_.size() + 2 * run_activity_.size() +
+            trajectories_.size()) *
+           sizeof(uint32_t);
+  }
 
  private:
   friend struct SnapshotIo;  // snapshot.cc reads/writes the private state
@@ -76,7 +81,6 @@ class Itl {
   std::vector<ActivityId> run_activity_;
   std::vector<uint32_t> run_begin_ = {0};
   std::vector<TrajectoryId> trajectories_;
-  size_t memory_bytes_ = 0;
 };
 
 }  // namespace gat

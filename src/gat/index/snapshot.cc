@@ -122,15 +122,6 @@ struct ByteReader {
     pos += static_cast<size_t>(count) * sizeof(T);
     return true;
   }
-
-  /// Copying read, for the sections the index always owns.
-  template <typename T>
-  bool ReadVec(std::vector<T>* v) {
-    std::span<const T> s;
-    if (!ReadSpan(&s)) return false;
-    v->assign(s.begin(), s.end());
-    return true;
-  }
 };
 
 /// Structural check shared by the ITL / APL posting layouts: `offsets`
@@ -145,6 +136,14 @@ bool OffsetsValid(std::span<const uint32_t> offsets, size_t num_keys,
     return false;
   }
   return std::is_sorted(offsets.begin(), offsets.end());
+}
+
+/// Copies `array` (count, then elements) to `*out`, advances `*out` past
+/// it and re-points `array` at the copy.
+void CopyArray(std::span<const uint32_t>* array, uint32_t** out) {
+  uint32_t* elements = snapshot_format::PutCount(*out, array->size());
+  *out = std::copy(array->begin(), array->end(), elements);
+  *array = {elements, array->size()};
 }
 
 /// Rows below this count validate inline: the task-submission overhead
@@ -287,15 +286,8 @@ struct SnapshotIo {
     WriteTag(out, kTagHicl);
     WritePod(out, static_cast<uint64_t>(hicl.memory_bytes_));
     WritePod(out, static_cast<uint64_t>(hicl.disk_bytes_));
-    WritePod(out, static_cast<uint64_t>(hicl.num_activities_));
-    // Written through the views so a mapped index (owned_ empty, lists
-    // served from the file mapping) snapshots byte-identically to a
-    // built one.
-    for (uint32_t a = 0; a < hicl.num_activities_; ++a) {
-      for (int level = 1; level <= hicl.depth_; ++level) {
-        WriteVec(out, hicl.ViewAt(a, level).cells);
-      }
-    }
+    WritePod(out, static_cast<uint64_t>(hicl.num_activities()));
+    for (const auto& cells : hicl.lists_) WriteVec(out, cells);
   }
 
   static std::unique_ptr<Hicl> ParseHicl(ByteReader& r, const GatConfig& config,
@@ -315,25 +307,33 @@ struct SnapshotIo {
             r.Remaining() / (8u * static_cast<uint32_t>(config.depth))) {
       return nullptr;
     }
-    hicl->memory_bytes_ = memory_bytes;
-    hicl->disk_bytes_ = disk_bytes;
-    hicl->num_activities_ = static_cast<uint32_t>(num_activities);
     const size_t depth = static_cast<size_t>(config.depth);
-    // Every list starts as a span into the file with its byte extent
-    // (count word + elements) for the disk tier.
-    hicl->views_.resize(num_activities * depth);
-    for (Hicl::LevelView& view : hicl->views_) {
-      const uint64_t list_start = r.pos;
-      if (!r.ReadSpan(&view.cells)) return nullptr;
-      view.tier_offset = list_start;
-      view.tier_bytes = r.pos - list_start;
+    // Levels 1..memory_levels are RAM-resident (the paper's tier split).
+    // The header's byte totals must be the build's, 4 bytes per code on
+    // each tier: `memory_breakdown()` reports them.
+    const auto in_memory = [&config, depth](size_t list) {
+      return static_cast<int>(list % depth) < config.memory_levels;
+    };
+    uint64_t memory_total = 0, disk_total = 0;
+    size_t heap_words = 0;  // the lists the heap image will hold
+    hicl->lists_.resize(num_activities * depth);
+    for (size_t i = 0; i < hicl->lists_.size(); ++i) {
+      auto& cells = hicl->lists_[i];
+      if (!r.ReadSpan(&cells)) return nullptr;
+      (in_memory(i) ? memory_total : disk_total) += cells.size_bytes();
+      if (tier == nullptr || in_memory(i)) {
+        heap_words += snapshot_format::kCountWords + cells.size();
+      }
+    }
+    if (memory_total != memory_bytes || disk_total != disk_bytes) {
+      return nullptr;
     }
     // The sorted/bounds sweeps dominate warm-start CPU on large
     // snapshots and are independent per activity, so they fan out.
     const bool rows_ok = ValidateRows(
         executor, num_activities, [&hicl, depth](size_t row) {
           for (size_t level = 1; level <= depth; ++level) {
-            const auto cells = hicl->views_[row * depth + (level - 1)].cells;
+            const auto cells = hicl->lists_[row * depth + (level - 1)];
             // Contains() binary-searches these lists; codes must be
             // sorted and addressable within the 4^level cells of the
             // level.
@@ -346,22 +346,20 @@ struct SnapshotIo {
           return true;
         });
     if (!rows_ok) return nullptr;
-    // Copy what the index owns — every level without a tier, the memory
-    // levels (RAM-resident per the paper's tier split) with one — and
-    // charge owned lists their element bytes, as a built index does.
-    hicl->owned_.resize(num_activities);
-    for (size_t a = 0; a < num_activities; ++a) {
-      auto& lists = hicl->owned_[a].cells;
-      lists.resize(depth);
-      for (int level = 1; level <= config.depth; ++level) {
-        if (tier != nullptr && level > config.memory_levels) continue;
-        Hicl::LevelView& view = hicl->views_[a * depth + (level - 1)];
-        auto& cells = lists[level - 1];
-        cells.assign(view.cells.begin(), view.cells.end());
-        view = {{cells.data(), cells.size()}, 0,
-                cells.size() * sizeof(uint32_t)};
+    hicl->memory_bytes_ = memory_bytes;
+    hicl->disk_bytes_ = disk_bytes;
+    // The heap image holds every list without a tier, and the memory
+    // levels with one; the disk levels then stay spans into `file`.
+    hicl->image_.resize(heap_words);
+    uint32_t* out = hicl->image_.data();
+    for (size_t i = 0; i < hicl->lists_.size(); ++i) {
+      if (tier == nullptr || in_memory(i)) {
+        CopyArray(&hicl->lists_[i], &out);
       }
     }
+    hicl->image_base_ =
+        tier == nullptr ? reinterpret_cast<const char*>(hicl->image_.data())
+                        : r.data;
     if (tier != nullptr) hicl->tier_ = tier;
     return hicl;
   }
@@ -369,7 +367,7 @@ struct SnapshotIo {
   // ------------------------------------------------------------------- ITL
   static void SaveItl(const Itl& itl, std::ostream& out) {
     WriteTag(out, kTagItl);
-    WritePod(out, static_cast<uint64_t>(itl.memory_bytes_));
+    WritePod(out, static_cast<uint64_t>(itl.MemoryBytes()));
     WritePod(out, static_cast<uint64_t>(itl.num_cells()));
     // Cells in ascending code order, each as its activities, its offsets
     // relative to its own first trajectory ID, and its trajectory IDs.
@@ -441,7 +439,6 @@ struct SnapshotIo {
     if (num_ids > std::numeric_limits<uint32_t>::max()) return nullptr;
 
     std::unique_ptr<Itl> itl(new Itl());
-    itl->memory_bytes_ = memory_bytes;
     itl->Reserve(num_cells, num_runs, num_ids);
     r.pos = section_start;
     for (uint64_t c = 0; c < num_cells; ++c) {
@@ -450,6 +447,8 @@ struct SnapshotIo {
       itl->AppendCell(cell.code, cell.activities, cell.offsets,
                       cell.trajectories);
     }
+    // The header's total is what `memory_breakdown()` would report.
+    if (itl->MemoryBytes() != memory_bytes) return nullptr;
     return itl;
   }
 
@@ -465,9 +464,11 @@ struct SnapshotIo {
     tas->row_words_ = 2 * static_cast<size_t>(config.tas_width);
     // The row count is implied: a word array that is not whole rows was
     // written at another width, or is damaged.
-    if (!r.ReadVec(&tas->words_) || tas->words_.size() % tas->row_words_ != 0) {
+    std::span<const uint32_t> words;
+    if (!r.ReadSpan(&words) || words.size() % tas->row_words_ != 0) {
       return nullptr;
     }
+    tas->words_.assign(words.begin(), words.end());
     return tas;
   }
 
@@ -476,8 +477,6 @@ struct SnapshotIo {
     WriteTag(out, kTagApl);
     WritePod(out, static_cast<uint64_t>(apl.disk_bytes_));
     WritePod(out, static_cast<uint64_t>(apl.rows_.size()));
-    // Views, not owned storage, for the same mapped-index reason as
-    // SaveHicl.
     for (const auto& row : apl.rows_) {
       WriteVec(out, row.activities);
       WriteVec(out, row.offsets);
@@ -495,17 +494,18 @@ struct SnapshotIo {
         num_trajectories > r.Remaining() / 24u) {
       return nullptr;
     }
-    apl->disk_bytes_ = disk_bytes;
+    const size_t rows_start = r.pos;
     apl->rows_.resize(num_trajectories);
+    uint64_t disk_total = 0;  // the build's accounting: 4 bytes per element
     for (auto& row : apl->rows_) {
-      const uint64_t row_start = r.pos;
       if (!r.ReadSpan(&row.activities) || !r.ReadSpan(&row.offsets) ||
           !r.ReadSpan(&row.points)) {
         return nullptr;
       }
-      row.tier_offset = row_start;
-      row.tier_bytes = r.pos - row_start;  // three count words + elements
+      disk_total += row.activities.size_bytes() + row.offsets.size_bytes() +
+                    row.points.size_bytes();
     }
+    if (disk_total != disk_bytes) return nullptr;
     const bool rows_ok = ValidateRows(
         executor, apl->rows_.size(), [&apl](size_t i) {
           const auto& row = apl->rows_[i];
@@ -514,20 +514,21 @@ struct SnapshotIo {
                  std::is_sorted(row.activities.begin(), row.activities.end());
         });
     if (!rows_ok) return nullptr;
+    apl->disk_bytes_ = disk_bytes;
     if (tier != nullptr) {
+      apl->image_base_ = r.data;
       apl->tier_ = tier;
       return apl;
     }
-    // No tier: the rows are copied out and served like built ones.
-    apl->owned_.resize(apl->rows_.size());
-    for (size_t i = 0; i < apl->rows_.size(); ++i) {
-      const auto& row = apl->rows_[i];
-      auto& tp = apl->owned_[i];
-      tp.activities.assign(row.activities.begin(), row.activities.end());
-      tp.offsets.assign(row.offsets.begin(), row.offsets.end());
-      tp.points.assign(row.points.begin(), row.points.end());
+    // No tier: the rows are copied into the heap image, once.
+    apl->image_.resize((r.pos - rows_start) / sizeof(uint32_t));
+    apl->image_base_ = reinterpret_cast<const char*>(apl->image_.data());
+    uint32_t* out = apl->image_.data();
+    for (auto& row : apl->rows_) {
+      CopyArray(&row.activities, &out);
+      CopyArray(&row.offsets, &out);
+      CopyArray(&row.points, &out);
     }
-    apl->RebuildViews();
     return apl;
   }
 };
@@ -612,8 +613,8 @@ std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
                                        uint32_t expected_fingerprint,
                                        Executor* executor) {
   Stopwatch timer;
-  // Map, checksum, parse: no tier, so every section is copied out of the
-  // mapping, which is dropped on return.
+  // Map, checksum, parse: no tier, so every section is copied into the
+  // index and the mapping is dropped on return.
   MappedFile file;
   if (!file.Open(path)) return nullptr;
   const size_t header = std::min(file.size(), kHeaderBytes);

@@ -16,7 +16,7 @@ namespace gat {
 /// GAT index persistence.
 ///
 /// A snapshot is a versioned binary image of a built `GatIndex` ("GATS"
-/// magic, version 1): magic + version + payload CRC32, then the
+/// magic, version 2): magic + version + payload CRC32, then the
 /// `GatConfig`, the padded grid rect, and one tagged section per
 /// component — HICL, ITL, TAS, APL. A loaded index answers top-k queries
 /// bit-identically to the freshly built index it was saved from (the
@@ -28,7 +28,9 @@ namespace gat {
 /// any bit damage, and structural validation (sorted lists, offset
 /// tables, cell codes within 4^level, ITL trajectory IDs within the
 /// TAS/APL row count) independently bounds every *intra-index* reference
-/// even for a forged checksum. APL point indices are the exception: they
+/// even for a forged checksum. The byte totals in the section headers,
+/// which `memory_breakdown()` reports, must equal the totals of the
+/// parsed lists. APL point indices are the exception: they
 /// index into the paired dataset's trajectories, which the snapshot does
 /// not contain, so they are only as valid as the *pairing*. That is what
 /// the dataset fingerprint guards: pass `DatasetFingerprint(dataset)` at
@@ -66,7 +68,9 @@ bool SaveSnapshot(const GatIndex& index, const std::string& path,
 /// identical with or without it.
 ///
 /// The file is mapped, checksummed and handed to `ParseSnapshot` with
-/// no tier, so the whole index is copied out of the mapping.
+/// no tier, so each section's bytes are copied into the index once: the
+/// HICL lists and the APL rows each into one heap image laid out like
+/// their section. The mapping is dropped on return.
 std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
                                        const GatConfig* expected = nullptr,
                                        uint32_t expected_fingerprint = 0,
@@ -82,11 +86,11 @@ std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
 ///
 /// `tier` decides only where the disk-resident sections (HICL levels
 /// past `memory_levels`, APL rows) live. nullptr copies them into the
-/// index, served through the simulated tier. Non-null keeps them as
-/// spans into `file`, with their file-offset extents read through
-/// `tier`, so `file` must outlive the index. The RAM-resident sections
-/// are always copied. The index's `build_seconds()` is `timer`'s
-/// elapsed time when the parse ends.
+/// index's heap images, served through the simulated tier. Non-null
+/// keeps them as spans into `file`, whose fetches read their file
+/// extents through `tier`, so `file` must outlive the index. The
+/// RAM-resident sections are always copied. The index's
+/// `build_seconds()` is `timer`'s elapsed time when the parse ends.
 std::unique_ptr<GatIndex> ParseSnapshot(std::span<const char> file,
                                         uint32_t payload_crc,
                                         const GatConfig* expected,

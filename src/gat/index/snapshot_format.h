@@ -4,6 +4,9 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <span>
+#include <utility>
 
 /// The on-disk `GATS` snapshot format. `gat/index/snapshot.cc` writes it
 /// and holds its one parser, `ParseSnapshot`; the CRC helpers here also
@@ -16,6 +19,8 @@
 /// element arrays are 4-byte aligned at file offsets — the invariant
 /// the parser relies on to hand out `std::span`s into the mapping
 /// (element types are 4-byte IDs/codes; see common/types.h).
+/// `Apl` and `Hicl` keep their lists in images laid out like their
+/// sections, so the array helpers below serve the builders too.
 namespace gat::snapshot_format {
 
 inline constexpr char kMagic[4] = {'G', 'A', 'T', 'S'};
@@ -33,6 +38,29 @@ inline constexpr char kTagItl[4] = {'I', 'T', 'L', '_'};
 inline constexpr char kTagTas[4] = {'T', 'A', 'S', '_'};
 inline constexpr char kTagApl[4] = {'A', 'P', 'L', '_'};
 inline constexpr char kTagEnd[4] = {'D', 'O', 'N', 'E'};
+
+/// Element arrays are a u64 count, then the elements; in an image of u32
+/// words the count takes two words.
+inline constexpr size_t kCountWords = 2;
+
+/// Writes an array's count at `words`; returns where its elements start.
+inline uint32_t* PutCount(uint32_t* words, uint64_t count) {
+  std::memcpy(words, &count, sizeof(count));
+  return words + kCountWords;
+}
+
+/// {offset from `base`, bytes} of the consecutive arrays `first` through
+/// `last` of one image: from `first`'s count through `last`'s final
+/// element. One `DiskTier` fetch of them reads this extent.
+inline std::pair<uint64_t, uint64_t> ArrayExtent(
+    const char* base, std::span<const uint32_t> first,
+    std::span<const uint32_t> last) {
+  const char* begin =
+      reinterpret_cast<const char*>(first.data()) - sizeof(uint64_t);
+  const char* end = reinterpret_cast<const char*>(last.data() + last.size());
+  return {static_cast<uint64_t>(begin - base),
+          static_cast<uint64_t>(end - begin)};
+}
 
 /// CRC-32 (IEEE 802.3, table-driven). The header carries the payload
 /// checksum so any bit corruption — not just truncation — fails the load

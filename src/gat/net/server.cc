@@ -15,6 +15,9 @@ namespace gat::wire {
 
 namespace {
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 64;
+
 bool SetNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -40,7 +43,7 @@ bool Server::Start() {
   addr.sin_port = htons(options_.port);
   if (inet_pton(AF_INET, options_.host.c_str(), &addr.sin_addr) != 1 ||
       bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      listen(listen_fd_, options_.backlog) != 0 ||
+      listen(listen_fd_, kListenBacklog) != 0 ||
       !SetNonBlocking(listen_fd_) || pipe(wake_fds_) != 0) {
     close(listen_fd_);
     listen_fd_ = -1;

@@ -22,7 +22,6 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 binds an ephemeral port; `port()` reports the bound one.
   uint16_t port = 0;
-  int backlog = 64;
   /// Runs admitted requests as tasks on this executor, one task per
   /// request — the transport schedules at request granularity and the
   /// engine fans out below it on the same pool. Non-owning; must

@@ -31,13 +31,7 @@ TokenBucket& FrontDoor::BucketForLocked(uint32_t tenant) {
 TokenBucket& FrontDoor::WriteBucketForLocked(uint32_t tenant) {
   auto it = write_buckets_.find(tenant);
   if (it != write_buckets_.end()) return it->second;
-  TenantQuota quota = options_.default_write_quota;
-  for (const auto& entry : options_.tenant_write_quotas) {
-    if (entry.first == tenant) {
-      quota = entry.second;
-      break;
-    }
-  }
+  const TenantQuota& quota = options_.default_write_quota;
   return write_buckets_
       .emplace(tenant, TokenBucket(quota.tokens_per_sec, quota.burst))
       .first->second;

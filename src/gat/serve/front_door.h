@@ -41,7 +41,6 @@ struct FrontDoorOptions {
   /// starve the same tenant's queries or vice versa. The bucket is
   /// charged one token per check-in (minimum one per batch).
   TenantQuota default_write_quota;
-  std::vector<std::pair<uint32_t, TenantQuota>> tenant_write_quotas;
 };
 
 /// One request at the front door: a tenant's query batch plus its

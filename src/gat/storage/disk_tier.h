@@ -8,18 +8,21 @@
 namespace gat {
 
 /// How the disk-resident index components (APL rows, HICL levels below
-/// `h`) are physically read. The index structures (`Apl`, `Hicl`) route
-/// every disk-tier access through one of these instead of bumping a bare
-/// counter, so the *accounting* (one logical read per fetched object) is
-/// fixed while the *mechanics* are swappable:
+/// `h`) are physically read. Both are spans into one image laid out like
+/// their snapshot section, and a fetch names an object's extent in it.
+/// The index structures (`Apl`, `Hicl`) route every disk-tier access
+/// through one of these instead of bumping a bare counter, so the
+/// *accounting* (one logical read per fetched object) is fixed while the
+/// *mechanics* are swappable:
 ///
 ///  * `SimulatedDiskTier` (the default, and the seed behavior bit for
-///    bit): everything is in RAM; a fetch only records the logical read.
-///  * `MappedDiskTier` (gat/storage/mapped_snapshot.h): the object's
-///    byte range lives in an mmap-ed snapshot; a fetch records the same
-///    logical read, then runs the covering cache blocks through a
-///    sharded LRU `BlockCache`, doing real page-granular I/O (pagefault
-///    + integrity verify) on each miss.
+///    bit): the image is a heap buffer (built or `LoadSnapshot`-copied);
+///    a fetch only records the logical read.
+///  * `MappedDiskTier` (gat/storage/mapped_snapshot.h): the image is the
+///    mmap-ed snapshot, so the extent is the object's file range; a fetch
+///    records the same logical read, then runs the covering cache blocks
+///    through a sharded LRU `BlockCache`, doing real page-granular I/O
+///    (pagefault + integrity verify) on each miss.
 ///
 /// Implementations must be thread-safe: one tier instance backs every
 /// concurrent search task of its index.

@@ -87,9 +87,9 @@ struct MappedSnapshotOptions {
 /// `ParseSnapshot` (gat/index/snapshot.h) — the parser `LoadSnapshot`
 /// uses — with this snapshot's `MappedDiskTier`. So the RAM-resident
 /// components (ITL, TAS, HICL levels 1..h) are copied exactly as
-/// `LoadSnapshot` copies them, while the disk-resident ones (APL rows,
-/// HICL levels h+1..d) stay in the file and are served as zero-copy
-/// spans into the mapping, read through the tier — so a sharded process
+/// `LoadSnapshot` copies them, while for the disk-resident ones (APL rows,
+/// HICL levels h+1..d) the mapping itself is the image `Apl` and `Hicl`
+/// read spans over, each fetch through the tier — so a sharded process
 /// cold-starts without materializing its disk tier, and every disk
 /// access is page-granular real I/O through the block cache.
 ///

@@ -169,9 +169,8 @@ TEST_F(QueryEngineTest, MoreThreadsThanQueries) {
   for (size_t i = 0; i < 2; ++i) EXPECT_EQ(mt.results[i], st.results[i]);
 }
 
-TEST_F(QueryEngineTest, OwningConstructor) {
-  auto owned = std::make_unique<GatSearcher>(dataset_, *index_);
-  QueryEngine engine(std::move(owned), EngineOptions{.threads = 2});
+TEST_F(QueryEngineTest, BatchSizeAndThreadsUsed) {
+  QueryEngine engine(*searcher_, EngineOptions{.threads = 2});
   const BatchResult batch = engine.Run(queries_, /*k=*/3, QueryKind::kAtsq);
   EXPECT_EQ(batch.results.size(), queries_.size());
   EXPECT_EQ(batch.threads_used, 2u);

@@ -170,6 +170,58 @@ TEST(Snapshot, SavedBytesAreDeterministic) {
   std::remove(p2.c_str());
 }
 
+TEST(Snapshot, SavedBytesMatchGoldenDigest) {
+  // The saved bytes of a fixed seeded city and of an empty shard, pinned
+  // as CRC32 and length. The digests were recorded from the reference
+  // implementation; a storage rewrite that moves one byte of the format
+  // fails here. A built index, its `LoadSnapshot` copy and its
+  // `MappedSnapshot` must all re-save to exactly these bytes and report
+  // the same `memory_breakdown()`.
+  struct Golden {
+    const char* name;
+    uint32_t trajectories;  // 0 = the empty shard
+    uint32_t crc;
+    size_t bytes;
+  };
+  constexpr Golden kGolden[] = {
+      {"city", 150, 1176788338u, 60200u},
+      {"empty shard", 0, 788955998u, 148u},
+  };
+  const GatConfig config{.depth = 5, .memory_levels = 3, .tas_width = 2};
+  const std::string path = TempPath("golden.gats");
+  const std::string resave = TempPath("golden_resave.gats");
+  for (const Golden& golden : kGolden) {
+    SCOPED_TRACE(golden.name);
+    Dataset dataset;
+    if (golden.trajectories > 0) {
+      dataset = GenerateCity(CityProfile::Testing(golden.trajectories, 83));
+    } else {
+      dataset.Finalize();
+    }
+    const uint32_t fingerprint = DatasetFingerprint(dataset);
+    const GatIndex built(dataset, config);
+    ASSERT_TRUE(SaveSnapshot(built, path, fingerprint));
+    const std::string bytes = ReadFileBytes(path);
+    const uint32_t crc = TestCrc32(bytes.data(), bytes.size());
+    EXPECT_EQ(crc, golden.crc) << "actual: {\"" << golden.name << "\", "
+                               << golden.trajectories << ", " << crc << "u, "
+                               << bytes.size() << "u},";
+    EXPECT_EQ(bytes.size(), golden.bytes);
+
+    for (const Loader& load : kLoaders) {
+      SCOPED_TRACE(load.name);
+      const LoadedSnapshot loaded = load(path, &config, fingerprint);
+      ASSERT_TRUE(loaded);
+      EXPECT_EQ(loaded->memory_breakdown().ToString(),
+                built.memory_breakdown().ToString());
+      ASSERT_TRUE(SaveSnapshot(*loaded, resave, fingerprint));
+      EXPECT_EQ(ReadFileBytes(resave), bytes);
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(resave.c_str());
+}
+
 TEST(Snapshot, MissingFileFailsCleanly) {
   for (const Loader& load : kLoaders) {
     SCOPED_TRACE(load.name);
@@ -240,6 +292,50 @@ TEST(Snapshot, TasWordsNotWholeRowsAreRejected) {
     EXPECT_FALSE(load(path));
   }
   std::remove(path.c_str());
+}
+
+TEST(Snapshot, HeaderByteTotalsMustMatchTheLists) {
+  // HICL, ITL and APL headers carry the byte totals that
+  // `memory_breakdown()` reports (Figure 8's cost). The parser recomputes
+  // each from the parsed lists, so a forged checksum over a wrong total
+  // cannot load an index that reports a false cost.
+  const Dataset dataset = GenerateCity(CityProfile::Testing(120, 73));
+  const GatIndex index(dataset, GatConfig{.depth = 4, .memory_levels = 2});
+  const std::string path = TempPath("totals.gats");
+  ASSERT_TRUE(SaveSnapshot(index, path));
+  const std::string bytes = ReadFileBytes(path);
+  const auto b = index.memory_breakdown();
+  // The u64 totals sit right after each section's tag, in this order.
+  struct Total {
+    const char* tag;
+    size_t offset;  // past the tag
+    uint64_t value;
+  };
+  const Total totals[] = {{"HICL", 0, b.hicl_memory},
+                          {"HICL", 8, b.hicl_disk},
+                          {"ITL_", 0, b.itl_memory},
+                          {"APL_", 0, b.apl_disk}};
+  const std::string forged = TempPath("totals_forged.gats");
+  for (const Total& total : totals) {
+    SCOPED_TRACE(::testing::Message() << total.tag << "+" << total.offset);
+    const size_t at = bytes.find(total.tag, kHeaderBytes) + 4 + total.offset;
+    uint64_t stored = 0;
+    std::memcpy(&stored, bytes.data() + at, sizeof(stored));
+    ASSERT_EQ(stored, total.value);
+    const uint64_t bumped = stored + 4;
+    std::string copy = bytes;
+    copy.replace(at, sizeof(bumped), reinterpret_cast<const char*>(&bumped),
+                 sizeof(bumped));
+    ForgeChecksum(&copy);
+    WriteFileBytes(forged, copy);
+    for (const Loader& load : kLoaders) {
+      SCOPED_TRACE(load.name);
+      EXPECT_TRUE(load(path));
+      EXPECT_FALSE(load(forged));
+    }
+  }
+  std::remove(path.c_str());
+  std::remove(forged.c_str());
 }
 
 TEST(Snapshot, ConfigMismatchOnLoadIsRejected) {
@@ -388,7 +484,7 @@ TEST(Snapshot, CorruptionRejectedThroughExecutorPathToo) {
 TEST(Snapshot, ForgedChecksumNeverChangesTheDecisionParity) {
   // An attacker (or a very unlucky disk) can corrupt a payload byte AND
   // re-stamp a matching CRC. Structural validation is then the only
-  // line of defense; some flips are benign (stored byte counters), but
+  // line of defense; some flips are benign (e.g. APL point indices), but
   // whatever the sequential load decides, the executor-parallel load
   // must decide identically — and neither may crash.
   const Dataset dataset = GenerateCity(CityProfile::Testing(300, 59));
