@@ -124,7 +124,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     const Dataset state = index.base().ExtendWith(view->delta->trajectories);
     const GatIndex mono(state);
     const GatSearcher reference(state, mono);
-    QueryEngine engine(via, EngineOptions{.threads = proto.threads});
+    QueryEngine engine(
+        via, EngineOptions{.executor = proto.threads > 1 ? &executor : nullptr});
     for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
       const BatchResult batch = engine.Run(queries, kTopK, kind);
       for (size_t i = 0; i < queries.size(); ++i) {

@@ -5,8 +5,8 @@
 //
 //   * latency/...: single-query latency (p50/p95/p99) against a
 //     ShardedSearcher that fans each query out across the shards as
-//     sibling tasks. Queries are submitted one at a time (engine
-//     threads = 1), so the percentiles isolate per-query fan-out from
+//     sibling tasks. Queries run one at a time (an engine with no
+//     executor), so the percentiles isolate per-query fan-out from
 //     batch throughput. The latency is measured wall-clock only. On a
 //     4-core AMD EPYC host (scale 0.04, --threads 4) ATSQ p95 falls
 //     only modestly with shards: 0.38-0.48 / 0.31-0.34 / 0.27-0.29 ms
@@ -53,7 +53,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   // Reference answers from the monolithic index, single-threaded.
   const GatIndex single_index(city);
   const GatSearcher single(city, single_index);
-  const QueryEngine reference(single, EngineOptions{.threads = 1});
+  const QueryEngine reference(single);
   const BatchResult want = reference.Run(queries, kTopK, QueryKind::kAtsq);
 
   // ---------------------------------------------------- per-query latency
@@ -71,7 +71,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
                   num_shards);
     report.AddRaw(point, sharded.build_seconds() * 1e9, 0.0, 1, 1);
 
-    // Engine threads = 1: queries go one at a time, so the percentiles
+    // An inline engine: queries go one at a time, so the percentiles
     // measure one query's latency; parallelism comes only from the
     // shard fan-out on the shared executor.
     BenchProtocol latency_proto = proto;

@@ -119,13 +119,9 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
       city, {}, ShardOptions{.num_shards = kShards, .executor = &executor});
   const ShardedSearcher searcher(
       sharded, {}, resolved.threads > 1 ? &executor : nullptr);
-  EngineOptions engine_options;
-  if (resolved.threads > 1) {
-    engine_options.executor = &executor;
-  } else {
-    engine_options.threads = 1;
-  }
-  const QueryEngine engine(searcher, engine_options);
+  const QueryEngine engine(
+      searcher,
+      EngineOptions{.executor = resolved.threads > 1 ? &executor : nullptr});
 
   std::printf("%-22s %9s %9s %9s %9s %10s %10s\n", "point", "offered",
               "admitted", "shed", "dl-miss", "p95-ms", "goodput/s");

@@ -11,7 +11,7 @@
 //
 // Measurement protocol (flags, with env fallbacks in parentheses):
 //
-//   --threads N      QueryEngine worker threads       (GAT_BENCH_THREADS, 1)
+//   --threads N      executor worker threads          (GAT_BENCH_THREADS, 1)
 //   --warmup W       un-timed warmup batches          (GAT_BENCH_WARMUP, 1)
 //   --target-rsd P   stop repeating when the relative standard deviation
 //                    of the batch timings drops to P% (GAT_BENCH_TARGET_RSD, 5)
@@ -240,7 +240,7 @@ struct Measurement {
   double p99_ms = 0.0;
   double rsd_pct = 0.0;      ///< relative stddev of the repeat timings
   uint32_t repeats = 0;      ///< timed batches actually run
-  uint32_t threads = 1;      ///< QueryEngine workers used
+  uint32_t threads = 1;      ///< executor workers used (1 = inline)
   /// Block-cache observability (mmap disk tier only): block size of the
   /// cache behind the measured searcher, 0 when the bench passed none.
   /// The per-query block counters (`totals.block_hits` /
@@ -299,7 +299,10 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
                                    const BlockCache* cache = nullptr) {
   Measurement m;
   if (queries.empty()) return m;
-  QueryEngine engine(searcher, EngineOptions{.threads = proto.threads});
+  // --threads 1 runs each batch inline, in query order.
+  std::unique_ptr<Executor> executor;
+  if (proto.threads > 1) executor = std::make_unique<Executor>(proto.threads);
+  QueryEngine engine(searcher, EngineOptions{.executor = executor.get()});
   m.threads = engine.threads();
   if (cache != nullptr) m.cache_block_bytes = cache->block_bytes();
 

@@ -87,7 +87,7 @@ int main() {
   const BatchResult batch = engine.Run(queries, /*k=*/3, QueryKind::kAtsq);
   const BlockCacheStats batch_after = cache.Snapshot();
   std::printf("\nbatch of %zu queries on %u shared workers: %.1f ms\n",
-              queries.size(), batch.threads_used, batch.wall_ms);
+              queries.size(), engine.threads(), batch.wall_ms);
   for (size_t i = 0; i < batch.results.size(); ++i) {
     std::printf("  q%zu top-3:", i);
     for (const auto& r : batch.results[i]) {

@@ -3,15 +3,16 @@
 // baseline search strategies of the paper (they must return identical
 // distances — only the work they do differs).
 //
-// Each method's workload runs through the concurrent QueryEngine
-// (gat/engine): batches fan out over a work-stealing thread pool and the
-// per-thread stats merge into one SearchStats — same results as a serial
-// loop, a fraction of the wall-clock.
+// Each method's workload runs through the QueryEngine (gat/engine): a
+// batch's queries run as tasks on a shared executor and their stats
+// merge into one SearchStats — same results as a serial loop, a
+// fraction of the wall-clock.
 //
 // Build & run:   ./build/examples/place_recommendation [threads]
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <vector>
 
 #include "gat/baselines/il_search.h"
@@ -42,6 +43,9 @@ int main(int argc, char** argv) {
   const RtSearcher rt(city);
   const IrtSearcher irt(city);
   const std::vector<const Searcher*> searchers = {&gat, &il, &rt, &irt};
+  // One thread runs each batch inline, in query order.
+  std::unique_ptr<Executor> executor;
+  if (threads > 1) executor = std::make_unique<Executor>(threads);
 
   QueryWorkloadParams wp;
   wp.num_queries = 10;
@@ -53,7 +57,7 @@ int main(int argc, char** argv) {
               "candidates", "dist comps", "disk reads");
   std::vector<ResultList> reference;
   for (const Searcher* s : searchers) {
-    QueryEngine engine(*s, EngineOptions{.threads = threads});
+    QueryEngine engine(*s, EngineOptions{.executor = executor.get()});
     const BatchResult batch = engine.Run(queries, 9, QueryKind::kAtsq);
     if (s == &gat) {
       reference = batch.results;

@@ -79,7 +79,7 @@ int main() {
 
   std::printf("\nbatch of %zu ATSQ queries (plus a concurrent OATSQ batch) "
               "on %u shared workers: %.1f ms\n",
-              queries.size(), batch.threads_used, batch.wall_ms);
+              queries.size(), engine.threads(), batch.wall_ms);
   for (size_t i = 0; i < batch.results.size(); ++i) {
     std::printf("  q%zu top-3:", i);
     for (const auto& r : batch.results[i]) {

@@ -6,9 +6,11 @@ Usage: check_e2e_smoke.py RESULT_FILE
 RESULT_FILE is the stdout of `e2ebench/run.py ... --trace 1`; its last
 line is the result JSON. Exits non-zero unless the run is `correct` with
 0 failed operations, makes at most 4,000 search allocations per read
-(`search.allocs_per_req`) and rejects at most 300 candidates per read
+(`search.allocs_per_req`), rejects at most 300 candidates per read
 after an APL fetch (`search.activity_rejected`, the activity sketch's
-false positives).
+false positives) and submits at most 3 executor tasks per read
+(`engine.tasks_per_req`: the request task plus one sweep per shard at
+the benchmark's 2 shards; a batch task nested between them makes 4).
 """
 
 import json
@@ -16,6 +18,7 @@ import sys
 
 MAX_ALLOCS_PER_REQ = 4000
 MAX_ACTIVITY_REJECTED = 300
+MAX_TASKS_PER_REQ = 3
 
 
 def main(argv):
@@ -25,9 +28,11 @@ def main(argv):
     result = json.loads(lines[-1])
     allocs = result["metrics"]["search.allocs_per_req"]["value"]
     rejected = result["metrics"]["search.activity_rejected"]["value"]
+    tasks = result["metrics"]["engine.tasks_per_req"]["value"]
     print(json.dumps({k: v for k, v in result.items() if k != "metrics"}))
     print(f"search.allocs_per_req = {allocs:.0f}")
     print(f"search.activity_rejected = {rejected:.0f}")
+    print(f"engine.tasks_per_req = {tasks:g}")
     if result.get("correct") is not True or result.get("failed") != 0:
         sys.exit("e2ebench: wrong answers or failed operations")
     if allocs > MAX_ALLOCS_PER_REQ:
@@ -36,6 +41,9 @@ def main(argv):
     if rejected > MAX_ACTIVITY_REJECTED:
         sys.exit(f"e2ebench: {rejected:.0f} APL-rejected candidates "
                  f"per read (limit {MAX_ACTIVITY_REJECTED})")
+    if tasks > MAX_TASKS_PER_REQ:
+        sys.exit(f"e2ebench: {tasks:g} executor tasks per read "
+                 f"(limit {MAX_TASKS_PER_REQ})")
 
 
 if __name__ == "__main__":

@@ -27,11 +27,6 @@ Executor::~Executor() {
   for (auto& t : workers_) t.join();
 }
 
-Executor& Executor::Default() {
-  static Executor executor(0);
-  return executor;
-}
-
 void Executor::Enqueue(QueuedTask task, TaskPriority priority) {
   tasks_submitted_.fetch_add(1, std::memory_order_relaxed);
   {
@@ -49,33 +44,29 @@ Executor::QueuedTask Executor::PopLocked() {
   return task;
 }
 
-bool Executor::RunOneTask(TaskGroup* only_from) {
+bool Executor::RunOneTask(TaskGroup& group) {
   QueuedTask task;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (only_from == nullptr) {
-      if (!HasQueued()) return false;
-      task = PopLocked();
-    } else {
-      // Help only the caller's group: a waiter must never spend its
-      // (possibly timed) wait executing a stranger's task. A group's
-      // tasks all share one priority class, but scan both queues so the
-      // helper finds its work regardless of class. The queues are
-      // fan-out-sized, so the scan is short.
-      bool found = false;
-      for (auto& queue : queues_) {
-        for (auto it = queue.begin(); it != queue.end(); ++it) {
-          if (it->group == only_from) {
-            task = std::move(*it);
-            queue.erase(it);
-            found = true;
-            break;
-          }
+    // Help only the caller's group: a waiter must never spend its
+    // (possibly timed) wait executing a stranger's task. A group's
+    // tasks all share one priority class, but scan both queues so the
+    // helper finds its work regardless of class. A batch of n queries
+    // queues n-1 tasks and a read one sweep per shard, so for served
+    // reads the scan is short.
+    bool found = false;
+    for (auto& queue : queues_) {
+      for (auto it = queue.begin(); it != queue.end(); ++it) {
+        if (it->group == &group) {
+          task = std::move(*it);
+          queue.erase(it);
+          found = true;
+          break;
         }
-        if (found) break;
       }
-      if (!found) return false;
+      if (found) break;
     }
+    if (!found) return false;
   }
   task.fn();
   return true;
@@ -119,7 +110,7 @@ void TaskGroup::Wait() {
     // Help: run this group's queued tasks instead of parking. Only when
     // none are queued — the stragglers are mid-flight on other threads —
     // does this thread actually block.
-    if (executor_.RunOneTask(this)) continue;
+    if (executor_.RunOneTask(*this)) continue;
     std::unique_lock<std::mutex> lock(mu_);
     // Re-check under the lock, then sleep with a short lease: a task
     // running on another thread may enqueue helpable subtasks after the

@@ -56,13 +56,13 @@ uint32_t ResolveThreadCount(uint32_t requested);
 /// on them. Waiting never parks a thread while that group has queued
 /// tasks: the waiter *helps*, draining its own group's tasks from the
 /// executor's queue until the group completes. That is what makes
-/// per-query shard fan-out inside an engine worker safe — no
+/// per-query shard fan-out inside a request task safe — no
 /// thread-in-thread spawning and no worker starvation. `Executor(1)`
 /// still spawns one worker, and the helping waiter races it for the
 /// group's tasks, so which thread runs a task is not fixed at any pool
 /// size. The deterministic inline paths bypass the executor altogether:
-/// `QueryEngine` with `threads = 1` and `ShardedSearcher` without an
-/// executor run every query (or shard) on the calling thread.
+/// `QueryEngine` and `ShardedSearcher` without an executor run every
+/// query (or shard) on the calling thread.
 /// Helping is deliberately restricted to the waiter's own group: a
 /// waiter never executes a stranger's task, so a timed section around a
 /// fan-out (e.g. the engine's per-query stopwatch) measures only its
@@ -90,16 +90,10 @@ class Executor {
 
   uint32_t threads() const { return threads_; }
 
-  /// Process-wide shared executor (hardware_concurrency workers),
-  /// created on first use. The default pool for callers that do not
-  /// manage executor lifetime themselves.
-  static Executor& Default();
-
-  /// Runs one queued task on the calling thread if any is pending;
-  /// `only_from` (optional) restricts the pick to that group's tasks.
-  /// Returns false when nothing eligible was queued. The building block
+  /// Runs one of `group`'s queued tasks on the calling thread, if any
+  /// is pending. Returns false when none was queued. The building block
   /// of help-while-waiting; exposed for tests.
-  bool RunOneTask(TaskGroup* only_from = nullptr);
+  bool RunOneTask(TaskGroup& group);
 
   /// Total tasks ever enqueued on this executor (monotonic). The proof
   /// hook for admission control: a shed request must leave this counter

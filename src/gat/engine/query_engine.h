@@ -2,7 +2,6 @@
 #define GAT_ENGINE_QUERY_ENGINE_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "gat/core/result_set.h"
@@ -22,14 +21,10 @@ enum class QueryStatus : uint8_t {
 
 /// QueryEngine knobs.
 struct EngineOptions {
-  /// Worker threads of the engine-owned executor. 0 =
-  /// std::thread::hardware_concurrency(). 1 runs batches inline on the
-  /// caller thread (no pool is created). Ignored when `executor` is set.
-  uint32_t threads = 0;
-
-  /// Share an existing executor instead of owning one (non-owning; must
-  /// outlive the engine). The way a serving process runs query batches,
-  /// shard fan-out and index rebuilds on one thread set.
+  /// The executor a batch's queries run on (non-owning; must outlive
+  /// the engine). The way a serving process runs query batches, shard
+  /// fan-out and index rebuilds on one thread set. nullptr runs every
+  /// query inline on the calling thread, in query order.
   Executor* executor = nullptr;
 };
 
@@ -57,24 +52,17 @@ struct BatchResult {
   /// bench protocol's p50/p95/p99 fields).
   std::vector<QueryLatency> latencies;
 
-  /// Counters summed over all queries (merged from the per-task slots).
+  /// Counters summed over all queries, in query order.
   SearchStats totals;
-
-  /// Per-task partial sums, index = batch task slot. Diagnostic: shows
-  /// how evenly the work-stealing queue spread the batch.
-  std::vector<SearchStats> per_thread;
 
   /// Wall-clock of the whole batch (not the sum of per-query times).
   double wall_ms = 0.0;
-
-  /// Engine parallelism the batch was submitted with.
-  uint32_t threads_used = 1;
 };
 
-/// Executes batches of queries over one Searcher as task groups on an
-/// executor. The unified entry point for benches, examples, servers and
-/// tests: single-threaded callers get the plain loop (`threads = 1`),
-/// concurrent callers get work-stealing fan-out with identical results.
+/// Executes batches of queries over one Searcher. The unified entry
+/// point for benches, examples, servers and tests: without an executor
+/// a batch is a plain loop on the calling thread; with one, its queries
+/// run as sibling tasks with identical results.
 ///
 /// ## Threading contract
 ///
@@ -87,26 +75,27 @@ struct BatchResult {
 /// logically const during `Search` (no caches mutated through
 /// `const_cast`/`mutable` without internal locking).
 ///
-/// ## Cross-batch pipelining
+/// ## Scheduling
 ///
-/// `Run` is safe to call concurrently from any number of threads with no
-/// serialization: each call owns its batch-local state (result slots,
-/// stats slots, work-stealing cursors) and submits its tasks as one
-/// `TaskGroup`, so batches from concurrent callers interleave on the
-/// executor instead of queueing behind a mutex. Per-batch results stay
-/// ordered and bit-identical regardless of what else shares the pool.
+/// `Run` submits `queries[1..n)` as one `TaskGroup` task each, runs
+/// `queries[0]` on the calling thread, then waits (helping with the
+/// group's queued tasks). A batch of one — every read the wire server
+/// serves — therefore submits no task: it runs on the request's own
+/// task. `Run` is safe to call concurrently from any number of threads
+/// with no serialization: each call owns its batch-local slots, so
+/// batches from concurrent callers interleave on the executor instead of
+/// queueing behind a mutex.
 ///
-/// Determinism: every query is an independent task; results are written
-/// to a pre-sized slot indexed by query position, and per-task stats are
-/// accumulated in per-slot accumulators merged only after the group
-/// barrier — lock-free by construction since no two tasks ever touch the
-/// same slot. Top-k answers are therefore bit-identical across thread
-/// counts, executor sharing, and concurrent batches.
+/// Determinism: every query writes only its own result, latency, status
+/// and stats slot, indexed by query position, and `totals` is summed in
+/// query order after the group barrier. Top-k answers and counters are
+/// therefore bit-identical across thread counts, executor sharing, and
+/// concurrent batches.
 ///
 /// ## Deadlines and priority
 ///
 /// `Run` accepts an optional `QueryContext`. Its deadline is enforced at
-/// task boundaries: each query task checks expiry before starting its
+/// query boundaries: each query checks expiry before starting its
 /// `Search`, and the searcher (if fan-out-capable) re-checks at its own
 /// boundaries. A query that expires at any boundary reports
 /// `QueryStatus::kDeadlineExceeded` with an empty result list — the
@@ -121,8 +110,6 @@ class QueryEngine {
   /// Non-owning: `searcher` must outlive the engine.
   explicit QueryEngine(const Searcher& searcher, EngineOptions options = {});
 
-  ~QueryEngine();
-
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
 
@@ -134,17 +121,18 @@ class QueryEngine {
                   const QueryContext* context = nullptr) const;
 
   const Searcher& searcher() const { return searcher_; }
-  uint32_t threads() const { return threads_; }
 
-  /// The executor batches run on, or nullptr for the inline
-  /// single-threaded path.
+  /// The executor's thread count, or 1 on the inline path.
+  uint32_t threads() const {
+    return executor_ != nullptr ? executor_->threads() : 1;
+  }
+
+  /// The executor batches run on, or nullptr for the inline path.
   Executor* executor() const { return executor_; }
 
  private:
   const Searcher& searcher_;
-  uint32_t threads_;
-  std::unique_ptr<Executor> owned_executor_;  // null when shared or inline
-  Executor* executor_ = nullptr;              // null when threads_ == 1
+  Executor* const executor_;
 };
 
 }  // namespace gat

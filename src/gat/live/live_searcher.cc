@@ -27,8 +27,15 @@ ResultList LiveSearcher::Search(const Query& query, size_t k, QueryKind kind,
                                                     k, kind, stats, context);
   // Same task-boundary rule as the shard fan-out: a deadline that
   // expired during (or before) the base sweep yields nothing — never a
-  // partial merge. This also covers the dead-on-arrival case above.
-  if (context != nullptr && context->Expired()) return {};
+  // partial merge. The refused delta scan counts one deadline skip,
+  // unless the base sweep already marked its own refusal (dead on
+  // arrival, or a refused shard).
+  if (context != nullptr && context->Expired()) {
+    if (stats != nullptr && stats->deadline_skips == 0) {
+      stats->deadline_skips = 1;
+    }
+    return {};
+  }
 
   const DeltaSnapshot& delta = *view->delta;
   TopKCollector merged(k);

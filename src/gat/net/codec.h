@@ -19,8 +19,8 @@ namespace gat::wire {
 /// outcome: per-query result lists, per-query `QueryStatus`, the
 /// summed `SearchStats` counters, and the request-level
 /// `ServeStatus`/`ShedReason`. Wall-clock diagnostics (`latencies`,
-/// `per_thread`, `wall_ms`, `threads_used`) are transport-local by
-/// design and decode to their defaults.
+/// `wall_ms`) are transport-local by design and decode to their
+/// defaults.
 
 /// Payload codecs. Decoders return false on any malformed input —
 /// reject-or-bit-exact, never a crash; on false `*out` is

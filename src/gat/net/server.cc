@@ -31,7 +31,7 @@ Server::Server(FrontDoor& door, ServerOptions options)
 Server::~Server() { Stop(); }
 
 bool Server::Start() {
-  if (started_) return false;
+  if (started_ || options_.executor == nullptr) return false;
 
   listen_fd_ = socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) return false;
@@ -57,12 +57,10 @@ bool Server::Start() {
   getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &bound_len);
   port_ = ntohs(bound.sin_port);
 
-  if (options_.executor != nullptr) {
-    interactive_group_ =
-        std::make_unique<TaskGroup>(*options_.executor, TaskPriority::kHigh);
-    bulk_group_ =
-        std::make_unique<TaskGroup>(*options_.executor, TaskPriority::kLow);
-  }
+  interactive_group_ =
+      std::make_unique<TaskGroup>(*options_.executor, TaskPriority::kHigh);
+  bulk_group_ =
+      std::make_unique<TaskGroup>(*options_.executor, TaskPriority::kLow);
 
   started_ = true;
   running_.store(true, std::memory_order_release);
@@ -79,8 +77,8 @@ void Server::Stop() {
   // tasks may still be chaining through connection queues. Their
   // chains terminate (pending is finite once reads stop) and the
   // groups' barriers cover every link.
-  if (interactive_group_ != nullptr) interactive_group_->Wait();
-  if (bulk_group_ != nullptr) bulk_group_->Wait();
+  interactive_group_->Wait();
+  bulk_group_->Wait();
   for (const auto& conn : connections_) {
     close(conn->fd);
     sessions_closed_.fetch_add(1, std::memory_order_relaxed);
@@ -184,15 +182,6 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
     std::string frame;
     if (TryServeFastPath(door_, request, &frame) ==
         DispatchOutcome::kResponded) {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      conn->outbox += frame;
-      requests_served_.fetch_add(1, std::memory_order_relaxed);
-      Wake();
-      continue;
-    }
-
-    if (options_.executor == nullptr) {
-      frame = ServeAdmittedFrame(door_, request);
       std::lock_guard<std::mutex> lock(conn->mu);
       conn->outbox += frame;
       requests_served_.fetch_add(1, std::memory_order_relaxed);

@@ -23,10 +23,10 @@ struct ServerOptions {
   /// 0 binds an ephemeral port; `port()` reports the bound one.
   uint16_t port = 0;
   /// Runs admitted requests as tasks on this executor, one task per
-  /// request — the transport schedules at request granularity and the
-  /// engine fans out below it on the same pool. Non-owning; must
-  /// outlive the server. nullptr serves inline on the poll thread
-  /// (correct, but one request at a time across all connections).
+  /// request — the transport schedules at request granularity, and the
+  /// request's batch runs on that task with only the shard fan-out
+  /// below it on the same pool. Non-owning; must outlive the server.
+  /// Required: `Start()` refuses a server without one.
   Executor* executor = nullptr;
 };
 
@@ -69,8 +69,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the poll thread. False on any socket
-  /// failure (port in use, bad host). Call once.
+  /// Binds, listens and spawns the poll thread. False when no executor
+  /// was given and on any socket failure (port in use, bad host). Call
+  /// once.
   bool Start();
 
   /// Stops accepting, joins the poll thread, waits for in-flight

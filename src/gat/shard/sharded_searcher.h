@@ -44,8 +44,9 @@ namespace gat {
 /// 0.38-0.48 / 0.31-0.34 / 0.27-0.29 ms for 1 / 2 / 4 shards over three
 /// runs, and at its default 15 queries the p95 column is not monotone
 /// in 2 of 5 runs. Submission is
-/// nest-safe: when the caller is itself an executor task (a QueryEngine
-/// batch worker), the shard tasks join the same pool with no
+/// nest-safe: when the caller is itself an executor task (a served
+/// request, or a query of a multi-query batch), the shard tasks join
+/// the same pool with no
 /// thread-in-thread spawning. Each task writes one pre-sized slot and
 /// the merge happens after the group barrier in shard order, so results
 /// and stats are bit-identical to the sequential visit. Without an
@@ -65,7 +66,7 @@ namespace gat {
 ///
 /// Thread-safety: implements the Searcher contract (const Search, all
 /// per-query state on the caller's stack), so one instance can back a
-/// whole QueryEngine pool at any engine thread count — concurrently
+/// QueryEngine on an executor of any size — concurrently
 /// with `ReloadGeneration` on the underlying index.
 class ShardedSearcher : public Searcher {
  public:

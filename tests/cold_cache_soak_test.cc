@@ -64,7 +64,7 @@ class ColdCacheSoakTest : public ::testing::Test {
 
     // Quiescent reference over the built index (simulated tier).
     const GatSearcher fresh(dataset_, *index_);
-    const QueryEngine reference(fresh, EngineOptions{.threads = 1});
+    const QueryEngine reference(fresh);
     want_ = reference.Run(queries_, kTopK, QueryKind::kAtsq);
   }
 

@@ -1,7 +1,7 @@
 // Stress tests for the engine's concurrency primitives, written to give
 // TSan (-fsanitize=thread, the CI `tsan` matrix leg) real interleavings
-// to chew on: WorkStealingQueue steal races, executor task storms, and
-// cross-batch pipelining through one QueryEngine.
+// to chew on: executor task storms and cross-batch pipelining through
+// one QueryEngine.
 
 #include <gtest/gtest.h>
 
@@ -14,75 +14,11 @@
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
 #include "gat/engine/query_engine.h"
-#include "gat/engine/work_queue.h"
 #include "gat/index/gat_index.h"
 #include "gat/search/gat_search.h"
 
 namespace gat {
 namespace {
-
-// ------------------------------------------------------ work-queue races
-
-TEST(WorkQueueStress, ExactlyOnceUnderRepeatedContention) {
-  // Many rounds of short queues: start/drain transitions are where a
-  // double-hand-out or a lost index would hide. Uneven worker counts
-  // force constant stealing.
-  constexpr uint32_t kRounds = 200;
-  static constexpr size_t kTasks = 64;
-  constexpr uint32_t kWorkers = 5;
-  for (uint32_t round = 0; round < kRounds; ++round) {
-    WorkStealingQueue queue(kTasks, kWorkers);
-    std::vector<std::atomic<uint32_t>> claimed(kTasks);
-    std::vector<std::thread> threads;
-    threads.reserve(kWorkers);
-    for (uint32_t w = 0; w < kWorkers; ++w) {
-      threads.emplace_back([&queue, &claimed, w] {
-        size_t idx = 0;
-        while (queue.TryPop(w, &idx)) {
-          ASSERT_LT(idx, kTasks);
-          claimed[idx].fetch_add(1, std::memory_order_relaxed);
-        }
-      });
-    }
-    for (auto& t : threads) t.join();
-    for (size_t i = 0; i < kTasks; ++i) {
-      ASSERT_EQ(claimed[i].load(), 1u) << "round " << round << " index " << i;
-    }
-  }
-}
-
-TEST(WorkQueueStress, AllWorkersStealFromOneLoadedStripe) {
-  // Every task lands in stripe 0 (the other stripes are empty), so every
-  // pop except worker 0's is a steal — the fetch_add race on one cursor
-  // is maximally contended.
-  constexpr size_t kTasks = 10000;
-  constexpr uint32_t kWorkers = 8;
-  // One stripe owns everything: build with 1 worker's striping, then pop
-  // with kWorkers ids — TryPop tolerates ids beyond the stripe count
-  // only if we size it up front, so emulate by giving workers 1..7 empty
-  // stripes via a queue built for kWorkers where stripe 0 gets the bulk.
-  WorkStealingQueue queue(kTasks, kWorkers);
-  // Drain stripes 1..7 first so the parallel phase is pure stealing.
-  size_t idx = 0;
-  size_t predrained = 0;
-  for (uint32_t w = 1; w < kWorkers; ++w) {
-    const size_t stripe_len = kTasks / kWorkers;
-    for (size_t i = 0; i < stripe_len; ++i) {
-      ASSERT_TRUE(queue.TryPop(w, &idx));
-      ++predrained;
-    }
-  }
-  std::atomic<size_t> popped{0};
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&queue, &popped, w] {
-      size_t i = 0;
-      while (queue.TryPop(w, &i)) popped.fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(predrained + popped.load(), kTasks);
-}
 
 // ------------------------------------------------------- executor storms
 
@@ -131,10 +67,11 @@ class PipelineStressTest : public ::testing::Test {
 };
 
 TEST_F(PipelineStressTest, ConcurrentBatchesStayBitIdentical) {
-  QueryEngine single(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine single(*searcher_);
   const BatchResult want = single.Run(queries_, /*k=*/5, QueryKind::kAtsq);
 
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  Executor executor(4);
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &executor});
   constexpr int kCallers = 6;
   constexpr int kBatchesPerCaller = 5;
   std::vector<std::thread> callers;

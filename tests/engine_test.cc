@@ -1,10 +1,9 @@
-// Tests for gat/engine: the work-stealing queue, multi-thread vs
-// single-thread result equivalence (the QueryEngine determinism contract)
-// and lock-free stats merging.
+// Tests for gat/engine: executor vs inline result equivalence (the
+// QueryEngine determinism contract), stats merging and the number of
+// executor tasks a batch costs.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -12,61 +11,11 @@
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
 #include "gat/engine/query_engine.h"
-#include "gat/engine/work_queue.h"
 #include "gat/index/gat_index.h"
 #include "gat/search/gat_search.h"
 
 namespace gat {
 namespace {
-
-// ---------------------------------------------------------------- queue
-
-TEST(WorkStealingQueue, SingleWorkerDrainsInOrder) {
-  WorkStealingQueue q(5, 1);
-  size_t idx = 0;
-  for (size_t expected = 0; expected < 5; ++expected) {
-    ASSERT_TRUE(q.TryPop(0, &idx));
-    EXPECT_EQ(idx, expected);
-  }
-  EXPECT_FALSE(q.TryPop(0, &idx));
-}
-
-TEST(WorkStealingQueue, EveryIndexHandedOutExactlyOnce) {
-  constexpr size_t kTasks = 1000;
-  constexpr uint32_t kWorkers = 7;
-  WorkStealingQueue q(kTasks, kWorkers);
-  std::vector<std::atomic<int>> claimed(kTasks);
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < kWorkers; ++w) {
-    threads.emplace_back([&, w] {
-      size_t idx = 0;
-      while (q.TryPop(w, &idx)) {
-        ASSERT_LT(idx, kTasks);
-        claimed[idx].fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(claimed[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(WorkStealingQueue, StealingDrainsUnbalancedLoad) {
-  // More workers than tasks: most stripes start empty, so completion
-  // requires stealing to work.
-  WorkStealingQueue q(3, 8);
-  std::vector<std::atomic<int>> claimed(3);
-  std::vector<std::thread> threads;
-  for (uint32_t w = 0; w < 8; ++w) {
-    threads.emplace_back([&, w] {
-      size_t idx = 0;
-      while (q.TryPop(w, &idx)) claimed[idx].fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  for (size_t i = 0; i < 3; ++i) EXPECT_EQ(claimed[i].load(), 1);
-}
 
 // ---------------------------------------------------------------- engine
 
@@ -84,6 +33,7 @@ class QueryEngineTest : public ::testing::Test {
     ASSERT_FALSE(queries_.empty());
   }
 
+  Executor pool_{4};
   Dataset dataset_;
   std::unique_ptr<GatIndex> index_;
   std::unique_ptr<GatSearcher> searcher_;
@@ -91,8 +41,9 @@ class QueryEngineTest : public ::testing::Test {
 };
 
 TEST_F(QueryEngineTest, MultiThreadMatchesSingleThreadBitIdentical) {
-  QueryEngine single(*searcher_, EngineOptions{.threads = 1});
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  QueryEngine single(*searcher_);
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
+  ASSERT_EQ(single.threads(), 1u);
   ASSERT_EQ(pooled.threads(), 4u);
 
   for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
@@ -109,7 +60,7 @@ TEST_F(QueryEngineTest, MultiThreadMatchesSingleThreadBitIdentical) {
 }
 
 TEST_F(QueryEngineTest, ResultsIdenticalAcrossRepeatedRuns) {
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
   const BatchResult a = pooled.Run(queries_, /*k=*/5, QueryKind::kAtsq);
   const BatchResult b = pooled.Run(queries_, /*k=*/5, QueryKind::kAtsq);
   ASSERT_EQ(a.results.size(), b.results.size());
@@ -119,9 +70,8 @@ TEST_F(QueryEngineTest, ResultsIdenticalAcrossRepeatedRuns) {
 }
 
 TEST_F(QueryEngineTest, MergedStatsEqualSequentialSums) {
-  // The per-thread slots must merge to exactly the counters a sequential
-  // loop accumulates: every counter is deterministic per query, and each
-  // query lands in exactly one slot.
+  // The per-query slots must merge to exactly the counters a sequential
+  // loop accumulates: every counter is deterministic per query.
   SearchStats expected;
   for (const Query& q : queries_) {
     SearchStats per_query;
@@ -130,7 +80,7 @@ TEST_F(QueryEngineTest, MergedStatsEqualSequentialSums) {
     expected += per_query;
   }
 
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
   BatchResult batch = pooled.Run(queries_, /*k=*/10, QueryKind::kAtsq);
 
   EXPECT_EQ(batch.totals.candidates_retrieved, expected.candidates_retrieved);
@@ -144,16 +94,10 @@ TEST_F(QueryEngineTest, MergedStatsEqualSequentialSums) {
   EXPECT_EQ(batch.totals.rounds, expected.rounds);
   EXPECT_EQ(batch.totals.disk_reads, expected.disk_reads);
 
-  // Cross-check the lock-free merge itself: totals == sum of slots.
-  SearchStats resummed;
-  for (const SearchStats& s : batch.per_thread) resummed += s;
-  EXPECT_EQ(batch.totals.candidates_retrieved, resummed.candidates_retrieved);
-  EXPECT_EQ(batch.totals.disk_reads, resummed.disk_reads);
-  EXPECT_EQ(batch.per_thread.size(), 4u);
 }
 
 TEST_F(QueryEngineTest, EmptyBatch) {
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
   const BatchResult batch = pooled.Run({}, /*k=*/10, QueryKind::kAtsq);
   EXPECT_TRUE(batch.results.empty());
   EXPECT_EQ(batch.totals.candidates_retrieved, 0u);
@@ -161,29 +105,51 @@ TEST_F(QueryEngineTest, EmptyBatch) {
 
 TEST_F(QueryEngineTest, MoreThreadsThanQueries) {
   const std::vector<Query> two(queries_.begin(), queries_.begin() + 2);
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 8});
-  QueryEngine single(*searcher_, EngineOptions{.threads = 1});
+  Executor eight(8);
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &eight});
+  QueryEngine single(*searcher_);
   const BatchResult mt = pooled.Run(two, /*k=*/10, QueryKind::kAtsq);
   const BatchResult st = single.Run(two, /*k=*/10, QueryKind::kAtsq);
   ASSERT_EQ(mt.results.size(), 2u);
   for (size_t i = 0; i < 2; ++i) EXPECT_EQ(mt.results[i], st.results[i]);
 }
 
-TEST_F(QueryEngineTest, BatchSizeAndThreadsUsed) {
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 2});
-  const BatchResult batch = engine.Run(queries_, /*k=*/3, QueryKind::kAtsq);
-  EXPECT_EQ(batch.results.size(), queries_.size());
-  EXPECT_EQ(batch.threads_used, 2u);
+TEST_F(QueryEngineTest, BatchOfNSubmitsNMinusOneTasks) {
+  // The caller runs queries[0] itself: a batch of one (every served
+  // read) submits no task, a batch of n exactly n-1. Answers, statuses
+  // and totals equal the inline engine's.
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
+  QueryEngine single(*searcher_);
+  for (const size_t n : {size_t{1}, size_t{2}, queries_.size()}) {
+    const std::vector<Query> batch_queries(queries_.begin(),
+                                           queries_.begin() + n);
+    const uint64_t before = pool_.tasks_submitted();
+    const BatchResult got =
+        pooled.Run(batch_queries, /*k=*/6, QueryKind::kOatsq);
+    EXPECT_EQ(pool_.tasks_submitted() - before, n - 1) << "n = " << n;
+    const BatchResult want =
+        single.Run(batch_queries, /*k=*/6, QueryKind::kOatsq);
+    ASSERT_EQ(got.results.size(), n);
+    EXPECT_EQ(got.results, want.results) << "n = " << n;
+    EXPECT_EQ(got.statuses, want.statuses) << "n = " << n;
+    EXPECT_EQ(got.deadline_exceeded, 0u);
+    EXPECT_EQ(got.totals.candidates_retrieved,
+              want.totals.candidates_retrieved);
+    EXPECT_EQ(got.totals.distance_computations,
+              want.totals.distance_computations);
+    EXPECT_EQ(got.totals.nodes_popped, want.totals.nodes_popped);
+    EXPECT_EQ(got.totals.rounds, want.totals.rounds);
+    EXPECT_EQ(got.totals.disk_reads, want.totals.disk_reads);
+  }
 }
 
-TEST_F(QueryEngineTest, SharedExecutorMatchesOwnedPool) {
-  // EngineOptions::executor: the engine becomes a thin client of an
-  // external pool; answers must not depend on who owns the threads.
+TEST_F(QueryEngineTest, SharedExecutorMatchesInline) {
+  // EngineOptions::executor: answers must not depend on the pool size.
   Executor executor(3);
   QueryEngine shared(*searcher_, EngineOptions{.executor = &executor});
   EXPECT_EQ(shared.threads(), 3u);
   EXPECT_EQ(shared.executor(), &executor);
-  QueryEngine single(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine single(*searcher_);
   const BatchResult got = shared.Run(queries_, /*k=*/7, QueryKind::kAtsq);
   const BatchResult want = single.Run(queries_, /*k=*/7, QueryKind::kAtsq);
   ASSERT_EQ(got.results.size(), want.results.size());
@@ -199,7 +165,7 @@ TEST_F(QueryEngineTest, TwoEnginesPipelineOnOneExecutor) {
   Executor executor(4);
   QueryEngine a(*searcher_, EngineOptions{.executor = &executor});
   QueryEngine b(*searcher_, EngineOptions{.executor = &executor});
-  QueryEngine single(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine single(*searcher_);
   const BatchResult want_a = single.Run(queries_, /*k=*/3, QueryKind::kAtsq);
   const BatchResult want_b = single.Run(queries_, /*k=*/8, QueryKind::kOatsq);
 
@@ -217,7 +183,7 @@ TEST_F(QueryEngineTest, TwoEnginesPipelineOnOneExecutor) {
 }
 
 TEST_F(QueryEngineTest, PerQueryLatenciesArePopulated) {
-  QueryEngine pooled(*searcher_, EngineOptions{.threads = 4});
+  QueryEngine pooled(*searcher_, EngineOptions{.executor = &pool_});
   const BatchResult batch = pooled.Run(queries_, /*k=*/5, QueryKind::kAtsq);
   ASSERT_EQ(batch.latencies.size(), queries_.size());
   for (const QueryLatency& lat : batch.latencies) {

@@ -20,7 +20,6 @@ TEST(Executor, ResolvesThreadCounts) {
   EXPECT_EQ(four.threads(), 4u);
   Executor defaulted(0);
   EXPECT_GE(defaulted.threads(), 1u);
-  EXPECT_GE(Executor::Default().threads(), 1u);
 }
 
 TEST(Executor, RunsEveryTaskExactlyOnce) {
@@ -139,13 +138,14 @@ TEST(Executor, ConcurrentSubmittersShareOnePool) {
 
 TEST(Executor, RunOneTaskOnIdleExecutorReturnsFalse) {
   Executor executor(2);
-  EXPECT_FALSE(executor.RunOneTask());
+  TaskGroup group(executor);
+  EXPECT_FALSE(executor.RunOneTask(group));
 }
 
 TEST(Executor, HelpingIsRestrictedToTheCallersGroup) {
   // Park both workers on a latch so further submissions stay queued,
-  // then verify a group-restricted RunOneTask refuses a stranger's
-  // task while the unrestricted form runs it.
+  // then verify RunOneTask refuses a stranger's task and runs the
+  // group's own.
   Executor executor(2);
   std::promise<void> release;
   std::shared_future<void> latch(release.get_future());
@@ -166,9 +166,9 @@ TEST(Executor, HelpingIsRestrictedToTheCallersGroup) {
   queued.Submit([&ran] { ran.fetch_add(1); });
 
   TaskGroup stranger(executor);
-  EXPECT_FALSE(executor.RunOneTask(&stranger));  // not its task
+  EXPECT_FALSE(executor.RunOneTask(stranger));  // not its task
   EXPECT_EQ(ran.load(), 0);
-  EXPECT_TRUE(executor.RunOneTask(&queued));  // its own task
+  EXPECT_TRUE(executor.RunOneTask(queued));  // its own task
   EXPECT_EQ(ran.load(), 1);
 
   release.set_value();

@@ -12,7 +12,9 @@
 //     fire, and a reader pinned to the old generation keeps serving it
 //     bit-identically until the pin drops;
 //   * ingests, merges and queries may race freely — the LiveView pairs
-//     a delta only ever with the base generation it complements.
+//     a delta only ever with the base generation it complements;
+//   * a read whose deadline passes before its delta scan is refused
+//     (deadline-exceeded), never answered with an empty list.
 
 #include <gtest/gtest.h>
 
@@ -23,7 +25,10 @@
 #include <thread>
 #include <vector>
 
+#include "gat/common/clock.h"
+#include "gat/common/query_context.h"
 #include "gat/datagen/checkin_generator.h"
+#include "gat/engine/query_engine.h"
 #include "gat/datagen/query_generator.h"
 #include "gat/index/gat_index.h"
 #include "gat/live/live_index.h"
@@ -183,6 +188,64 @@ TEST_P(LiveBitIdentity, MatchesMonolithicRebuildAcrossMerges) {
 
 INSTANTIATE_TEST_SUITE_P(ShardCounts, LiveBitIdentity,
                          ::testing::Values(1u, 2u, 4u));
+
+// ---------------------------------------------------------------------------
+// Deadlines
+// ---------------------------------------------------------------------------
+
+/// Advances one microsecond per read, so which boundary expires a
+/// request is fixed by how many boundaries checked the clock before it.
+class TickingClock final : public Clock {
+ public:
+  uint64_t NowMicros() const override {
+    return reads_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+ private:
+  mutable std::atomic<uint64_t> reads_{0};
+};
+
+TEST(LiveDeadline, ExpiryBeforeTheDeltaScanRefusesTheRead) {
+  constexpr uint32_t kShards = 2;
+  ShardOptions options;
+  options.num_shards = kShards;
+  options.build_threads = 1;
+  LiveIndex live(GenerateCity(CityProfile::Testing(150, 23)), GatConfig{},
+                 options);
+  Rng rng(7);
+  ASSERT_TRUE(live.Ingest(SampleCheckIns(live.base(), rng, 12, 500, 5)));
+  // No executor: the shard sweeps run inline, so the clock reads come
+  // in a fixed order.
+  const LiveSearcher searcher(live);
+  const QueryEngine engine(searcher);
+  const std::vector<Query> queries = TestQueries(live.base(), 51, 1);
+  ASSERT_EQ(queries.size(), 1u);
+
+  // Reads 0..3 are the engine's query boundary, the base sweep's entry
+  // and one per shard; read 4 is the delta scan's boundary. A deadline
+  // of 4 lets the whole base sweep run and expires the read right
+  // before its delta scan.
+  TickingClock clock;
+  const QueryContext context{.clock = &clock, .deadline_micros = 2 + kShards};
+  const BatchResult batch =
+      engine.Run(queries, /*k=*/9, QueryKind::kAtsq, &context);
+  EXPECT_EQ(batch.totals.index_pins, kShards);  // the base sweep ran
+  EXPECT_EQ(batch.statuses[0], QueryStatus::kDeadlineExceeded);
+  EXPECT_TRUE(batch.results[0].empty());
+  EXPECT_EQ(batch.deadline_exceeded, 1u);
+  EXPECT_EQ(batch.totals.deadline_skips, 1u);
+
+  // Dead on arrival: the base sweep marks the refusal and the delta
+  // scan's boundary does not count it a second time.
+  const ManualClock late(/*start_micros=*/10);
+  const QueryContext expired{.clock = &late, .deadline_micros = 5};
+  SearchStats stats;
+  EXPECT_TRUE(
+      searcher.Search(queries[0], 9, QueryKind::kAtsq, &stats, &expired)
+          .empty());
+  EXPECT_EQ(stats.deadline_skips, 1u);
+  EXPECT_EQ(stats.index_pins, 0u);
+}
 
 // ---------------------------------------------------------------------------
 // Generation change under fire

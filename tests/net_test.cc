@@ -652,9 +652,20 @@ TEST_F(WireDispatchTest, FastPathAnswersShedAndExpiredWithZeroTasks) {
   EXPECT_EQ(decoded.shed_tenant, request.tenant);
 }
 
+TEST_F(WireDispatchTest, ServerWithoutExecutorRefusesToStart) {
+  // Admitted requests only ever run as executor tasks: a server given
+  // no executor has no way to serve them, so it never binds.
+  QueryEngine engine(*searcher_);
+  FrontDoor door(engine);
+  wire::Server server(door);
+  EXPECT_FALSE(server.Start());
+  EXPECT_EQ(server.port(), 0u);
+  server.Stop();  // a refused Start leaves nothing to stop
+}
+
 TEST_F(WireDispatchTest, ServeFrameMatchesInProcessServe) {
   ManualClock clock;
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine engine(*searcher_);
   FrontDoorOptions options;
   options.clock = &clock;
   FrontDoor door(engine, options);
@@ -681,7 +692,7 @@ TEST_F(WireDispatchTest, ServeFrameMatchesInProcessServe) {
 
 TEST_F(WireDispatchTest, IngestFrameCarriesEveryFrontDoorOutcome) {
   ManualClock clock;
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine engine(*searcher_);
   FrontDoorOptions options;
   options.clock = &clock;
   // Burst 9, no refill: three 3-check-in batches get through admission

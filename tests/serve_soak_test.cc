@@ -54,7 +54,7 @@ class ServeSoakTest : public ::testing::Test {
           pool_.begin() + c * kQueriesPerRequest,
           pool_.begin() + (c + 1) * kQueriesPerRequest);
     }
-    QueryEngine quiet(*searcher_, EngineOptions{.threads = 1});
+    QueryEngine quiet(*searcher_);
     for (uint32_t c = 0; c < kClientThreads; ++c) {
       reference_.push_back(
           quiet.Run(client_queries_[c], kTopK, QueryKind::kAtsq));
@@ -135,12 +135,11 @@ TEST_F(ServeSoakTest, ShedRequestsConsumeNoExecutorWorkUnderOverload) {
             uint64_t{kClientThreads} * kRequestsPerClient);
 
   // The central overload invariant: executor tasks exist only for
-  // admitted requests — each runs min(threads, queries) batch tasks —
-  // and shed requests contribute exactly zero.
-  const uint64_t expected_per_ok =
-      std::min<uint64_t>(executor.threads(), kQueriesPerRequest);
+  // admitted requests — each submits one task per query but the first,
+  // which runs on the serving thread — and shed requests contribute
+  // exactly zero.
   EXPECT_EQ(executor.tasks_submitted() - tasks_before,
-            ok_count.load() * expected_per_ok);
+            ok_count.load() * (kQueriesPerRequest - 1));
 
   const FrontDoorCounters counters = door.counters();
   EXPECT_EQ(counters.admitted, ok_count.load());

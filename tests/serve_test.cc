@@ -216,7 +216,7 @@ class ServeTest : public ::testing::Test {
 
 TEST_F(ServeTest, PerTenantBucketsIsolateTenants) {
   ManualClock clock;
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine engine(*searcher_);
   FrontDoorOptions options;
   options.clock = &clock;
   options.default_quota = TenantQuota{/*tokens_per_sec=*/0.0, /*burst=*/2.0};
@@ -237,7 +237,7 @@ TEST_F(ServeTest, PerTenantBucketsIsolateTenants) {
 
 TEST_F(ServeTest, TenantQuotaOverridesApply) {
   ManualClock clock;
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine engine(*searcher_);
   FrontDoorOptions options;
   options.clock = &clock;
   options.default_quota = TenantQuota{0.0, 1.0};
@@ -270,9 +270,9 @@ TEST_F(ServeTest, ShedRequestCreatesZeroExecutorTasks) {
   const uint64_t before_ok = executor.tasks_submitted();
   ServeResult ok = door.Serve(request);
   EXPECT_EQ(ok.status, ServeStatus::kOk);
+  // One task per query but the first, which runs on the calling thread.
   const uint64_t ok_tasks = executor.tasks_submitted() - before_ok;
-  EXPECT_EQ(ok_tasks,
-            std::min<uint64_t>(executor.threads(), queries_.size()));
+  EXPECT_EQ(ok_tasks, queries_.size() - 1);
 
   // Second request: bucket empty → shed, and the executor counter is
   // the proof that shedding did zero engine work.
@@ -313,7 +313,7 @@ TEST_F(ServeTest, DeadlineJustAheadOfNowCompletes) {
   // is NOT expired at the entry check, and since the ManualClock never
   // advances during the batch, the request completes normally.
   ManualClock clock;
-  QueryEngine engine(*searcher_, EngineOptions{.threads = 1});
+  QueryEngine engine(*searcher_);
   FrontDoorOptions options;
   options.clock = &clock;
   FrontDoor door(engine, options);
@@ -357,7 +357,7 @@ class ClockAdvancingSearcher : public Searcher {
 TEST_F(ServeTest, MidBatchExpiryRefusesRemainingQueriesAndAllResults) {
   ManualClock clock;
   ClockAdvancingSearcher ticking(*searcher_, clock, /*tick_micros=*/1'000);
-  QueryEngine engine(ticking, EngineOptions{.threads = 1});
+  QueryEngine engine(ticking);
 
   const std::vector<Query> batch_queries(queries_.begin(),
                                          queries_.begin() + 4);
@@ -495,10 +495,7 @@ class LoadDriverTest : public ::testing::Test {
     std::unique_ptr<Executor> executor;
     if (threads > 1) executor = std::make_unique<Executor>(threads);
     ShardedSearcher searcher(*sharded_, {}, executor.get());
-    EngineOptions engine_options;
-    engine_options.threads = 1;
-    if (executor != nullptr) engine_options.executor = executor.get();
-    QueryEngine engine(searcher, engine_options);
+    QueryEngine engine(searcher, EngineOptions{.executor = executor.get()});
 
     FrontDoorOptions door_options;
     door_options.clock = &clock;
@@ -575,7 +572,7 @@ TEST_F(LoadDriverTest, InteractiveOvertakesBulkOnASingleSlot) {
   // as interactive latencies far below what FIFO would give them.
   ManualClock clock;
   ShardedSearcher searcher(*sharded_);
-  QueryEngine engine(searcher, EngineOptions{.threads = 1});
+  QueryEngine engine(searcher);
   FrontDoorOptions door_options;
   door_options.clock = &clock;
   door_options.default_quota = TenantQuota{1e6, 1e6};  // admission off

@@ -229,8 +229,9 @@ TEST(ShardedSearcher, BatchThroughQueryEngineMatchesSingleIndex) {
   const ShardedSearcher fanned(sharded);
 
   const auto queries = TestQueries(dataset, 321, 16);
-  const QueryEngine single_engine(single, EngineOptions{.threads = 1});
-  const QueryEngine shard_engine(fanned, EngineOptions{.threads = 4});
+  Executor executor(4);
+  const QueryEngine single_engine(single);
+  const QueryEngine shard_engine(fanned, EngineOptions{.executor = &executor});
   for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
     const BatchResult want = single_engine.Run(queries, 9, kind);
     const BatchResult got = shard_engine.Run(queries, 9, kind);
@@ -242,8 +243,8 @@ TEST(ShardedSearcher, BatchThroughQueryEngineMatchesSingleIndex) {
 }
 
 TEST(ShardedSearcher, NestedFanOutInsideEngineTasksMatchesSingleIndex) {
-  // The full production shape: engine batch tasks AND per-query shard
-  // tasks on ONE executor — nested submission, no second pool. Answers
+  // Engine query tasks AND per-query shard tasks on ONE executor —
+  // nested submission, no second pool. Answers
   // must stay bit-identical to the single-threaded monolithic run.
   const Dataset dataset = GenerateCity(CityProfile::Testing(150, 67));
   const GatIndex single_index(dataset);
@@ -255,7 +256,7 @@ TEST(ShardedSearcher, NestedFanOutInsideEngineTasksMatchesSingleIndex) {
   const ShardedSearcher fanned(sharded, {}, &executor);
 
   const auto queries = TestQueries(dataset, 321, 16);
-  const QueryEngine single_engine(single, EngineOptions{.threads = 1});
+  const QueryEngine single_engine(single);
   const QueryEngine shard_engine(fanned, EngineOptions{.executor = &executor});
   for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
     const BatchResult want = single_engine.Run(queries, 9, kind);

@@ -457,11 +457,12 @@ TEST(MappedSnapshot, EngineBatchesMatchHeapAtOneAndFourThreads) {
   // Concurrent engine batches over one mapping answer exactly like the
   // heap-resident index, with equal logical disk_reads.
   const GatSearcher heap(dataset, built);
-  const QueryEngine reference(heap, EngineOptions{.threads = 1});
+  const QueryEngine reference(heap);
   const BatchResult want = reference.Run(queries, 9, QueryKind::kAtsq);
-  for (const uint32_t threads : {1u, 4u}) {
-    SCOPED_TRACE(threads);
-    const QueryEngine engine(mapped, EngineOptions{.threads = threads});
+  Executor executor(4);
+  for (Executor* on : {static_cast<Executor*>(nullptr), &executor}) {
+    SCOPED_TRACE(on != nullptr ? "executor" : "inline");
+    const QueryEngine engine(mapped, EngineOptions{.executor = on});
     const BatchResult got = engine.Run(queries, 9, QueryKind::kAtsq);
     ASSERT_EQ(got.results.size(), want.results.size());
     for (size_t i = 0; i < want.results.size(); ++i) {
