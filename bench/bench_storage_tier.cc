@@ -5,8 +5,9 @@
 //
 //   * simulated/...: the reference — everything heap-resident, disk
 //     reads only counted. Its deterministic counters gate regressions.
-//   * equivalence: a MappedSnapshot of the same index must answer every
-//     query bit-identically AND with the *same logical disk_reads* —
+//   * equivalence: the same index loaded with a block cache (mapped)
+//     must answer every query bit-identically AND with the *same
+//     logical disk_reads* —
 //     the mmap tier changes what a read physically does (page-granular
 //     block I/O + CRC verify through the block cache), never how many
 //     the algorithm performs. Asserted per query, fatal on divergence.
@@ -43,8 +44,7 @@
 #include "gat/index/snapshot.h"
 #include "gat/shard/sharded_index.h"
 #include "gat/shard/sharded_searcher.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
+#include "gat/storage/block_cache.h"
 
 namespace gat::bench {
 namespace {
@@ -93,7 +93,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   // read counts, per query — the mmap tier changes what a read
   // physically does, never how many the algorithm performs.
   {
-    const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(snapshot_path);
+    const auto snap = LoadSnapshot(snapshot_path, nullptr, 0, nullptr,
+                                   std::make_shared<BlockCache>());
     if (!snap) {
       std::fprintf(stderr, "FATAL: cannot mmap-load %s\n",
                    snapshot_path.c_str());
@@ -133,20 +134,19 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   double prev_avg_ms = -1.0;
   bool avg_ms_monotone = true;
   for (const SweepPoint& point : sweep) {
-    MappedSnapshotOptions options;
-    options.cache_config.block_bytes = 1024;
-    options.cache_config.shards = 4;
-    options.cache_config.capacity_bytes =
-        std::max<uint64_t>(file_bytes / point.divisor, 4 * 1024);
-    const LoadedSnapshot snap =
-        LoadedSnapshot::LoadMapped(snapshot_path, options);
+    const auto cache = std::make_shared<BlockCache>(BlockCacheConfig{
+        .block_bytes = 1024,
+        .capacity_bytes =
+            std::max<uint64_t>(file_bytes / point.divisor, 4 * 1024),
+        .shards = 4});
+    const auto snap = LoadSnapshot(snapshot_path, nullptr, 0, nullptr, cache);
     if (!snap) {
       std::fprintf(stderr, "FATAL: mmap-load failed in sweep\n");
       std::exit(1);
     }
     const GatSearcher mapped(city, *snap);
     const Measurement m = MeasureWorkload(mapped, queries, kTopK, kKind,
-                                          proto, &snap.mapped()->cache());
+                                          proto, cache.get());
     char name[128];
     std::snprintf(name, sizeof(name), "NY/ATSQ/mmap/cache=%s", point.label);
     report.Add(name, m, queries.size());
@@ -233,7 +233,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     const auto streamed = LoadSnapshot(snapshot_path, nullptr, fingerprint);
     const double stream_ms = stream_timer.ElapsedMillis();
     Stopwatch map_timer;
-    const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(snapshot_path);
+    const auto snap = LoadSnapshot(snapshot_path, nullptr, 0, nullptr,
+                                   std::make_shared<BlockCache>());
     const double map_ms = map_timer.ElapsedMillis();
     if (streamed == nullptr || !snap) {
       std::fprintf(stderr, "FATAL: startup loads failed\n");

@@ -12,10 +12,11 @@
 /// the high HICL levels, the ITL and the TAS are memory resident. Each
 /// component reports its bytes per tier (`GatIndex::memory_breakdown()`,
 /// the memory cost of Figure 8), and searches count their disk accesses.
-/// What a "disk access" physically is depends on the `DiskTier` the
-/// index reads through (gat/storage/disk_tier.h): the
-/// default simulated tier only counts, the mmap tier does page-granular
-/// block I/O through a cache — with identical logical-read counts.
+/// What a "disk access" physically is depends on where the index's disk
+/// sections live: a heap image only counts it, and a mapped snapshot
+/// (`LoadSnapshot` with a block cache) also does page-granular block I/O
+/// through the cache (gat/storage/mapped_disk_tier.h) — with identical
+/// logical-read counts.
 namespace gat {
 
 /// hits / lookups with the shared zero-lookups convention (0.0) — the
@@ -29,9 +30,9 @@ inline double CacheHitRate(uint64_t hits, uint64_t lookups) {
 /// Mutable counter of disk reads, threaded through searches.
 ///
 /// `reads` counts *logical* fetches (one per APL row / disk-tier HICL
-/// list), the paper-comparable unit that is identical under the
-/// simulated and the mmap-backed tier. The block counters are populated
-/// only by a block-cached tier: `block_hits + blocks_read` is the number
+/// list), the paper-comparable unit that is identical for a heap-resident
+/// and a mapped index. The block counters are populated only by a
+/// mapped index: `block_hits + blocks_read` is the number
 /// of cache-block lookups the logical fetches decomposed into, and
 /// `blocks_read` the misses that did real page-granular I/O.
 ///

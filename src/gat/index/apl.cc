@@ -5,6 +5,7 @@
 
 #include "gat/common/check.h"
 #include "gat/index/snapshot_format.h"
+#include "gat/storage/mapped_disk_tier.h"
 
 namespace gat {
 
@@ -35,7 +36,6 @@ Apl::Apl(const Dataset& dataset) {
     words += 3 * kCountWords + 2 * sort_row(t) + 1 + pairs.size();
   }
   image_.resize(words);
-  image_base_ = reinterpret_cast<const char*>(image_.data());
   rows_.reserve(dataset.size());
   // Second pass writes each row as the snapshot stores it.
   uint32_t* out = image_.data();
@@ -62,16 +62,16 @@ Apl::Apl(const Dataset& dataset) {
 
 const Apl::RowView* Apl::FetchRow(TrajectoryId t,
                                   DiskAccessCounter* disk) const {
-  // Charge-then-check, like the seed: a probe of a nonexistent row is
-  // still one (fruitless) fetch.
-  if (t >= rows_.size()) {
-    tier_->Fetch(0, 0, disk);
-    return nullptr;
-  }
+  // nullptr = "this query already fetched the row": no charge, no block
+  // I/O. Charge-then-check, like the seed: a probe of a nonexistent row
+  // is still one (fruitless) fetch.
+  if (disk != nullptr) disk->RecordRead();
+  if (t >= rows_.size()) return nullptr;
   const RowView& row = rows_[t];
-  const auto [offset, bytes] =
-      snapshot_format::ArrayExtent(image_base_, row.activities, row.points);
-  tier_->Fetch(offset, bytes, disk);
+  if (disk != nullptr && tier_ != nullptr) {
+    tier_->ReadBlocks(snapshot_format::ArrayExtent(row.activities, row.points),
+                      disk);
+  }
   return &row;
 }
 

@@ -8,10 +8,10 @@
 #include "gat/common/storage_tier.h"
 #include "gat/common/types.h"
 #include "gat/model/dataset.h"
-#include "gat/storage/disk_tier.h"
 
 namespace gat {
 
+class MappedDiskTier;
 struct SnapshotIo;
 
 /// Activity Posting List (Section IV, component iv).
@@ -19,18 +19,17 @@ struct SnapshotIo;
 /// For every trajectory and every activity it contains, APL lists the point
 /// indices carrying that activity. The paper stores this on disk ("due to
 /// its high space requirement") and fetches it only during candidate
-/// validation and distance evaluation — every lookup therefore goes through
-/// the attached `DiskTier`, which records one logical disk read per fetched
-/// row (and, for an mmap-backed tier, runs the row's covering cache blocks
-/// through the block cache).
+/// validation and distance evaluation — every lookup therefore charges one
+/// logical disk read per fetched row, and an index served from a mapping
+/// also reads the row's covering cache blocks through its `MappedDiskTier`.
 ///
 /// Storage is one image of u32 words laid out like the snapshot's `APL_`
 /// rows: per trajectory its activities, offsets and points, each a u64
 /// count and then the elements. A row is three spans into it. A build
-/// writes the image into one heap buffer, `LoadSnapshot` copies the
-/// section into one, and a `MappedSnapshot` serves it from the file
-/// mapping. A fetched row's byte extent runs from its first count word
-/// through its last point, measured from the image base.
+/// writes the image into one heap buffer, `LoadSnapshot` without a cache
+/// copies the section into one, and with a cache it serves the section
+/// from the file mapping. A fetched row's bytes run from its first count
+/// word through its last point.
 class Apl {
  public:
   explicit Apl(const Dataset& dataset);
@@ -73,10 +72,9 @@ class Apl {
 
   /// The heap image; empty when the rows are served from a mapping.
   std::vector<uint32_t> image_;
-  /// Start of the image the rows point into: `image_` or the mapping.
-  const char* image_base_ = nullptr;
   std::vector<RowView> rows_;
-  const DiskTier* tier_ = SimulatedDiskTier::Instance();
+  /// The mapping's block reader; nullptr for a heap image.
+  const MappedDiskTier* tier_ = nullptr;
   size_t disk_bytes_ = 0;
 };
 

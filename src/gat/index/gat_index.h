@@ -10,6 +10,7 @@
 #include "gat/index/itl.h"
 #include "gat/index/tas.h"
 #include "gat/model/dataset.h"
+#include "gat/storage/mapped_disk_tier.h"
 
 namespace gat {
 
@@ -35,6 +36,11 @@ struct GatConfig {
 /// The Grid index for Activity Trajectories (Section IV): the hierarchical
 /// quad grid plus its four components — HICL, ITL, TAS, APL — built in one
 /// pass over a finalized dataset.
+///
+/// An index owns everything its components point into: a built or
+/// heap-loaded one holds its lists in the components' own images, and one
+/// loaded with a block cache also owns the mapping, with the cache
+/// reference and block reader, that its disk sections are spans into.
 ///
 /// Thread-safety: immutable after the constructor returns. Every accessor
 /// (including the component getters and `memory_breakdown()`) is const and
@@ -72,6 +78,10 @@ class GatIndex {
   /// restored by `LoadSnapshot`, loading it).
   double build_seconds() const { return build_seconds_; }
 
+  /// Whether the disk sections are served from a mapped snapshot through
+  /// a block cache (`LoadSnapshot` with a cache), not from the heap.
+  bool mapped() const { return disk_ != nullptr; }
+
  private:
   friend struct SnapshotIo;  // snapshot.cc restores indexes w/o a build
 
@@ -82,6 +92,9 @@ class GatIndex {
 
   GatConfig config_;
   GridGeometry grid_;
+  /// The mapped storage; declared before the components, which hold
+  /// spans into it, so that they are destroyed first.
+  std::unique_ptr<const MappedDiskTier> disk_;
   std::unique_ptr<Hicl> hicl_;
   std::unique_ptr<Itl> itl_;
   std::unique_ptr<Tas> tas_;

@@ -5,6 +5,7 @@
 #include "gat/common/check.h"
 #include "gat/geo/zorder.h"
 #include "gat/index/snapshot_format.h"
+#include "gat/storage/mapped_disk_tier.h"
 
 namespace gat {
 
@@ -42,7 +43,6 @@ Hicl::Hicl(int depth, int memory_levels,
     }
   }
   image_.resize(words);
-  image_base_ = reinterpret_cast<const char*>(image_.data());
   lists_.reserve(leaf_cells_per_activity.size() * depth_);
   // Second pass writes every list as the snapshot stores it.
   uint32_t* out = image_.data();
@@ -72,9 +72,10 @@ std::span<const uint32_t> Hicl::CellsAt(ActivityId a, int level,
   if (list >= lists_.size()) return {};  // an activity the index lacks
   const auto cells = lists_[list];
   if (level > memory_levels_ && disk != nullptr) {
-    const auto [offset, bytes] =
-        snapshot_format::ArrayExtent(image_base_, cells, cells);
-    tier_->Fetch(offset, bytes, disk);
+    disk->RecordRead();
+    if (tier_ != nullptr) {
+      tier_->ReadBlocks(snapshot_format::ArrayExtent(cells, cells), disk);
+    }
   }
   return cells;
 }

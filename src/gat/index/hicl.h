@@ -7,10 +7,10 @@
 
 #include "gat/common/storage_tier.h"
 #include "gat/common/types.h"
-#include "gat/storage/disk_tier.h"
 
 namespace gat {
 
+class MappedDiskTier;
 struct SnapshotIo;
 
 /// Hierarchical Inverted Cell List (Section IV, component i).
@@ -23,17 +23,18 @@ struct SnapshotIo;
 /// Storage tiers follow the paper: levels 1..memory_levels are main-memory
 /// resident; deeper levels are disk-resident (`h = log4(3B/4C + 1)` for
 /// budget B and vocabulary size C — we expose `MemoryLevelsForBudget` for
-/// that formula and let callers pick). Queries against disk levels fetch
-/// the list through the attached `DiskTier` (one logical read charged to
-/// the supplied DiskAccessCounter; block I/O under an mmap-backed tier).
+/// that formula and let callers pick). A query against a disk level charges
+/// one logical read to the supplied DiskAccessCounter, and an index served
+/// from a mapping also reads the list's cache blocks through its
+/// `MappedDiskTier`.
 ///
 /// Like `Apl`, every list is a span into an image of u32 words laid out
 /// like the snapshot's `HICL` lists (a u64 count, then the codes). A build
-/// writes every list into one heap buffer and `LoadSnapshot` copies them
-/// into one. A `MappedSnapshot` copies only the memory levels into the
-/// buffer, so they stay RAM-resident; the disk levels are served from the
-/// file mapping. A disk-level fetch reads the list's count word and codes,
-/// at their offset from the image base.
+/// writes every list into one heap buffer and `LoadSnapshot` without a
+/// cache copies them into one. With a cache it copies only the memory
+/// levels into the buffer, so they stay RAM-resident; the disk levels are
+/// served from the file mapping. A disk-level fetch reads the list's
+/// count word and codes.
 class Hicl {
  public:
   /// `leaf_cells_per_activity[a]` = sorted unique leaf Morton codes where
@@ -92,11 +93,9 @@ class Hicl {
   /// The heap image: every list, or only the memory levels when the disk
   /// levels are served from a mapping.
   std::vector<uint32_t> image_;
-  /// Start of the image the disk levels point into: `image_` or the
-  /// mapping.
-  const char* image_base_ = nullptr;
   std::vector<std::span<const uint32_t>> lists_;  // a * depth + (level - 1)
-  const DiskTier* tier_ = SimulatedDiskTier::Instance();
+  /// The mapping's block reader; nullptr for a heap image.
+  const MappedDiskTier* tier_ = nullptr;
   size_t memory_bytes_ = 0;
   size_t disk_bytes_ = 0;
 };

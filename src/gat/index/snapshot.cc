@@ -22,7 +22,9 @@
 #include "gat/index/snapshot_format.h"
 #include "gat/index/tas.h"
 #include "gat/model/binary_io.h"
+#include "gat/storage/mapped_disk_tier.h"
 #include "gat/storage/mapped_file.h"
+#include "gat/util/stopwatch.h"
 
 namespace gat {
 namespace {
@@ -184,6 +186,72 @@ bool ValidateRows(Executor* executor, size_t rows,
   return ok.load();
 }
 
+/// The sweep's block size when nothing is mapped: one page.
+constexpr uint32_t kSweepBlockBytes = 4096;
+
+/// Below this many blocks the sweep runs inline: the task submission
+/// would rival the scan.
+constexpr uint64_t kParallelSweepMinBlocks = 256;
+
+/// One read of the whole file, in `block_bytes` blocks: returns the CRC32
+/// of the payload (the bytes after the header), which the parser gates
+/// on, and stores each block's own CRC32 in `*block_crcs` unless it is
+/// null. With an executor the sweep fans out as contiguous block ranges
+/// and the chunk CRCs are folded with Crc32Combine, so every checksum —
+/// and therefore the accept/reject decision — equals the inline pass.
+uint32_t SweepChecksums(std::span<const char> file, uint32_t block_bytes,
+                        std::vector<uint32_t>* block_crcs,
+                        Executor* executor) {
+  const uint64_t size = file.size();
+  const uint64_t num_blocks = (size + block_bytes - 1) / block_bytes;
+  if (block_crcs != nullptr) block_crcs->resize(num_blocks);
+  // Conditioned CRC of one chunk's payload bytes, and its length.
+  auto sweep_chunk = [&](uint64_t first_block, uint64_t end_block,
+                         uint64_t* payload_len) {
+    uint32_t crc = 0xFFFFFFFFu;
+    *payload_len = 0;
+    for (uint64_t b = first_block; b < end_block; ++b) {
+      const uint64_t start = b * block_bytes;
+      const uint64_t end = std::min<uint64_t>(start + block_bytes, size);
+      if (block_crcs != nullptr) {
+        (*block_crcs)[b] = Crc32(file.data() + start, end - start);
+      }
+      const uint64_t payload_start = std::max<uint64_t>(start, kHeaderBytes);
+      if (end > payload_start) {
+        crc = Crc32Update(crc, file.data() + payload_start,
+                          end - payload_start);
+        *payload_len += end - payload_start;
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+
+  if (executor == nullptr || executor->threads() <= 1 ||
+      num_blocks < kParallelSweepMinBlocks) {
+    uint64_t payload_len = 0;
+    return sweep_chunk(0, num_blocks, &payload_len);
+  }
+  const uint64_t chunks = std::min<uint64_t>(executor->threads(), num_blocks);
+  const uint64_t per_chunk = (num_blocks + chunks - 1) / chunks;
+  std::vector<uint32_t> chunk_crcs(chunks, 0);
+  std::vector<uint64_t> chunk_lens(chunks, 0);
+  TaskGroup group(*executor);
+  for (uint64_t c = 0; c < chunks; ++c) {
+    group.Submit([&, c] {
+      const uint64_t first = c * per_chunk;
+      const uint64_t end = std::min(num_blocks, first + per_chunk);
+      chunk_crcs[c] = sweep_chunk(first, end, &chunk_lens[c]);
+    });
+  }
+  group.Wait();
+  uint32_t payload_crc = chunk_crcs[0];
+  for (uint64_t c = 1; c < chunks; ++c) {
+    payload_crc = snapshot_format::Crc32Combine(payload_crc, chunk_crcs[c],
+                                                chunk_lens[c]);
+  }
+  return payload_crc;
+}
+
 }  // namespace
 
 /// Private-state accessor for snapshot save/parse; befriended by GatIndex
@@ -212,12 +280,18 @@ struct SnapshotIo {
     return out.good();
   }
 
+  /// The one `GATS` parser. `file` is the whole snapshot, header
+  /// included; `payload_crc` is the CRC32 of the bytes after the header.
+  /// `disk` decides only where the disk-resident sections live: nullptr
+  /// copies them into the index's heap images, non-null keeps them as
+  /// spans into its mapping (which is `file`), read through it. The
+  /// index owns `disk`; a rejected file drops it on return.
   static std::unique_ptr<GatIndex> Parse(std::span<const char> file,
                                          uint32_t payload_crc,
                                          const GatConfig* expected,
                                          uint32_t expected_fingerprint,
                                          Executor* executor,
-                                         const DiskTier* tier,
+                                         std::unique_ptr<MappedDiskTier> disk,
                                          const Stopwatch& timer) {
     ByteReader r{file.data(), file.size(), 0};
     uint32_t version = 0, stored_crc = 0;
@@ -259,6 +333,8 @@ struct SnapshotIo {
     // Private restore ctor; components are filled below.
     std::unique_ptr<GatIndex> index(
         new GatIndex(config, GridGeometry::Restore(space, config.depth)));
+    const MappedDiskTier* tier = disk.get();
+    index->disk_ = std::move(disk);
     index->hicl_ = ParseHicl(r, config, tier, executor);
     if (index->hicl_ == nullptr) return nullptr;
     uint64_t itl_rows_required = 0;  // 1 + max trajectory ID the ITL emits
@@ -291,7 +367,7 @@ struct SnapshotIo {
   }
 
   static std::unique_ptr<Hicl> ParseHicl(ByteReader& r, const GatConfig& config,
-                                         const DiskTier* tier,
+                                         const MappedDiskTier* tier,
                                          Executor* executor) {
     if (!r.ExpectTag(kTagHicl)) return nullptr;
     std::unique_ptr<Hicl> hicl(new Hicl());
@@ -357,10 +433,7 @@ struct SnapshotIo {
         CopyArray(&hicl->lists_[i], &out);
       }
     }
-    hicl->image_base_ =
-        tier == nullptr ? reinterpret_cast<const char*>(hicl->image_.data())
-                        : r.data;
-    if (tier != nullptr) hicl->tier_ = tier;
+    hicl->tier_ = tier;
     return hicl;
   }
 
@@ -484,7 +557,8 @@ struct SnapshotIo {
     }
   }
 
-  static std::unique_ptr<Apl> ParseApl(ByteReader& r, const DiskTier* tier,
+  static std::unique_ptr<Apl> ParseApl(ByteReader& r,
+                                       const MappedDiskTier* tier,
                                        Executor* executor) {
     if (!r.ExpectTag(kTagApl)) return nullptr;
     std::unique_ptr<Apl> apl(new Apl());
@@ -516,13 +590,11 @@ struct SnapshotIo {
     if (!rows_ok) return nullptr;
     apl->disk_bytes_ = disk_bytes;
     if (tier != nullptr) {
-      apl->image_base_ = r.data;
       apl->tier_ = tier;
       return apl;
     }
     // No tier: the rows are copied into the heap image, once.
     apl->image_.resize((r.pos - rows_start) / sizeof(uint32_t));
-    apl->image_base_ = reinterpret_cast<const char*>(apl->image_.data());
     uint32_t* out = apl->image_.data();
     for (auto& row : apl->rows_) {
       CopyArray(&row.activities, &out);
@@ -597,31 +669,31 @@ bool SaveSnapshot(const GatIndex& index, const std::string& path,
   return true;
 }
 
-std::unique_ptr<GatIndex> ParseSnapshot(std::span<const char> file,
-                                        uint32_t payload_crc,
-                                        const GatConfig* expected,
-                                        uint32_t expected_fingerprint,
-                                        Executor* executor,
-                                        const DiskTier* tier,
-                                        const Stopwatch& timer) {
-  return SnapshotIo::Parse(file, payload_crc, expected, expected_fingerprint,
-                           executor, tier, timer);
-}
-
 std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
                                        const GatConfig* expected,
                                        uint32_t expected_fingerprint,
-                                       Executor* executor) {
+                                       Executor* executor,
+                                       std::shared_ptr<BlockCache> cache) {
   Stopwatch timer;
-  // Map, checksum, parse: no tier, so every section is copied into the
-  // index and the mapping is dropped on return.
   MappedFile file;
   if (!file.Open(path)) return nullptr;
-  const size_t header = std::min(file.size(), kHeaderBytes);
-  const uint32_t payload_crc =
-      Crc32(file.data() + header, file.size() - header);
-  return ParseSnapshot({file.data(), file.size()}, payload_crc, expected,
-                       expected_fingerprint, executor, /*tier=*/nullptr, timer);
+  const std::span<const char> bytes{file.data(), file.size()};
+  // Block checksums are recorded only for a mapped index, at its cache's
+  // block size: it verifies every filled block against them.
+  std::vector<uint32_t> block_crcs;
+  const uint32_t payload_crc = SweepChecksums(
+      bytes, cache != nullptr ? cache->block_bytes() : kSweepBlockBytes,
+      cache != nullptr ? &block_crcs : nullptr, executor);
+  // The tier exists before the parse because the disk sections are
+  // wired to it; a rejected file unregisters it again on return. The
+  // mapping moves into it, so `bytes` stays valid.
+  std::unique_ptr<MappedDiskTier> disk;
+  if (cache != nullptr) {
+    disk = std::make_unique<MappedDiskTier>(std::move(file), std::move(cache),
+                                            std::move(block_crcs));
+  }
+  return SnapshotIo::Parse(bytes, payload_crc, expected, expected_fingerprint,
+                           executor, std::move(disk), timer);
 }
 
 }  // namespace gat

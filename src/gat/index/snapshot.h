@@ -3,13 +3,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 
 #include "gat/engine/executor.h"
 #include "gat/index/gat_index.h"
-#include "gat/storage/disk_tier.h"
-#include "gat/util/stopwatch.h"
+#include "gat/storage/block_cache.h"
 
 namespace gat {
 
@@ -53,51 +51,40 @@ uint32_t DatasetFingerprint(const Dataset& dataset);
 bool SaveSnapshot(const GatIndex& index, const std::string& path,
                   uint32_t dataset_fingerprint = 0);
 
-/// Loads a snapshot. When `expected` is non-null, the stored `GatConfig`
-/// must equal `*expected`; when `expected_fingerprint` is non-zero and
-/// the snapshot was stamped (non-zero), the fingerprints must match —
-/// together these refuse snapshots built under different index
-/// parameters or over a different dataset. The returned index's
-/// `build_seconds()` reports the load time. Returns nullptr on any
-/// error.
+/// Loads a snapshot: the one loader. When `expected` is non-null, the
+/// stored `GatConfig` must equal `*expected`; when `expected_fingerprint`
+/// is non-zero and the snapshot was stamped (non-zero), the fingerprints
+/// must match — together these refuse snapshots built under different
+/// index parameters or over a different dataset. Magic, version, the
+/// payload CRC, section tags, count bounds, structural and cross-section
+/// checks decide the rest. The returned index's `build_seconds()`
+/// reports the load time. Returns nullptr on any error.
 ///
-/// `executor` (optional, non-owning) fans the structural validation of
-/// the big HICL/APL sections out as tasks — the warm-start accelerator
-/// for callers that already run a pool, e.g. `ShardedIndex` restoring
-/// every shard on the serving executor. The accept/reject decision is
-/// identical with or without it.
+/// The file is mapped and checksummed in one sweep. `executor`
+/// (optional, non-owning) fans that sweep and the structural validation
+/// of the big HICL/APL sections out as tasks — the warm-start
+/// accelerator for callers that already run a pool, e.g. `ShardedIndex`
+/// restoring every shard on the serving executor. The accept/reject
+/// decision is identical with or without it.
 ///
-/// The file is mapped, checksummed and handed to `ParseSnapshot` with
-/// no tier, so each section's bytes are copied into the index once: the
-/// HICL lists and the APL rows each into one heap image laid out like
-/// their section. The mapping is dropped on return.
-std::unique_ptr<GatIndex> LoadSnapshot(const std::string& path,
-                                       const GatConfig* expected = nullptr,
-                                       uint32_t expected_fingerprint = 0,
-                                       Executor* executor = nullptr);
-
-/// The one `GATS` parser, behind both `LoadSnapshot` and
-/// `MappedSnapshot::Load` (gat/storage). `file` is the whole snapshot,
-/// header included; `payload_crc` is the CRC32 of the bytes after the
-/// 12-byte header, computed by the caller (each sweeps the file its own
-/// way). It makes every accept/reject decision: magic, version,
-/// checksum, config and fingerprint gating as in `LoadSnapshot`,
-/// section tags, count bounds, structural and cross-section checks.
-///
-/// `tier` decides only where the disk-resident sections (HICL levels
-/// past `memory_levels`, APL rows) live. nullptr copies them into the
-/// index's heap images, served through the simulated tier. Non-null
-/// keeps them as spans into `file`, whose fetches read their file
-/// extents through `tier`, so `file` must outlive the index. The
-/// RAM-resident sections are always copied. The index's
-/// `build_seconds()` is `timer`'s elapsed time when the parse ends.
-std::unique_ptr<GatIndex> ParseSnapshot(std::span<const char> file,
-                                        uint32_t payload_crc,
-                                        const GatConfig* expected,
-                                        uint32_t expected_fingerprint,
-                                        Executor* executor,
-                                        const DiskTier* tier,
-                                        const Stopwatch& timer);
+/// `cache` decides only where the disk-resident sections (HICL levels
+/// past `memory_levels`, APL rows) live:
+///  * nullptr: every section is copied into the index once — the HICL
+///    lists and the APL rows each into one heap image laid out like
+///    their section — and the mapping is dropped on return;
+///  * non-null: the index keeps the mapping and serves the disk sections
+///    as spans into it, each fetch reading its cache blocks through
+///    `cache` and verifying every filled block against the checksum the
+///    sweep recorded. The RAM-resident sections are copied as above. The
+///    index shares ownership of the cache and registers its file there
+///    until it is destroyed; pass one cache to every index that should
+///    share a budget.
+/// Either way the index answers bit-identically to the built one, with
+/// equal logical `disk_reads` counts.
+std::unique_ptr<GatIndex> LoadSnapshot(
+    const std::string& path, const GatConfig* expected = nullptr,
+    uint32_t expected_fingerprint = 0, Executor* executor = nullptr,
+    std::shared_ptr<BlockCache> cache = nullptr);
 
 }  // namespace gat
 

@@ -6,11 +6,10 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
-#include <utility>
 
-/// The on-disk `GATS` snapshot format. `gat/index/snapshot.cc` writes it
-/// and holds its one parser, `ParseSnapshot`; the CRC helpers here also
-/// serve the mmap loader's checksum sweep (`gat/storage/mapped_snapshot.cc`).
+/// The on-disk `GATS` snapshot format. `gat/index/snapshot.cc` writes it,
+/// parses it and runs the load's checksum sweep; the CRC helpers here also
+/// serve a mapped index's block verification (gat/storage/mapped_disk_tier.h).
 ///
 /// Layout: magic + version + payload CRC32 (12-byte header), then the
 /// payload — `GatConfig` fields, dataset fingerprint, and one tagged
@@ -49,17 +48,15 @@ inline uint32_t* PutCount(uint32_t* words, uint64_t count) {
   return words + kCountWords;
 }
 
-/// {offset from `base`, bytes} of the consecutive arrays `first` through
-/// `last` of one image: from `first`'s count through `last`'s final
-/// element. One `DiskTier` fetch of them reads this extent.
-inline std::pair<uint64_t, uint64_t> ArrayExtent(
-    const char* base, std::span<const uint32_t> first,
-    std::span<const uint32_t> last) {
+/// The bytes of the consecutive arrays `first` through `last` of one
+/// image: from `first`'s count through `last`'s final element. One
+/// logical fetch of them reads this extent.
+inline std::span<const char> ArrayExtent(std::span<const uint32_t> first,
+                                         std::span<const uint32_t> last) {
   const char* begin =
       reinterpret_cast<const char*>(first.data()) - sizeof(uint64_t);
   const char* end = reinterpret_cast<const char*>(last.data() + last.size());
-  return {static_cast<uint64_t>(begin - base),
-          static_cast<uint64_t>(end - begin)};
+  return {begin, end};
 }
 
 /// CRC-32 (IEEE 802.3, table-driven). The header carries the payload

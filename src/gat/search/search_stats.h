@@ -26,13 +26,13 @@ struct SearchStats {
   uint64_t heap_pushes = 0;
   /// Retrieval rounds of Algorithm 1 (GAT) / stream advances (RT, IRT).
   uint64_t rounds = 0;
-  /// Logical disk reads (APL fetches, low HICL levels). Identical under
-  /// the simulated and the mmap-backed DiskTier — the tier changes what
-  /// a read physically does, not how many the algorithm performs.
+  /// Logical disk reads (APL fetches, low HICL levels). Identical for a
+  /// heap-resident and a mapped index — the storage changes what a read
+  /// physically does, not how many the algorithm performs.
   uint64_t disk_reads = 0;
   /// Block-cache lookups the logical reads decomposed into, split into
-  /// hits and misses. Only a block-cached tier (gat/storage) populates
-  /// these; under the simulated default both stay 0. `blocks_read` is
+  /// hits and misses. Only a mapped index (gat/storage) populates these;
+  /// for a heap-resident one both stay 0. `blocks_read` is
   /// the misses — the page-granular reads that did real I/O.
   uint64_t block_hits = 0;
   uint64_t blocks_read = 0;

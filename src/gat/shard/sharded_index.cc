@@ -45,12 +45,12 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
 
   std::atomic<uint32_t> loaded{0};
   // Each task writes only its own slot; the group barrier publishes the
-  // slots to whoever pins the finished generation.
-  auto install = [&gen](uint32_t shard, LoadedSnapshot snapshot) {
-    gen->revisions_[shard] = ShardRevision(std::move(snapshot));
-  };
+  // slots to whoever pins the finished generation. A snapshot loads in
+  // this index's serving form: mapped through the shared cache in mmap
+  // mode, else copied onto the heap.
   auto build_shard = [&](uint32_t shard, Executor* shard_executor) {
     const Dataset& shard_dataset = gen->shard_datasets_[shard];
+    std::unique_ptr<const GatIndex>& index = gen->revisions_[shard].index;
     // Binds each snapshot to this exact dataset cut: a stale file — even
     // of a same-sized dataset — fails the load and triggers a rebuild.
     // Only worth the dataset pass when a cache is in play.
@@ -60,28 +60,24 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
         use_snapshots ? SnapshotPath(snapshot_dir, shard, num_shards)
                       : std::string();
     if (use_snapshots) {
-      if (auto snapshot = LoadShard(path, fingerprint, shard_executor)) {
-        install(shard, std::move(snapshot));
+      index = LoadSnapshot(path, &config_, fingerprint, shard_executor, cache_);
+      if (index != nullptr) {
         loaded.fetch_add(1, std::memory_order_relaxed);
         return;
       }
     }
-    auto built = std::make_unique<GatIndex>(shard_dataset, config_);
-    if (use_snapshots) {
-      const bool saved = SaveSnapshot(*built, path,
-                                      fingerprint);  // cache priming
-      if (saved && cache_ != nullptr) {
-        // Cold mmap start: swap the just-built heap index for the
-        // mapped serving form immediately, so even the first process
-        // generation serves its disk tier from the file. Falls back to
-        // the built index if the fresh file cannot be mapped.
-        if (auto snapshot = LoadShard(path, fingerprint, shard_executor)) {
-          install(shard, std::move(snapshot));
-          return;
-        }
+    index = std::make_unique<GatIndex>(shard_dataset, config_);
+    // Cache priming. Cold mmap start: swap the just-built heap index for
+    // the mapped serving form immediately, so even the first process
+    // generation serves its disk tier from the file. Keeps the built
+    // index if the fresh file cannot be mapped.
+    if (use_snapshots && SaveSnapshot(*index, path, fingerprint) &&
+        cache_ != nullptr) {
+      if (auto mapped = LoadSnapshot(path, &config_, fingerprint,
+                                     shard_executor, cache_)) {
+        index = std::move(mapped);
       }
     }
-    install(shard, LoadedSnapshot::FromOwned(std::move(built)));
   };
 
   // Builds and snapshot loads are tasks on the shared executor when the
@@ -113,28 +109,13 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
   return gen;
 }
 
-LoadedSnapshot ShardedIndex::LoadShard(const std::string& path,
-                                       uint32_t fingerprint,
-                                       Executor* executor) const {
-  if (cache_ == nullptr) {
-    return LoadedSnapshot::FromOwned(
-        LoadSnapshot(path, &config_, fingerprint, executor));
-  }
-  MappedSnapshotOptions options;
-  options.expected = &config_;
-  options.expected_fingerprint = fingerprint;
-  options.executor = executor;
-  options.cache = cache_.get();
-  return LoadedSnapshot::LoadMapped(path, options);
-}
-
 ShardedIndex::ShardedIndex(const Dataset& dataset, const GatConfig& config,
                            const ShardOptions& options)
     : config_(config) {
   GAT_CHECK(options.num_shards >= 1);
   GAT_CHECK(!options.mmap_disk_tier || !options.snapshot_dir.empty());
   if (options.mmap_disk_tier) {
-    cache_ = std::make_unique<BlockCache>(options.cache_config);
+    cache_ = std::make_shared<BlockCache>(options.cache_config);
   }
   Stopwatch timer;
   auto gen =
@@ -179,7 +160,7 @@ uint32_t ShardedIndex::shards_mmap_served() const {
   const auto gen = PinGeneration();
   uint32_t count = 0;
   for (uint32_t shard = 0; shard < gen->num_shards(); ++shard) {
-    if (gen->PinShard(shard)->mapped() != nullptr) ++count;
+    if (gen->PinShard(shard)->index->mapped()) ++count;
   }
   return count;
 }

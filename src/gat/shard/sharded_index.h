@@ -13,8 +13,6 @@
 #include "gat/index/gat_index.h"
 #include "gat/model/dataset.h"
 #include "gat/storage/block_cache.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
 
 namespace gat {
 
@@ -53,27 +51,14 @@ struct ShardOptions {
   BlockCacheConfig cache_config;
 };
 
-/// One shard's serving index: a `LoadedSnapshot` — the index plus
-/// whatever owns its storage (a mapping + block-cached tier, or a
-/// heap-built `GatIndex`). Set once when its generation is built and
-/// fixed for the generation's whole life; it is destroyed with the
-/// generation, which is what runs the `MappedDiskTier` destructor and
-/// purges the mapping's blocks from the shared `BlockCache` only after
-/// the generation's last reader drained.
+/// One shard's serving index, which owns its storage: heap images, or a
+/// mapping read through the shared `BlockCache`. Set once when its generation is built and fixed for the
+/// generation's whole life; it is destroyed with the generation, which
+/// unregisters a mapped index's file and purges its blocks from the
+/// shared cache only after the generation's last reader drained.
 struct ShardRevision {
-  ShardRevision() = default;
-  explicit ShardRevision(LoadedSnapshot loaded)
-      : snapshot(std::move(loaded)), index(snapshot.index()) {}
-
-  /// Owns the index and its storage together (the lifetime rule is the
-  /// wrapper's whole point — see storage/loaded_snapshot.h).
-  LoadedSnapshot snapshot;
-  /// The serving index (`snapshot.index()`); never null once built.
-  const GatIndex* index = nullptr;
-
-  /// The mapped storage side when this revision serves out of a
-  /// mapping; nullptr in heap-owned mode.
-  const MappedSnapshot* mapped() const { return snapshot.mapped(); }
+  /// The serving index; never null once built.
+  std::unique_ptr<const GatIndex> index;
 };
 
 /// One shard cut of one dataset generation: the partition (per-shard
@@ -245,18 +230,11 @@ class ShardedIndex {
       const std::string& snapshot_dir, Executor* executor,
       uint32_t build_threads) const;
 
-  /// Loads one shard snapshot in this index's serving form: mapped
-  /// through the shared cache in mmap mode, else copied onto the heap.
-  /// Gated on `config_` and `fingerprint`; empty on any failure.
-  LoadedSnapshot LoadShard(const std::string& path, uint32_t fingerprint,
-                           Executor* executor) const;
-
   GatConfig config_;
-  /// Declared before the published generation on purpose: every mapped
-  /// revision's disk tier unregisters from this cache in its
-  /// destructor, so the cache must outlive the last revision of the
-  /// last generation.
-  std::unique_ptr<BlockCache> cache_;  // shared budget, mmap mode only
+  /// The shared budget, mmap mode only. Every mapped index also holds a
+  /// reference, so the cache outlives the last revision of the last
+  /// generation whatever the order of destruction.
+  std::shared_ptr<BlockCache> cache_;
   mutable std::mutex gen_mu_;
   std::shared_ptr<const ShardGeneration> current_;
   std::atomic<uint64_t> generations_published_{0};

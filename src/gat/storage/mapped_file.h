@@ -8,8 +8,8 @@ namespace gat {
 
 /// A read-only memory mapping of one file — the zero-copy substrate of
 /// the storage subsystem. Move-only RAII: the mapping lives exactly as
-/// long as the object, so anything handing out views into it (a
-/// `MappedSnapshot`) must own it.
+/// long as the object, so anything handing out views into it must own
+/// it: a mapped `GatIndex` owns its file through its `MappedDiskTier`.
 ///
 /// `Open` maps the whole file `PROT_READ`/`MAP_PRIVATE`; read-only file
 /// permissions are sufficient (serving never writes). An existing empty

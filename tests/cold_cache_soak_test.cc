@@ -31,8 +31,7 @@
 #include "gat/index/apl.h"
 #include "gat/index/snapshot.h"
 #include "gat/search/gat_search.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
+#include "gat/storage/block_cache.h"
 
 namespace gat {
 namespace {
@@ -62,7 +61,7 @@ class ColdCacheSoakTest : public ::testing::Test {
     QueryGenerator qgen(dataset_, wp);
     queries_ = qgen.Workload();
 
-    // Quiescent reference over the built index (simulated tier).
+    // Quiescent reference over the built, heap-resident index.
     const GatSearcher fresh(dataset_, *index_);
     const QueryEngine reference(fresh);
     want_ = reference.Run(queries_, kTopK, QueryKind::kAtsq);
@@ -70,10 +69,9 @@ class ColdCacheSoakTest : public ::testing::Test {
 
   void TearDown() override { std::remove(path_.c_str()); }
 
-  LoadedSnapshot LoadThrashing(BlockCache* shared) const {
-    MappedSnapshotOptions options;
-    options.cache = shared;
-    return LoadedSnapshot::LoadMapped(path_, options);
+  std::unique_ptr<GatIndex> LoadThrashing(
+      std::shared_ptr<BlockCache> shared) const {
+    return LoadSnapshot(path_, nullptr, 0, nullptr, std::move(shared));
   }
 
   Dataset dataset_;
@@ -91,12 +89,12 @@ TEST_F(ColdCacheSoakTest, ConcurrentThrashingBatchesStayBitIdentical) {
   cache_config.block_bytes = 512;
   cache_config.capacity_bytes = 32 * 512;
   cache_config.shards = 2;
-  BlockCache cache(cache_config);
+  const auto cache = std::make_shared<BlockCache>(cache_config);
   Executor executor(kBatchThreads);
   std::atomic<uint32_t> mismatches{0};
   std::atomic<uint32_t> churn_failures{0};
   {
-    const auto snap = LoadThrashing(&cache);
+    const auto snap = LoadThrashing(cache);
     ASSERT_TRUE(snap);
     const GatSearcher searcher(dataset_, *snap);
     EngineOptions options;
@@ -109,7 +107,7 @@ TEST_F(ColdCacheSoakTest, ConcurrentThrashingBatchesStayBitIdentical) {
     std::atomic<bool> stop{false};
     std::thread churn([&] {
       while (!stop.load(std::memory_order_acquire)) {
-        const auto transient = LoadThrashing(&cache);
+        const auto transient = LoadThrashing(cache);
         if (!transient) {  // gtest asserts stay on the main thread
           churn_failures.fetch_add(1);
           break;
@@ -141,14 +139,14 @@ TEST_F(ColdCacheSoakTest, ConcurrentThrashingBatchesStayBitIdentical) {
     for (std::thread& t : drivers) t.join();
     stop.store(true, std::memory_order_release);
     churn.join();
-    EXPECT_LE(cache.ResidentBlocks(), cache.capacity_blocks());
+    EXPECT_LE(cache->ResidentBlocks(), cache->capacity_blocks());
   }  // the serving mapping retires here, last of all
 
   EXPECT_EQ(mismatches.load(), 0u);
   EXPECT_EQ(churn_failures.load(), 0u);
   // Every mapping has unregistered, so nothing may stay resident.
-  EXPECT_EQ(cache.ResidentBlocks(), 0u);
-  const BlockCacheStats stats = cache.Snapshot();
+  EXPECT_EQ(cache->ResidentBlocks(), 0u);
+  const BlockCacheStats stats = cache->Snapshot();
   EXPECT_GT(stats.evictions, 0u);      // it thrashed
   EXPECT_GT(stats.files_retired, 1u);  // it churned
   EXPECT_GT(stats.misses, 0u);         // demand reads ran cold

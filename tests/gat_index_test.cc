@@ -101,7 +101,7 @@ TEST(Hicl, UnknownActivityIsEverywhereAbsent) {
   EXPECT_TRUE(hicl.CellsAt(99, 1).empty());
 }
 
-TEST(Hicl, DiskTierAccounting) {
+TEST(Hicl, DiskLevelAccounting) {
   // depth 3, memory_levels 1: levels 2-3 are disk tier.
   Hicl hicl(3, 1, {{0, 1, 2, 3}});
   // Level 3 stores 4 codes, level 2 stores 1, level 1 stores 1.

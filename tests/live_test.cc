@@ -388,6 +388,9 @@ TEST(LiveRace, ConcurrentIngestsMergesAndQueriesConverge) {
   Executor executor(4);
   const LiveSearcher searcher(live, {}, &executor);
   const auto queries = TestQueries(live.base(), 29, 4);
+  // Writers sample check-ins from a copy of the starting base: `base()`
+  // is the latest merged dataset, which the merger reassigns under them.
+  const Dataset sample_frame = GenerateCity(profile);
 
   constexpr int kWriters = 2;
   constexpr int kBatchesPerWriter = 40;
@@ -396,11 +399,11 @@ TEST(LiveRace, ConcurrentIngestsMergesAndQueriesConverge) {
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
   for (int w = 0; w < kWriters; ++w) {
-    threads.emplace_back([&live, w] {
+    threads.emplace_back([&live, &sample_frame, w] {
       Rng rng(100 + static_cast<uint64_t>(w));
       for (int b = 0; b < kBatchesPerWriter; ++b) {
         const auto batch = SampleCheckIns(
-            live.base(), rng, kBatchSize,
+            sample_frame, rng, kBatchSize,
             1000 + static_cast<uint64_t>(w) * 100, 7);
         ASSERT_TRUE(live.Ingest(batch));
       }

@@ -1,5 +1,5 @@
 // Tests for live snapshot reload: the BlockCache file-generation /
-// Unregister protocol, the parallel CRC sweep of MappedSnapshot::Load,
+// Unregister protocol, the parallel CRC sweep of LoadSnapshot,
 // and whole-generation publication (ShardedIndex::ReloadGeneration +
 // PinGeneration) end to end.
 //
@@ -36,8 +36,6 @@
 #include "gat/shard/sharded_index.h"
 #include "gat/shard/sharded_searcher.h"
 #include "gat/storage/block_cache.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
 #include "gat/util/rng.h"
 
 namespace gat {
@@ -198,7 +196,7 @@ TEST(BlockCacheReload, ConcurrentStaleOpsNeverLeakIntoTheSuccessor) {
 }
 
 // ---------------------------------------------------------------------------
-// MappedSnapshot: parallel CRC sweep
+// LoadSnapshot: parallel CRC sweep
 // ---------------------------------------------------------------------------
 
 TEST(ParallelCrcSweep, AcceptsAndServesBitIdentically) {
@@ -211,15 +209,11 @@ TEST(ParallelCrcSweep, AcceptsAndServesBitIdentically) {
   ASSERT_GE(std::filesystem::file_size(path), 512u * 256u);
 
   Executor executor(4);
-  MappedSnapshotOptions parallel_options;
-  parallel_options.executor = &executor;
-  parallel_options.cache_config.block_bytes = 512;
-  const LoadedSnapshot parallel =
-      LoadedSnapshot::LoadMapped(path, parallel_options);
-  MappedSnapshotOptions sequential_options;
-  sequential_options.cache_config.block_bytes = 512;
-  const LoadedSnapshot sequential =
-      LoadedSnapshot::LoadMapped(path, sequential_options);
+  const BlockCacheConfig cache_config{.block_bytes = 512};
+  const auto parallel = LoadSnapshot(path, nullptr, 0, &executor,
+                                     std::make_shared<BlockCache>(cache_config));
+  const auto sequential = LoadSnapshot(
+      path, nullptr, 0, nullptr, std::make_shared<BlockCache>(cache_config));
   ASSERT_TRUE(parallel);
   ASSERT_TRUE(sequential);
 
@@ -252,10 +246,10 @@ TEST(ParallelCrcSweep, RejectsCorruptionIdenticallyToSequential) {
     std::string copy = bytes;
     copy[pos] = static_cast<char>(copy[pos] ^ 0x5C);
     WriteFileBytes(mutated, copy);
-    MappedSnapshotOptions options;
-    options.executor = &executor;
-    options.cache_config.block_bytes = 512;
-    EXPECT_EQ(MappedSnapshot::Load(mutated, options), nullptr)
+    EXPECT_EQ(LoadSnapshot(mutated, nullptr, 0, &executor,
+                           std::make_shared<BlockCache>(
+                               BlockCacheConfig{.block_bytes = 512})),
+              nullptr)
         << "byte " << pos << " flipped";
   }
   std::remove(mutated.c_str());

@@ -2,9 +2,10 @@
 // behavior bit-identically, and every malformed-file path must fail
 // cleanly (nullptr, no crash, no exception).
 //
-// Both loaders — `LoadSnapshot` (heap copy) and `MappedSnapshot::Load`
-// (zero-copy disk tier) — run every rejection and parity sweep from one
-// loader list, and a forged-checksum sweep pins that they decide alike.
+// Both modes of the one loader — `LoadSnapshot` without a cache (heap
+// copy) and with one (mapped disk tier) — run every rejection and parity
+// sweep from one loader list, and a forged-checksum sweep pins that they
+// decide alike.
 
 #include "gat/index/snapshot.h"
 
@@ -21,8 +22,7 @@
 #include "gat/datagen/query_generator.h"
 #include "gat/engine/executor.h"
 #include "gat/search/gat_search.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
+#include "gat/storage/block_cache.h"
 
 namespace gat {
 namespace {
@@ -80,38 +80,23 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// One way to load a snapshot file, wrapped so the result can be
-/// searched whichever storage backs it.
+/// One mode of the loader, so every sweep runs over both.
 struct Loader {
   const char* name;
-  LoadedSnapshot (*load)(const std::string& path, const GatConfig* expected,
-                         uint32_t fingerprint, Executor* executor);
+  bool mapped;
 
-  LoadedSnapshot operator()(const std::string& path,
-                            const GatConfig* expected = nullptr,
-                            uint32_t fingerprint = 0,
-                            Executor* executor = nullptr) const {
-    return load(path, expected, fingerprint, executor);
+  std::unique_ptr<GatIndex> operator()(const std::string& path,
+                                       const GatConfig* expected = nullptr,
+                                       uint32_t fingerprint = 0,
+                                       Executor* executor = nullptr) const {
+    return LoadSnapshot(path, expected, fingerprint, executor,
+                        mapped ? std::make_shared<BlockCache>() : nullptr);
   }
 };
 
-LoadedSnapshot HeapLoad(const std::string& path, const GatConfig* expected,
-                        uint32_t fingerprint, Executor* executor) {
-  return LoadedSnapshot::FromOwned(
-      LoadSnapshot(path, expected, fingerprint, executor));
-}
-
-LoadedSnapshot MappedLoad(const std::string& path, const GatConfig* expected,
-                          uint32_t fingerprint, Executor* executor) {
-  MappedSnapshotOptions options;
-  options.expected = expected;
-  options.expected_fingerprint = fingerprint;
-  options.executor = executor;
-  return LoadedSnapshot::LoadMapped(path, options);
-}
-
-constexpr Loader kLoaders[] = {{"LoadSnapshot", HeapLoad},
-                               {"MappedSnapshot::Load", MappedLoad}};
+constexpr Loader kHeapLoad{"no cache", false};
+constexpr Loader kMappedLoad{"cache", true};
+constexpr Loader kLoaders[] = {kHeapLoad, kMappedLoad};
 
 TEST(Snapshot, RoundTripSearchesBitIdentically) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 31));
@@ -174,8 +159,8 @@ TEST(Snapshot, SavedBytesMatchGoldenDigest) {
   // The saved bytes of a fixed seeded city and of an empty shard, pinned
   // as CRC32 and length. The digests were recorded from the reference
   // implementation; a storage rewrite that moves one byte of the format
-  // fails here. A built index, its `LoadSnapshot` copy and its
-  // `MappedSnapshot` must all re-save to exactly these bytes and report
+  // fails here. A built index and its heap-loaded and mapped
+  // `LoadSnapshot`s must all re-save to exactly these bytes and report
   // the same `memory_breakdown()`.
   struct Golden {
     const char* name;
@@ -210,8 +195,9 @@ TEST(Snapshot, SavedBytesMatchGoldenDigest) {
 
     for (const Loader& load : kLoaders) {
       SCOPED_TRACE(load.name);
-      const LoadedSnapshot loaded = load(path, &config, fingerprint);
+      const auto loaded = load(path, &config, fingerprint);
       ASSERT_TRUE(loaded);
+      EXPECT_EQ(loaded->mapped(), load.mapped);
       EXPECT_EQ(loaded->memory_breakdown().ToString(),
                 built.memory_breakdown().ToString());
       ASSERT_TRUE(SaveSnapshot(*loaded, resave, fingerprint));
@@ -428,8 +414,8 @@ TEST(Snapshot, ExecutorLoadIsBitIdenticalToSequentialLoad) {
   Executor executor(4);
   for (const Loader& load : kLoaders) {
     SCOPED_TRACE(load.name);
-    const LoadedSnapshot sequential = load(path);
-    const LoadedSnapshot parallel = load(path, nullptr, 0, &executor);
+    const auto sequential = load(path);
+    const auto parallel = load(path, nullptr, 0, &executor);
     ASSERT_TRUE(sequential);
     ASSERT_TRUE(parallel);
     EXPECT_EQ(parallel->memory_breakdown().MainMemoryTotal(),
@@ -545,8 +531,8 @@ TEST(Snapshot, ForgedChecksumLoadersDecideAlike) {
         copy[pos] = static_cast<char>(copy[pos] ^ mask);
         ForgeChecksum(&copy);
         WriteFileBytes(forged, copy);
-        const LoadedSnapshot heap = HeapLoad(forged, nullptr, 0, nullptr);
-        const LoadedSnapshot mapped = MappedLoad(forged, nullptr, 0, nullptr);
+        const auto heap = kHeapLoad(forged);
+        const auto mapped = kMappedLoad(forged);
         ASSERT_EQ(static_cast<bool>(heap), static_cast<bool>(mapped)) << pos;
         if (!heap) {
           ++rejected;
@@ -627,7 +613,7 @@ TEST(Snapshot, EmptyIndexRoundTrips) {
   ASSERT_TRUE(SaveSnapshot(built, path, DatasetFingerprint(empty)));
   for (const Loader& load : kLoaders) {
     SCOPED_TRACE(load.name);
-    const LoadedSnapshot loaded =
+    const auto loaded =
         load(path, nullptr, DatasetFingerprint(empty));
     ASSERT_TRUE(loaded);
     EXPECT_EQ(loaded->config(), built.config());

@@ -2,12 +2,15 @@
 // serving and the block-cached disk tier.
 //
 // The load-bearing invariants:
-//   * a MappedSnapshot answers bit-identically to the built / stream-
-//     loaded index, with equal logical disk_reads (same access pattern,
-//     real I/O underneath);
+//   * an index loaded with a block cache answers bit-identically to the
+//     built / heap-loaded index, with equal logical disk_reads (same
+//     access pattern, real I/O underneath);
+//   * the mapped index alone keeps its storage alive: the mapping and
+//     the cache outlive every other handle, and dropping the index
+//     retires its file from the cache;
 //   * malformed files (truncation, bit rot, bad magic/version,
 //     config/fingerprint mismatch) fail as nullptr — swept over both
-//     loaders in snapshot_test.cc, since they share one parser;
+//     loader modes in snapshot_test.cc, since they share one parser;
 //   * mmap edge cases: empty-shard snapshots, mappings whose last block
 //     is partial, read-only file permissions;
 //   * the BlockCache is a correct sharded LRU with exact stats, and the
@@ -20,6 +23,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -33,8 +37,6 @@
 #include "gat/shard/sharded_searcher.h"
 #include "gat/storage/block_cache.h"
 #include "gat/storage/mapped_file.h"
-#include "gat/storage/loaded_snapshot.h"
-#include "gat/storage/mapped_snapshot.h"
 
 namespace gat {
 namespace {
@@ -214,19 +216,29 @@ TEST(DiskAccessCounter, ConcurrentAccumulationIsExact) {
   EXPECT_EQ(counter.BlockHits(), kThreads * kIncrements);
 }
 
+/// `LoadSnapshot` with a cache of `config`: the mapped serving form.
+std::unique_ptr<GatIndex> LoadMapped(const std::string& path,
+                                     const BlockCacheConfig& config = {}) {
+  return LoadSnapshot(path, nullptr, 0, nullptr,
+                      std::make_shared<BlockCache>(config));
+}
+
 // ---------------------------------------------------------------------------
-// MappedSnapshot — equivalence
+// Mapped index — equivalence
 // ---------------------------------------------------------------------------
 
-TEST(MappedSnapshot, BitIdenticalAnswersAndEqualDiskReads) {
+TEST(MappedIndex, BitIdenticalAnswersAndEqualDiskReads) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 31));
   const GatConfig config{.depth = 6, .memory_levels = 4, .tas_width = 2};
   const GatIndex built(dataset, config);
   const std::string path = TempPath("mapped_roundtrip.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
 
-  const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(path);
+  const auto cache = std::make_shared<BlockCache>();
+  const auto snap = LoadSnapshot(path, nullptr, 0, nullptr, cache);
   ASSERT_TRUE(snap);
+  EXPECT_TRUE(snap->mapped());
+  EXPECT_FALSE(built.mapped());
   EXPECT_EQ(snap->config(), built.config());
 
   // Identical tier accounting (Figure 8's memory-cost series).
@@ -252,18 +264,58 @@ TEST(MappedSnapshot, BitIdenticalAnswersAndEqualDiskReads) {
       // The subsystem's core contract: identical logical reads, only
       // the physics underneath changed.
       EXPECT_EQ(mapped_stats.disk_reads, fresh_stats.disk_reads);
-      // The simulated side never sees blocks; the mapped side must.
+      // The heap side never sees blocks; the mapped side must.
       EXPECT_EQ(fresh_stats.block_hits + fresh_stats.blocks_read, 0u);
       total_block_traffic +=
           mapped_stats.block_hits + mapped_stats.blocks_read;
     }
   }
   EXPECT_GT(total_block_traffic, 0u);
-  EXPECT_GT(snap.mapped()->cache().Snapshot().DemandLookups(), 0u);
+  EXPECT_GT(cache->Snapshot().DemandLookups(), 0u);
   std::remove(path.c_str());
 }
 
-TEST(MappedSnapshot, ResaveOfMappedIndexIsByteIdentical) {
+TEST(MappedIndex, OwnsItsMappingAndCache) {
+  // The index alone keeps its storage alive: the snapshot file is
+  // unlinked and the test's own handle to the cache dropped, yet queries
+  // still read through both (under ASan a freed cache or unmapped file
+  // would fault here). Dropping the index then retires its file.
+  const Dataset dataset = GenerateCity(CityProfile::Testing(200, 37));
+  const GatIndex built(dataset, GatConfig{.depth = 6, .memory_levels = 4});
+  const std::string path = TempPath("mapped_owner.gats");
+  ASSERT_TRUE(SaveSnapshot(built, path));
+
+  auto cache = std::make_shared<BlockCache>(
+      BlockCacheConfig{.block_bytes = 512, .capacity_bytes = 1 << 20});
+  const std::weak_ptr<BlockCache> observer = cache;
+  std::unique_ptr<GatIndex> mapped =
+      LoadSnapshot(path, nullptr, 0, nullptr, cache);
+  ASSERT_TRUE(mapped);
+  ASSERT_EQ(std::remove(path.c_str()), 0);
+  cache.reset();
+  ASSERT_FALSE(observer.expired());
+
+  const GatSearcher fresh(dataset, built);
+  const GatSearcher served(dataset, *mapped);
+  for (const Query& q : TestQueries(dataset, 53)) {
+    for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
+      SearchStats fresh_stats, served_stats;
+      ASSERT_EQ(fresh.Search(q, 9, kind, &fresh_stats),
+                served.Search(q, 9, kind, &served_stats));
+      EXPECT_EQ(served_stats.disk_reads, fresh_stats.disk_reads);
+    }
+  }
+
+  const std::shared_ptr<BlockCache> held = observer.lock();
+  ASSERT_NE(held, nullptr);
+  const uint64_t retired_before = held->Snapshot().files_retired;
+  EXPECT_GT(held->ResidentBlocks(), 0u);
+  mapped.reset();
+  EXPECT_EQ(held->Snapshot().files_retired, retired_before + 1);
+  EXPECT_EQ(held->ResidentBlocks(), 0u);
+}
+
+TEST(MappedIndex, ResaveOfMappedIndexIsByteIdentical) {
   // SaveSnapshot writes through the component views, so an index served
   // from a mapping must snapshot to exactly the bytes it was served
   // from — the serving form does not degrade persistence.
@@ -272,7 +324,7 @@ TEST(MappedSnapshot, ResaveOfMappedIndexIsByteIdentical) {
   const std::string p1 = TempPath("resave1.gats");
   const std::string p2 = TempPath("resave2.gats");
   ASSERT_TRUE(SaveSnapshot(built, p1));
-  const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(p1);
+  const auto snap = LoadMapped(p1);
   ASSERT_TRUE(snap);
   ASSERT_TRUE(SaveSnapshot(*snap, p2));
   EXPECT_EQ(ReadFileBytes(p1), ReadFileBytes(p2));
@@ -280,7 +332,7 @@ TEST(MappedSnapshot, ResaveOfMappedIndexIsByteIdentical) {
   std::remove(p2.c_str());
 }
 
-TEST(MappedSnapshot, ExecutorValidationIsBitIdentical) {
+TEST(MappedIndex, ExecutorValidationIsBitIdentical) {
   // 300 trajectories puts the APL past the parallel-validation row
   // threshold, so the executor path actually fans out.
   const Dataset dataset = GenerateCity(CityProfile::Testing(300, 47));
@@ -289,10 +341,9 @@ TEST(MappedSnapshot, ExecutorValidationIsBitIdentical) {
   ASSERT_TRUE(SaveSnapshot(built, path));
 
   Executor executor(4);
-  MappedSnapshotOptions options;
-  options.executor = &executor;
-  const LoadedSnapshot parallel = LoadedSnapshot::LoadMapped(path, options);
-  const LoadedSnapshot sequential = LoadedSnapshot::LoadMapped(path);
+  const auto parallel = LoadSnapshot(path, nullptr, 0, &executor,
+                                     std::make_shared<BlockCache>());
+  const auto sequential = LoadMapped(path);
   ASSERT_TRUE(parallel);
   ASSERT_TRUE(sequential);
 
@@ -308,10 +359,10 @@ TEST(MappedSnapshot, ExecutorValidationIsBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
-// MappedSnapshot — mmap edge cases
+// Mapped index — mmap edge cases
 // ---------------------------------------------------------------------------
 
-TEST(MappedSnapshot, MappingEndingMidBlockServesCorrectly) {
+TEST(MappedIndex, MappingEndingMidBlockServesCorrectly) {
   // Snapshot sizes are never block-aligned, so the last cache block is
   // partial; with a block size larger than the whole file, *every* read
   // lands in one partial block. Both must serve and verify correctly.
@@ -325,9 +376,8 @@ TEST(MappedSnapshot, MappingEndingMidBlockServesCorrectly) {
   for (const uint32_t block_bytes : {512u, 4096u, 1u << 20}) {
     SCOPED_TRACE(block_bytes);
     ASSERT_NE(file_bytes % block_bytes, 0u);  // the premise of the test
-    MappedSnapshotOptions options;
-    options.cache_config.block_bytes = block_bytes;
-    const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(path, options);
+    const auto snap =
+        LoadMapped(path, BlockCacheConfig{.block_bytes = block_bytes});
     ASSERT_TRUE(snap);
     const GatSearcher mapped(dataset, *snap);
     for (const Query& q : TestQueries(dataset, 41, 5)) {
@@ -340,14 +390,14 @@ TEST(MappedSnapshot, MappingEndingMidBlockServesCorrectly) {
   std::remove(path.c_str());
 }
 
-TEST(MappedSnapshot, ReadOnlySnapshotFileServes) {
+TEST(MappedIndex, ReadOnlySnapshotFileServes) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(80, 29));
   const GatIndex built(dataset, GatConfig{.depth = 4, .memory_levels = 2});
   const std::string path = TempPath("mapped_readonly.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
   ASSERT_EQ(::chmod(path.c_str(), 0444), 0);
 
-  const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(path);
+  const auto snap = LoadMapped(path);
   ASSERT_TRUE(snap);
   const GatSearcher fresh(dataset, built);
   const GatSearcher mapped(dataset, *snap);
@@ -359,7 +409,7 @@ TEST(MappedSnapshot, ReadOnlySnapshotFileServes) {
   std::remove(path.c_str());
 }
 
-TEST(MappedSnapshot, EmptyShardSnapshotServes) {
+TEST(MappedIndex, EmptyShardSnapshotServes) {
   // An empty dataset builds a valid index over the fallback grid space;
   // its snapshot must mmap-serve like any other (the empty-shard
   // cold-start path).
@@ -369,9 +419,8 @@ TEST(MappedSnapshot, EmptyShardSnapshotServes) {
   const std::string path = TempPath("mapped_empty.gats");
   ASSERT_TRUE(SaveSnapshot(built, path, DatasetFingerprint(empty)));
 
-  MappedSnapshotOptions options;
-  options.expected_fingerprint = DatasetFingerprint(empty);
-  const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(path, options);
+  const auto snap = LoadSnapshot(path, nullptr, DatasetFingerprint(empty),
+                                 nullptr, std::make_shared<BlockCache>());
   ASSERT_TRUE(snap);
   EXPECT_EQ(snap->config(), built.config());
 
@@ -440,17 +489,16 @@ TEST(ShardedMmap, BitIdenticalAtOneTwoFourShards) {
   }
 }
 
-TEST(MappedSnapshot, EngineBatchesMatchHeapAtOneAndFourThreads) {
+TEST(MappedIndex, EngineBatchesMatchHeapAtOneAndFourThreads) {
   const Dataset dataset = GenerateCity(CityProfile::Testing(240, 67));
   const GatIndex built(dataset);
   const std::string path = TempPath("engine_mapped.gats");
   ASSERT_TRUE(SaveSnapshot(built, path));
   const auto queries = TestQueries(dataset, 73, 8);
 
-  MappedSnapshotOptions options;
-  options.cache_config.block_bytes = 1024;
-  options.cache_config.capacity_bytes = 8 << 20;  // everything fits
-  const LoadedSnapshot snap = LoadedSnapshot::LoadMapped(path, options);
+  const auto cache = std::make_shared<BlockCache>(BlockCacheConfig{
+      .block_bytes = 1024, .capacity_bytes = 8 << 20});  // everything fits
+  const auto snap = LoadSnapshot(path, nullptr, 0, nullptr, cache);
   ASSERT_TRUE(snap);
   const GatSearcher mapped(dataset, *snap);
 
@@ -470,7 +518,7 @@ TEST(MappedSnapshot, EngineBatchesMatchHeapAtOneAndFourThreads) {
     }
     EXPECT_EQ(got.totals.disk_reads, want.totals.disk_reads);
   }
-  EXPECT_GT(snap.mapped()->cache().Snapshot().DemandLookups(), 0u);
+  EXPECT_GT(cache->Snapshot().DemandLookups(), 0u);
   std::remove(path.c_str());
 }
 
