@@ -36,10 +36,12 @@ inline double CacheHitRate(uint64_t hits, uint64_t lookups) {
 /// of cache-block lookups the logical fetches decomposed into, and
 /// `blocks_read` the misses that did real page-granular I/O.
 ///
-/// Counters are relaxed atomics so one counter may be shared across
-/// concurrent search branches (shard fan-out) without torn updates; the
-/// usual pattern is still one counter per task merged at the join barrier
-/// (`SearchStats::operator+=`), where relaxed increments cost nothing.
+/// Every search owns its own counter (`GatSearcher`'s per-query state),
+/// so a shard fan-out never shares one: each shard sweep counts into its
+/// own and `SearchStats::operator+=` merges them after the barrier. The
+/// counters are relaxed atomics anyway, which costs nothing uncontended,
+/// so a caller that does share one across threads gets exact totals
+/// (`tests/storage_test.cc` checks this).
 struct DiskAccessCounter {
   std::atomic<uint64_t> reads{0};
   std::atomic<uint64_t> block_hits{0};

@@ -51,9 +51,9 @@ bool Executor::RunOneTask(TaskGroup& group) {
     // Help only the caller's group: a waiter must never spend its
     // (possibly timed) wait executing a stranger's task. A group's
     // tasks all share one priority class, but scan both queues so the
-    // helper finds its work regardless of class. A batch of n queries
-    // queues n-1 tasks and a read one sweep per shard, so for served
-    // reads the scan is short.
+    // helper finds its work regardless of class. A `ParallelFor` of n
+    // items queues n-1 tasks, so for served reads (one sweep per shard
+    // but the first) the scan is short.
     bool found = false;
     for (auto& queue : queues_) {
       for (auto it = queue.begin(); it != queue.end(); ++it) {

@@ -40,15 +40,18 @@ uint32_t ResolveThreadCount(uint32_t requested);
 /// A persistent pool of worker threads executing submitted tasks — the
 /// one threading primitive every layer shares. Query batches
 /// (`QueryEngine`), per-query shard fan-out (`ShardedSearcher`), shard
-/// builds and snapshot loads (`ShardedIndex`) all run as tasks on one
-/// executor, so a process that rebuilds an index while serving queries
-/// pays for exactly one thread set, and independent callers interleave
-/// on the same workers instead of serializing behind a mutex.
+/// builds (`ShardedIndex`) and snapshot validation and checksum sweeps
+/// all run as tasks on one executor, so a process that rebuilds an
+/// index while serving queries pays for exactly one thread set, and
+/// independent callers interleave on the same workers instead of
+/// serializing behind a mutex.
 ///
-/// Tasks are submitted through a `TaskGroup` (below), which is also the
-/// completion token. There is no per-task future: the unit of
-/// synchronization is "this group of sibling tasks is done", which is
-/// what batches, fan-outs and builds all need.
+/// Every one of those fans out through `ParallelFor` (below): the
+/// caller runs item 0 itself and submits the rest as one `TaskGroup`,
+/// which is also the completion token. There is no per-task future: the
+/// unit of synchronization is "this group of sibling tasks is done",
+/// which is what batches, fan-outs and builds all need. The only other
+/// groups are `wire::Server`'s per-priority request groups.
 ///
 /// ## Nested submission
 ///
@@ -60,9 +63,12 @@ uint32_t ResolveThreadCount(uint32_t requested);
 /// thread-in-thread spawning and no worker starvation. `Executor(1)`
 /// still spawns one worker, and the helping waiter races it for the
 /// group's tasks, so which thread runs a task is not fixed at any pool
-/// size. The deterministic inline paths bypass the executor altogether:
-/// `QueryEngine` and `ShardedSearcher` without an executor run every
-/// query (or shard) on the calling thread.
+/// size. The inline paths bypass the executor altogether: `ParallelFor`
+/// with no executor, or with a single item, runs on the calling thread,
+/// so `QueryEngine`, `ShardedSearcher`, `ShardedIndex` and the snapshot
+/// loader without an executor run every query, shard or chunk there in
+/// order, and a batch of one query or a one-shard sweep never submits a
+/// task.
 /// Helping is deliberately restricted to the waiter's own group: a
 /// waiter never executes a stranger's task, so a timed section around a
 /// fan-out (e.g. the engine's per-query stopwatch) measures only its
@@ -166,6 +172,30 @@ class TaskGroup {
   std::condition_variable done_cv_;
   size_t pending_ = 0;
 };
+
+/// The one way work fans out on the executor: runs `fn(i)` for every i
+/// in [0, n). With no executor (or n <= 1) the calls run inline on the
+/// calling thread, in index order. Otherwise `fn(1..n)` are submitted as
+/// one `TaskGroup` of class `priority`, `fn(0)` runs on the calling
+/// thread, and the call returns once all n are done (the caller helps
+/// drain the group). So it submits exactly n - 1 tasks, and a fan-out
+/// of one never leaves the calling thread.
+///
+/// `fn` runs concurrently with itself: each `fn(i)` should write only
+/// its own pre-sized slot, and the caller merges after the return, in
+/// index order, so results never depend on which thread ran what.
+template <typename Fn>
+void ParallelFor(Executor* executor, size_t n, TaskPriority priority,
+                 const Fn& fn) {
+  if (executor == nullptr || n <= 1) {
+    for (size_t i = 0; i < n; ++i) fn(i);
+    return;
+  }
+  TaskGroup group(*executor, priority);
+  for (size_t i = 1; i < n; ++i) group.Submit([&fn, i] { fn(i); });
+  fn(0);
+  group.Wait();
+}
 
 }  // namespace gat
 

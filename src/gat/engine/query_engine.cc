@@ -42,18 +42,9 @@ BatchResult QueryEngine::Run(const std::vector<Query>& queries, size_t k,
     }
   };
 
-  if (executor_ == nullptr) {
-    for (size_t i = 0; i < queries.size(); ++i) run_query(i);
-  } else if (!queries.empty()) {
-    // The caller answers queries[0] itself and then helps with the
-    // rest, so a batch of one never leaves the calling thread.
-    TaskGroup group(*executor_, TaskPriorityFor(context));
-    for (size_t i = 1; i < queries.size(); ++i) {
-      group.Submit([&run_query, i] { run_query(i); });
-    }
-    run_query(0);
-    group.Wait();
-  }
+  // The caller answers queries[0] itself, so a batch of one never
+  // leaves the calling thread.
+  ParallelFor(executor_, queries.size(), TaskPriorityFor(context), run_query);
 
   // The group barrier is past: sum single-threaded, in query order.
   for (size_t i = 0; i < queries.size(); ++i) {

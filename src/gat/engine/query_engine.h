@@ -77,14 +77,14 @@ struct BatchResult {
 ///
 /// ## Scheduling
 ///
-/// `Run` submits `queries[1..n)` as one `TaskGroup` task each, runs
-/// `queries[0]` on the calling thread, then waits (helping with the
-/// group's queued tasks). A batch of one — every read the wire server
-/// serves — therefore submits no task: it runs on the request's own
-/// task. `Run` is safe to call concurrently from any number of threads
-/// with no serialization: each call owns its batch-local slots, so
-/// batches from concurrent callers interleave on the executor instead of
-/// queueing behind a mutex.
+/// `Run` is one `ParallelFor` over the batch: it submits `queries[1..n)`
+/// as one task each, runs `queries[0]` on the calling thread, then waits
+/// (helping with the group's queued tasks). A batch of one — every read
+/// the wire server serves — therefore submits no task: it runs on the
+/// request's own task. `Run` is safe to call concurrently from any
+/// number of threads with no serialization: each call owns its
+/// batch-local slots, so batches from concurrent callers interleave on
+/// the executor instead of queueing behind a mutex.
 ///
 /// Determinism: every query writes only its own result, latency, status
 /// and stats slot, indexed by query position, and `totals` is summed in

@@ -159,30 +159,22 @@ constexpr size_t kParallelValidateMinRows = 256;
 /// row passes — the same decision the inline loop makes.
 bool ValidateRows(Executor* executor, size_t rows,
                   const std::function<bool(size_t)>& row_ok) {
-  if (executor == nullptr || executor->threads() <= 1 ||
-      rows < kParallelValidateMinRows) {
-    for (size_t i = 0; i < rows; ++i) {
-      if (!row_ok(i)) return false;
-    }
-    return true;
-  }
-  const size_t chunks = std::min<size_t>(executor->threads(), rows);
+  const bool fan_out = executor != nullptr && executor->threads() > 1 &&
+                       rows >= kParallelValidateMinRows;
+  const size_t chunks =
+      fan_out ? std::min<size_t>(executor->threads(), rows) : 1;
   const size_t per_chunk = (rows + chunks - 1) / chunks;
   std::atomic<bool> ok{true};
-  TaskGroup group(*executor);
-  for (size_t begin = 0; begin < rows; begin += per_chunk) {
-    const size_t end = std::min(rows, begin + per_chunk);
-    group.Submit([&ok, &row_ok, begin, end] {
-      for (size_t i = begin; i < end; ++i) {
-        if (!ok.load(std::memory_order_relaxed)) return;  // already doomed
-        if (!row_ok(i)) {
-          ok.store(false, std::memory_order_relaxed);
-          return;
-        }
+  ParallelFor(executor, chunks, TaskPriority::kHigh, [&](size_t c) {
+    const size_t end = std::min(rows, (c + 1) * per_chunk);
+    for (size_t i = c * per_chunk; i < end; ++i) {
+      if (!ok.load(std::memory_order_relaxed)) return;  // already doomed
+      if (!row_ok(i)) {
+        ok.store(false, std::memory_order_relaxed);
+        return;
       }
-    });
-  }
-  group.Wait();
+    }
+  });
   return ok.load();
 }
 
@@ -226,24 +218,18 @@ uint32_t SweepChecksums(std::span<const char> file, uint32_t block_bytes,
     return crc ^ 0xFFFFFFFFu;
   };
 
-  if (executor == nullptr || executor->threads() <= 1 ||
-      num_blocks < kParallelSweepMinBlocks) {
-    uint64_t payload_len = 0;
-    return sweep_chunk(0, num_blocks, &payload_len);
-  }
-  const uint64_t chunks = std::min<uint64_t>(executor->threads(), num_blocks);
+  const bool fan_out = executor != nullptr && executor->threads() > 1 &&
+                       num_blocks >= kParallelSweepMinBlocks;
+  const uint64_t chunks =
+      fan_out ? std::min<uint64_t>(executor->threads(), num_blocks) : 1;
   const uint64_t per_chunk = (num_blocks + chunks - 1) / chunks;
   std::vector<uint32_t> chunk_crcs(chunks, 0);
   std::vector<uint64_t> chunk_lens(chunks, 0);
-  TaskGroup group(*executor);
-  for (uint64_t c = 0; c < chunks; ++c) {
-    group.Submit([&, c] {
-      const uint64_t first = c * per_chunk;
-      const uint64_t end = std::min(num_blocks, first + per_chunk);
-      chunk_crcs[c] = sweep_chunk(first, end, &chunk_lens[c]);
-    });
-  }
-  group.Wait();
+  ParallelFor(executor, chunks, TaskPriority::kHigh, [&](size_t c) {
+    const uint64_t first = c * per_chunk;
+    const uint64_t end = std::min(num_blocks, first + per_chunk);
+    chunk_crcs[c] = sweep_chunk(first, end, &chunk_lens[c]);
+  });
   uint32_t payload_crc = chunk_crcs[0];
   for (uint64_t c = 1; c < chunks; ++c) {
     payload_crc = snapshot_format::Crc32Combine(payload_crc, chunk_crcs[c],

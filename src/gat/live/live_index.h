@@ -128,7 +128,10 @@ class LiveIndex {
 
   /// The base dataset of the *latest merged* generation (what the next
   /// merge will extend). Readers wanting the dataset consistent with a
-  /// search must go through `Pin` instead.
+  /// search must go through `Pin` instead. Safe only on the thread that
+  /// merges, or while no merge can run: `MergeDelta` reassigns the
+  /// dataset behind this reference under locks this accessor does not
+  /// take.
   const Dataset& base() const { return base_; }
 
   /// Cumulative check-ins accepted over this index's lifetime.

@@ -43,12 +43,24 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
     std::filesystem::create_directories(snapshot_dir, ec);
   }
 
+  // Builds and snapshot loads are tasks on the shared executor when the
+  // caller provides one (a serving process rebuilds on the same pool
+  // its queries run on); otherwise a construction-scoped executor fans
+  // the shards out, and build_threads == 1 stays a plain inline loop.
+  std::unique_ptr<Executor> scoped;
+  if (executor == nullptr && build_threads != 1 && num_shards > 1) {
+    const uint32_t threads =
+        std::min(ResolveThreadCount(build_threads), num_shards);
+    scoped = std::make_unique<Executor>(threads);
+    executor = scoped.get();
+  }
+
   std::atomic<uint32_t> loaded{0};
   // Each task writes only its own slot; the group barrier publishes the
   // slots to whoever pins the finished generation. A snapshot loads in
   // this index's serving form: mapped through the shared cache in mmap
   // mode, else copied onto the heap.
-  auto build_shard = [&](uint32_t shard, Executor* shard_executor) {
+  auto build_shard = [&](size_t shard) {
     const Dataset& shard_dataset = gen->shard_datasets_[shard];
     std::unique_ptr<const GatIndex>& index = gen->revisions_[shard].index;
     // Binds each snapshot to this exact dataset cut: a stale file — even
@@ -60,7 +72,7 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
         use_snapshots ? SnapshotPath(snapshot_dir, shard, num_shards)
                       : std::string();
     if (use_snapshots) {
-      index = LoadSnapshot(path, &config_, fingerprint, shard_executor, cache_);
+      index = LoadSnapshot(path, &config_, fingerprint, executor, cache_);
       if (index != nullptr) {
         loaded.fetch_add(1, std::memory_order_relaxed);
         return;
@@ -73,37 +85,14 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
     // index if the fresh file cannot be mapped.
     if (use_snapshots && SaveSnapshot(*index, path, fingerprint) &&
         cache_ != nullptr) {
-      if (auto mapped = LoadSnapshot(path, &config_, fingerprint,
-                                     shard_executor, cache_)) {
+      if (auto mapped =
+              LoadSnapshot(path, &config_, fingerprint, executor, cache_)) {
         index = std::move(mapped);
       }
     }
   };
 
-  // Builds and snapshot loads are tasks on the shared executor when the
-  // caller provides one (a serving process rebuilds on the same pool
-  // its queries run on); otherwise a construction-scoped executor fans
-  // the shards out, and build_threads == 1 stays a plain inline loop.
-  std::unique_ptr<Executor> scoped;
-  if (executor == nullptr && build_threads != 1 && num_shards > 1) {
-    const uint32_t threads =
-        std::min(ResolveThreadCount(build_threads), num_shards);
-    scoped = std::make_unique<Executor>(threads);
-    executor = scoped.get();
-  }
-  if (executor == nullptr) {
-    for (uint32_t shard = 0; shard < num_shards; ++shard) {
-      build_shard(shard, nullptr);
-    }
-  } else {
-    TaskGroup group(*executor);
-    for (uint32_t shard = 0; shard < num_shards; ++shard) {
-      group.Submit([&build_shard, shard, executor] {
-        build_shard(shard, executor);
-      });
-    }
-    group.Wait();
-  }
+  ParallelFor(executor, num_shards, TaskPriority::kHigh, build_shard);
 
   gen->loaded_from_snapshot_ = loaded.load();
   return gen;

@@ -146,8 +146,9 @@ class ShardGeneration {
 class ShardedIndex {
  public:
   /// Partitions `dataset` and builds (or snapshot-loads) all shard
-  /// indexes as sibling tasks on `options.executor` (or a
-  /// construction-scoped executor of `options.build_threads` workers).
+  /// indexes with one `ParallelFor` on `options.executor` (or a
+  /// construction-scoped executor of `options.build_threads` workers):
+  /// the calling thread builds shard 0, the others are sibling tasks.
   /// `dataset` itself is copied into the shards and need not outlive the
   /// index.
   explicit ShardedIndex(const Dataset& dataset, const GatConfig& config = {},

@@ -43,7 +43,7 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
   std::vector<ResultList> shard_results(num_shards);
   std::vector<SearchStats> shard_stats(stats != nullptr ? num_shards : 0);
   std::vector<char> expired_slots(num_shards, 0);
-  auto search_shard = [&](uint32_t shard) {
+  auto search_shard = [&](size_t shard) {
     // Per-shard task boundary: a deadline that passed while this sweep
     // sat in the queue refuses the sweep before touching the shard.
     if (context != nullptr && context->Expired()) {
@@ -62,19 +62,10 @@ ResultList ShardedSearcher::SearchGeneration(const ShardGeneration& generation,
                         context);
   };
 
-  if (executor_ == nullptr || num_shards <= 1) {
-    for (uint32_t shard = 0; shard < num_shards; ++shard) search_shard(shard);
-  } else {
-    // Sibling tasks on the shared pool; each writes only its pre-sized
-    // slot, and the caller helps drain the group (nest-safe when this
-    // Search already runs on an executor task). Bulk-class requests
-    // queue behind interactive work via the priority seam.
-    TaskGroup group(*executor_, TaskPriorityFor(context));
-    for (uint32_t shard = 0; shard < num_shards; ++shard) {
-      group.Submit([&search_shard, shard] { search_shard(shard); });
-    }
-    group.Wait();
-  }
+  // The caller sweeps shard 0 and helps drain the rest (nest-safe when
+  // this Search already runs on an executor task). Bulk-class requests
+  // queue behind interactive work via the priority seam.
+  ParallelFor(executor_, num_shards, TaskPriorityFor(context), search_shard);
 
   uint32_t visited = 0;
   for (uint32_t shard = 0; shard < num_shards; ++shard) {

@@ -36,33 +36,29 @@ namespace gat {
 ///
 /// ## Per-query shard parallelism
 ///
-/// With an `Executor` (constructor argument), one `Search` call fans the
-/// shards out as sibling tasks on the pool and the calling thread helps
-/// drain them instead of paying the shards sequentially. The measured
-/// gain is small: on a 4-core AMD EPYC host, `bench_pipeline_fanout`
-/// (scale 0.04, 50 queries, `--threads 4`) puts ATSQ wall-clock p95 at
-/// 0.38-0.48 / 0.31-0.34 / 0.27-0.29 ms for 1 / 2 / 4 shards over three
-/// runs, and at its default 15 queries the p95 column is not monotone
-/// in 2 of 5 runs. Behind the socket the fan-out costs more than it
-/// buys. On a 4-core Intel Xeon host (GNU 12.2.0, Release), 20 s
-/// end-to-end benchmark runs in alternating order, sweeping both shards
-/// inline on the request task instead (tasks per read 3 -> 1) raised
-/// `read_qps` by 11% / 10% / 20% on `paper_read` / `mmap_cache` /
-/// `live_rw` (medians of 5 / 4 / 4 pairs), cut ATSQ p50 from 4.55 /
-/// 5.64 / 4.94 ms to 0.85 / 1.75 / 1.20 ms and CPU per read by 5-9%,
-/// but raised ATSQ p99 by 19% / 13% / 6%: the heavy sparse queries no
-/// longer split across workers. Running shard 0 on the caller and
-/// submitting the rest stayed within the per-pair spread everywhere.
-/// The fan-out is unchanged until the sparse-query tail is cut
-/// (ROADMAP items 1 and 2). Submission is nest-safe: when the caller is itself an executor task (a served
-/// request, or a query of a multi-query batch), the shard tasks join
-/// the same pool with no
-/// thread-in-thread spawning. Each task writes one pre-sized slot and
-/// the merge happens after the group barrier in shard order, so results
-/// and stats are bit-identical to the sequential visit. Without an
-/// executor, shards are visited sequentially inline (no pool, no
-/// overhead) — the right mode for `num_shards == 1` or strictly
-/// single-threaded processes.
+/// With an `Executor` (constructor argument), one `Search` call is a
+/// `ParallelFor` over the shards: the calling thread sweeps shard 0
+/// itself and submits the other shards as sibling tasks, helping drain
+/// them while it waits. A served read at 2 shards is therefore two
+/// executor tasks, its request task plus one sweep. On a 4-core Intel
+/// Xeon host (GNU 12.2.0, Release), 20 s end-to-end benchmark runs in
+/// alternating order put this rule within the per-pair spread of
+/// submitting every shard on every workload, and on `paper_read`
+/// (4 pairs) `read_qps` rose 2.5% and ATSQ p99 fell 6.5%. Sweeping every
+/// shard inline on the request task instead raised `read_qps` by
+/// 11% / 10% / 20% on `paper_read` / `mmap_cache` / `live_rw` (medians
+/// of 5 / 4 / 4 pairs) and cut ATSQ p50 from 4.55 / 5.64 / 4.94 ms to
+/// 0.85 / 1.75 / 1.20 ms, but raised ATSQ p99 by 19% / 13% / 6%: the
+/// heavy sparse queries no longer split across workers. So the fan-out
+/// stays until the sparse-query tail is cut (ROADMAP items 1 and 2).
+/// Submission is nest-safe: when the caller is itself an executor task
+/// (a served request, or a query of a multi-query batch), the shard
+/// tasks join the same pool with no thread-in-thread spawning. Each
+/// sweep writes one pre-sized slot and the merge happens after the
+/// barrier in shard order, so results and stats are bit-identical to
+/// the sequential visit. Without an executor, shards are visited
+/// sequentially inline (no pool, no overhead), the right mode for
+/// strictly single-threaded processes.
 ///
 /// ## Deadlines
 ///

@@ -1,7 +1,8 @@
 // Tests for gat/engine/executor: task-group barriers, help-while-waiting,
-// nested submission from inside tasks, and sharing one pool across
-// concurrent submitters — the invariants QueryEngine, ShardedSearcher and
-// ShardedIndex all lean on.
+// nested submission from inside tasks, sharing one pool across
+// concurrent submitters, and the ParallelFor fan-out — the invariants
+// QueryEngine, ShardedSearcher, ShardedIndex and the snapshot loader all
+// lean on.
 
 #include "gat/engine/executor.h"
 
@@ -175,6 +176,41 @@ TEST(Executor, HelpingIsRestrictedToTheCallersGroup) {
   blockers.Wait();
   queued.Wait();
   stranger.Wait();
+}
+
+TEST(ParallelFor, SubmitsAllButTheFirstItemAndRunsItOnTheCaller) {
+  Executor executor(4);
+  for (const size_t n : {0u, 1u, 2u, 40u}) {
+    std::vector<std::atomic<int>> ran(n);
+    std::thread::id first_runner;
+    const uint64_t before = executor.tasks_submitted();
+    ParallelFor(&executor, n, TaskPriority::kHigh, [&](size_t i) {
+      if (i == 0) first_runner = std::this_thread::get_id();
+      ran[i].fetch_add(1);
+    });
+    EXPECT_EQ(executor.tasks_submitted() - before, n > 0 ? n - 1 : 0)
+        << "n = " << n;
+    for (size_t i = 0; i < n; ++i) EXPECT_EQ(ran[i].load(), 1) << i;
+    if (n > 0) {
+      EXPECT_EQ(first_runner, std::this_thread::get_id());
+    }
+  }
+}
+
+TEST(ParallelFor, WithoutAnExecutorRunsInlineInIndexOrder) {
+  for (const size_t n : {0u, 1u, 2u, 40u}) {
+    std::vector<size_t> order;
+    std::vector<std::thread::id> runners;
+    ParallelFor(nullptr, n, TaskPriority::kHigh, [&](size_t i) {
+      order.push_back(i);
+      runners.push_back(std::this_thread::get_id());
+    });
+    ASSERT_EQ(order.size(), n);
+    for (size_t i = 0; i < n; ++i) {
+      EXPECT_EQ(order[i], i);
+      EXPECT_EQ(runners[i], std::this_thread::get_id());
+    }
+  }
 }
 
 }  // namespace

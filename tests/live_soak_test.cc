@@ -63,6 +63,9 @@ TEST(LiveSoak, SustainedIngestMergeAndQueryStaysBitIdentical) {
   wp.seed = 19;
   QueryGenerator qgen(live.base(), wp);
   const std::vector<Query> queries = qgen.Workload();
+  // Writers sample check-ins from a copy of the starting city: `base()`
+  // is the latest merged dataset, which the merger reassigns under them.
+  const Dataset sample_frame = GenerateCity(profile);
 
   uint64_t expected_watermark = 0;
   for (int round = 0; round < kRounds; ++round) {
@@ -72,13 +75,13 @@ TEST(LiveSoak, SustainedIngestMergeAndQueryStaysBitIdentical) {
     std::atomic<bool> stop{false};
     std::vector<std::thread> threads;
     for (int w = 0; w < kWriters; ++w) {
-      threads.emplace_back([&live, round, w] {
+      threads.emplace_back([&live, &sample_frame, round, w] {
         Rng rng(static_cast<uint64_t>(round) * 100 + w);
         const uint64_t user_base =
             10'000 + static_cast<uint64_t>(w) * 1'000;
         for (int b = 0; b < kBatchesPerWriterPerRound; ++b) {
           ASSERT_TRUE(live.Ingest(SampleCheckIns(
-              live.base(), rng, kBatchSize, user_base, 11)));
+              sample_frame, rng, kBatchSize, user_base, 11)));
         }
       });
     }

@@ -179,8 +179,9 @@ TEST_P(ShardEquivalenceTest, TopKBitIdenticalToSingleIndex) {
 
 TEST_P(ShardEquivalenceTest, FanOutStatsMatchSequentialVisit) {
   // The merge happens after the group barrier in shard order, so the
-  // summed counters — and the elapsed_ms summation order — are the same
-  // whether the shards ran inline or as tasks.
+  // answers and summed counters — and the elapsed_ms summation order —
+  // are the same whether the shards ran inline or as tasks. The caller
+  // sweeps shard 0 itself: a query submits num_shards - 1 tasks.
   const uint32_t num_shards = GetParam();
   const Dataset dataset = GenerateCity(CityProfile::Testing(200, 41));
   Executor executor(4);
@@ -191,8 +192,11 @@ TEST_P(ShardEquivalenceTest, FanOutStatsMatchSequentialVisit) {
 
   for (const Query& q : TestQueries(dataset, 77, 4)) {
     SearchStats seq_stats, fan_stats;
-    sequential.Search(q, 5, QueryKind::kAtsq, &seq_stats);
-    fanned.Search(q, 5, QueryKind::kAtsq, &fan_stats);
+    const ResultList want = sequential.Search(q, 5, QueryKind::kAtsq,
+                                              &seq_stats);
+    const uint64_t tasks_before = executor.tasks_submitted();
+    EXPECT_EQ(fanned.Search(q, 5, QueryKind::kAtsq, &fan_stats), want);
+    EXPECT_EQ(executor.tasks_submitted() - tasks_before, num_shards - 1);
     EXPECT_EQ(fan_stats.candidates_retrieved, seq_stats.candidates_retrieved);
     EXPECT_EQ(fan_stats.tas_pruned, seq_stats.tas_pruned);
     EXPECT_EQ(fan_stats.distance_computations,

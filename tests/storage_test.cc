@@ -14,7 +14,8 @@
 //   * mmap edge cases: empty-shard snapshots, mappings whose last block
 //     is partial, read-only file permissions;
 //   * the BlockCache is a correct sharded LRU with exact stats, and the
-//     DiskAccessCounter tolerates concurrent accumulation.
+//     DiskAccessCounter tolerates concurrent accumulation;
+//   * the host's block-read backend name follows the io_uring probe.
 
 #include <sys/stat.h>
 
@@ -35,6 +36,7 @@
 #include "gat/search/gat_search.h"
 #include "gat/shard/sharded_index.h"
 #include "gat/shard/sharded_searcher.h"
+#include "gat/storage/async_io.h"
 #include "gat/storage/block_cache.h"
 #include "gat/storage/mapped_file.h"
 
@@ -520,6 +522,12 @@ TEST(MappedIndex, EngineBatchesMatchHeapAtOneAndFourThreads) {
   }
   EXPECT_GT(cache->Snapshot().DemandLookups(), 0u);
   std::remove(path.c_str());
+}
+
+TEST(AsyncBlockIo, BackendNameAgreesWithProbe) {
+  const AsyncBlockIo io;
+  EXPECT_STREQ(io.backend_name(),
+               ProbeIoUring() ? "io_uring" : "pread-pool");
 }
 
 }  // namespace
