@@ -199,7 +199,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     const RTree tree = RTree::BulkLoad(std::move(entries), 32);
     Report(proto, report, "rtree_nearest_stream_100", 200, [&tree] {
       RTree::NearestIterator it(tree, Point{50, 50});
-      RTreeEntry e;
+      const RTreeEntry* e = nullptr;
       double d = 0.0;
       for (int i = 0; i < 100; ++i) it.Next(&e, &d);
       DoNotOptimize(d);

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "gat/baselines/il_search.h"
-#include "gat/baselines/irt_search.h"
 #include "gat/baselines/rt_search.h"
 #include "gat/core/searcher.h"
 #include "gat/datagen/checkin_generator.h"

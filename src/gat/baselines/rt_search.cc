@@ -1,6 +1,5 @@
 #include "gat/baselines/rt_search.h"
 
-#include <algorithm>
 #include <vector>
 
 #include "gat/baselines/refinement.h"
@@ -9,12 +8,10 @@
 #include "gat/util/top_k.h"
 
 namespace gat {
+namespace {
 
-RtSearcher::RtSearcher(const Dataset& dataset, uint32_t batch,
-                       int max_node_entries)
-    : dataset_(dataset), batch_(batch) {
+std::vector<RTreeEntry> PointsOf(const Dataset& dataset) {
   GAT_CHECK(dataset.finalized());
-  GAT_CHECK(batch > 0);
   std::vector<RTreeEntry> entries;
   for (TrajectoryId t = 0; t < dataset.size(); ++t) {
     const auto& tr = dataset.trajectory(t);
@@ -22,7 +19,19 @@ RtSearcher::RtSearcher(const Dataset& dataset, uint32_t batch,
       entries.push_back(RTreeEntry{tr[i].location, t, i});
     }
   }
-  tree_ = RTree::BulkLoad(std::move(entries), max_node_entries);
+  return entries;
+}
+
+}  // namespace
+
+RtSearcher::RtSearcher(const Dataset& dataset, uint32_t batch,
+                       int max_node_entries, bool filter_activities)
+    : dataset_(dataset),
+      filter_activities_(filter_activities),
+      tree_(RTree::BulkLoad(PointsOf(dataset), max_node_entries,
+                            filter_activities ? &dataset : nullptr)),
+      batch_(batch) {
+  GAT_CHECK(batch > 0);
 }
 
 ResultList RtSearcher::Search(const Query& query, size_t k, QueryKind kind,
@@ -34,20 +43,18 @@ ResultList RtSearcher::Search(const Query& query, size_t k, QueryKind kind,
   Stopwatch timer;
   if (query.empty() || k == 0) return {};
 
-  // One incremental NN stream per query location. Query points with an
-  // empty activity set contribute 0 to every Dmm/Dmom and are skipped
-  // (their stream would otherwise inflate the lower bound unsoundly).
+  // One incremental NN stream per query location, filtered by the point's
+  // activities for IRT. Query points with an empty activity set contribute
+  // 0 to every Dmm/Dmom and are skipped (their stream would otherwise
+  // inflate the lower bound unsoundly).
   std::vector<RTree::NearestIterator> streams;
   streams.reserve(query.size());
-  std::vector<size_t> stream_query;  // stream -> query point index
   for (size_t i = 0; i < query.size(); ++i) {
     if (query[i].activities.empty()) continue;
-    streams.emplace_back(tree_, query[i].location);
-    stream_query.push_back(i);
+    streams.emplace_back(tree_, query[i].location,
+                         filter_activities_ ? query[i].activities
+                                            : std::vector<ActivityId>{});
   }
-
-  TopKCollector collector(k);
-  std::vector<char> seen(dataset_.size(), 0);
 
   if (streams.empty()) {
     // Degenerate query: every trajectory matches at distance 0.
@@ -58,6 +65,9 @@ ResultList RtSearcher::Search(const Query& query, size_t k, QueryKind kind,
     st.elapsed_ms = timer.ElapsedMillis();
     return out;
   }
+
+  TopKCollector collector(k);
+  std::vector<char> seen(dataset_.size(), 0);
 
   while (true) {
     ++st.rounds;
@@ -76,13 +86,13 @@ ResultList RtSearcher::Search(const Query& query, size_t k, QueryKind kind,
         }
       }
       if (best_stream == streams.size()) break;  // every stream drained
-      RTreeEntry entry;
+      const RTreeEntry* entry = nullptr;
       double dist = 0.0;
       if (!streams[best_stream].Next(&entry, &dist)) continue;
       ++st.nodes_popped;
-      if (!seen[entry.trajectory]) {
-        seen[entry.trajectory] = 1;
-        fresh.push_back(entry.trajectory);
+      if (!seen[entry->trajectory]) {
+        seen[entry->trajectory] = 1;
+        fresh.push_back(entry->trajectory);
       }
     }
 
@@ -93,11 +103,12 @@ ResultList RtSearcher::Search(const Query& query, size_t k, QueryKind kind,
       collector.Offer(t, d);
     }
 
-    // Lemma-2 bound: any unseen trajectory has, for each demanded query
-    // point, all its points still pending in that stream, so its best
-    // match distance — and therefore its Dmm and Dmom — is at least the
-    // sum of pending stream heads. A drained stream has popped every
-    // point, so nothing is unseen and the search is complete.
+    // Lemma-2 bound: an unseen trajectory has, for each demanded query
+    // point, all its points (IRT: all its point matches) still pending in
+    // that stream, so its best match distance — and therefore its Dmm and
+    // Dmom — is at least the sum of pending stream heads. A drained stream
+    // has yielded every point that could match its query point, so nothing
+    // unseen can match and the search is complete.
     double bound = 0.0;
     bool any_stream_drained = false;
     for (auto& s : streams) {

@@ -15,8 +15,6 @@ Rect Rect::Empty() {
   return r;
 }
 
-Rect Rect::FromPoint(const Point& p) { return Rect{p, p}; }
-
 void Rect::Expand(const Point& p) {
   min.x = std::min(min.x, p.x);
   min.y = std::min(min.y, p.y);
@@ -53,12 +51,6 @@ double MinDistSquared(const Point& p, const Rect& r) {
 
 double MinDist(const Point& p, const Rect& r) {
   return std::sqrt(MinDistSquared(p, r));
-}
-
-double UnionArea(const Rect& a, const Rect& b) {
-  Rect u = a;
-  u.Expand(b);
-  return u.Area();
 }
 
 std::string ToString(const Rect& r) {

@@ -8,16 +8,13 @@
 namespace gat {
 
 /// Axis-aligned rectangle (MBR). Used by the grid cells of the GAT index
-/// and by the R-tree / IR-tree baselines.
+/// and by the R-tree baselines.
 struct Rect {
   Point min;
   Point max;
 
   /// An "empty" rectangle that absorbs any point on Expand.
   static Rect Empty();
-
-  /// Degenerate rectangle covering a single point.
-  static Rect FromPoint(const Point& p);
 
   bool IsEmpty() const { return min.x > max.x || min.y > max.y; }
 
@@ -40,7 +37,7 @@ struct Rect {
   double Height() const { return max.y - min.y; }
   double Area() const;
 
-  /// Half-perimeter margin, used by R-tree split heuristics.
+  /// Half-perimeter margin.
   double Margin() const { return Width() + Height(); }
 
   Point Center() const { return Point{(min.x + max.x) / 2, (min.y + max.y) / 2}; }
@@ -57,9 +54,6 @@ double MinDist(const Point& p, const Rect& r);
 
 /// Squared MinDist.
 double MinDistSquared(const Point& p, const Rect& r);
-
-/// Area of the union MBR of two rectangles (R-tree enlargement metric).
-double UnionArea(const Rect& a, const Rect& b);
 
 /// Debug representation.
 std::string ToString(const Rect& r);

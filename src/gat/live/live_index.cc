@@ -29,7 +29,6 @@ void LiveIndex::AppendCheckIn(DeltaSnapshot& delta, const CheckIn& checkin) {
   auto it = delta.user_index.find(checkin.user);
   if (it == delta.user_index.end()) {
     delta.user_index.emplace(checkin.user, delta.trajectories.size());
-    delta.users.push_back(checkin.user);
     delta.trajectories.emplace_back(
         std::vector<TrajectoryPoint>{std::move(point)});
   } else {

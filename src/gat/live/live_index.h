@@ -40,8 +40,6 @@ struct DeltaSnapshot {
   uint64_t watermark = 0;
   /// One in-arrival-order trajectory per user seen since the base cut.
   std::vector<Trajectory> trajectories;
-  /// users[i] = the user whose delta trajectory is trajectories[i].
-  std::vector<uint64_t> users;
   /// user -> index into `trajectories` (the writer's append cursor;
   /// immutable once published like everything else here).
   std::unordered_map<uint64_t, size_t> user_index;

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "gat/common/check.h"
+#include "gat/model/dataset.h"
 
 namespace gat {
 
@@ -12,99 +13,51 @@ namespace gat {
 struct RTree::Node {
   Rect mbr = Rect::Empty();
   int level = 0;
+  /// Index of the node's inverted file, in a tree built with activities.
+  uint32_t id = 0;
   std::vector<std::unique_ptr<Node>> children;
   std::vector<RTreeEntry> entries;
 
   bool leaf() const { return level == 0; }
-
-  void RecomputeMbr() {
-    mbr = Rect::Empty();
-    if (leaf()) {
-      for (const auto& e : entries) mbr.Expand(e.point);
-    } else {
-      for (const auto& c : children) mbr.Expand(c->mbr);
-    }
-  }
 };
 
 namespace {
 
-/// Guttman's quadratic split over a set of rectangles: picks the pair of
-/// seeds wasting the most area, then assigns the rest by least enlargement
-/// while respecting the minimum fill. Returns a 0/1 group flag per rect.
-std::vector<char> QuadraticPartition(const std::vector<Rect>& rects,
-                                     size_t min_fill) {
-  const size_t n = rects.size();
-  GAT_CHECK(n >= 2);
-  size_t seed_a = 0;
-  size_t seed_b = 1;
-  double worst = -1.0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      const double waste =
-          UnionArea(rects[i], rects[j]) - rects[i].Area() - rects[j].Area();
-      if (waste > worst) {
-        worst = waste;
-        seed_a = i;
-        seed_b = j;
-      }
-    }
-  }
+/// 64-bit hash summary of an activity set (one bit per activity hash).
+uint64_t SummaryBit(ActivityId a) {
+  uint64_t x = a;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return uint64_t{1} << (x & 63);
+}
 
-  std::vector<char> group(n, -1);
-  group[seed_a] = 0;
-  group[seed_b] = 1;
-  Rect mbr[2] = {rects[seed_a], rects[seed_b]};
-  size_t count[2] = {1, 1};
-  size_t remaining = n - 2;
+uint64_t SummaryOf(const std::vector<ActivityId>& activities) {
+  uint64_t s = 0;
+  for (ActivityId a : activities) s |= SummaryBit(a);
+  return s;
+}
 
-  while (remaining > 0) {
-    // Force-assign when one group must absorb everything left to reach the
-    // minimum fill.
-    int forced = -1;
-    if (count[0] + remaining == min_fill) forced = 0;
-    if (count[1] + remaining == min_fill) forced = 1;
-    if (forced >= 0) {
-      for (size_t i = 0; i < n; ++i) {
-        if (group[i] < 0) {
-          group[i] = static_cast<char>(forced);
-          mbr[forced].Expand(rects[i]);
-          ++count[forced];
-        }
-      }
-      remaining = 0;
-      break;
-    }
-    // PickNext: the rect with maximum preference difference.
-    size_t best = n;
-    double best_diff = -1.0;
-    for (size_t i = 0; i < n; ++i) {
-      if (group[i] >= 0) continue;
-      const double d0 = UnionArea(mbr[0], rects[i]) - mbr[0].Area();
-      const double d1 = UnionArea(mbr[1], rects[i]) - mbr[1].Area();
-      const double diff = std::abs(d0 - d1);
-      if (diff > best_diff) {
-        best_diff = diff;
-        best = i;
-      }
-    }
-    GAT_CHECK(best < n);
-    const double d0 = UnionArea(mbr[0], rects[best]) - mbr[0].Area();
-    const double d1 = UnionArea(mbr[1], rects[best]) - mbr[1].Area();
-    int target;
-    if (d0 != d1) {
-      target = d0 < d1 ? 0 : 1;
-    } else if (mbr[0].Area() != mbr[1].Area()) {
-      target = mbr[0].Area() < mbr[1].Area() ? 0 : 1;
-    } else {
-      target = count[0] <= count[1] ? 0 : 1;
-    }
-    group[best] = static_cast<char>(target);
-    mbr[target].Expand(rects[best]);
-    ++count[target];
-    --remaining;
-  }
-  return group;
+/// Sorted-union in place.
+void MergeInto(std::vector<ActivityId>* dst,
+               const std::vector<ActivityId>& src) {
+  std::vector<ActivityId> merged;
+  merged.reserve(dst->size() + src.size());
+  std::set_union(dst->begin(), dst->end(), src.begin(), src.end(),
+                 std::back_inserter(merged));
+  *dst = std::move(merged);
+}
+
+/// True if the sorted `activities` hold any of the sorted `filter`.
+bool HoldsAny(const std::vector<ActivityId>& activities,
+              const std::vector<ActivityId>& filter) {
+  return std::any_of(filter.begin(), filter.end(), [&](ActivityId a) {
+    return std::binary_search(activities.begin(), activities.end(), a);
+  });
+}
+
+const TrajectoryPoint& PointOf(const Dataset& dataset, const RTreeEntry& e) {
+  return dataset.trajectory(e.trajectory)[e.point_index];
 }
 
 }  // namespace
@@ -118,110 +71,44 @@ RTree::~RTree() = default;
 RTree::RTree(RTree&&) noexcept = default;
 RTree& RTree::operator=(RTree&&) noexcept = default;
 
-Rect RTree::bounds() const { return root_->mbr; }
-
 int RTree::Height() const {
   if (size_ == 0) return 0;
   return root_->level + 1;
 }
 
-void RTree::Insert(const RTreeEntry& entry) {
-  std::unique_ptr<Node> split;
-  InsertRecursive(root_.get(), entry, root_->level, &split);
-  if (split != nullptr) {
-    auto new_root = std::make_unique<Node>();
-    new_root->level = root_->level + 1;
-    new_root->children.push_back(std::move(root_));
-    new_root->children.push_back(std::move(split));
-    new_root->RecomputeMbr();
-    root_ = std::move(new_root);
-  }
-  ++size_;
-}
-
-void RTree::InsertRecursive(Node* node, const RTreeEntry& entry,
-                            int target_level, std::unique_ptr<Node>* split_out) {
-  (void)target_level;
-  node->mbr.Expand(entry.point);
-  if (node->leaf()) {
-    node->entries.push_back(entry);
-    if (node->entries.size() > static_cast<size_t>(max_entries_)) {
-      // Quadratic split of an overflowing leaf.
-      std::vector<Rect> rects;
-      rects.reserve(node->entries.size());
-      for (const auto& e : node->entries) rects.push_back(Rect::FromPoint(e.point));
-      const auto group =
-          QuadraticPartition(rects, static_cast<size_t>(max_entries_) / 2);
-      auto sibling = std::make_unique<Node>();
-      sibling->level = 0;
-      std::vector<RTreeEntry> keep;
-      for (size_t i = 0; i < node->entries.size(); ++i) {
-        if (group[i] == 0) {
-          keep.push_back(node->entries[i]);
-        } else {
-          sibling->entries.push_back(node->entries[i]);
-        }
-      }
-      node->entries = std::move(keep);
-      node->RecomputeMbr();
-      sibling->RecomputeMbr();
-      *split_out = std::move(sibling);
-    }
-    return;
-  }
-
-  // ChooseSubtree: least area enlargement, ties by smallest area.
-  Node* best = nullptr;
-  double best_enlargement = kInfDist;
-  double best_area = kInfDist;
-  for (const auto& child : node->children) {
-    const double enlargement =
-        UnionArea(child->mbr, Rect::FromPoint(entry.point)) -
-        child->mbr.Area();
-    const double area = child->mbr.Area();
-    if (enlargement < best_enlargement ||
-        (enlargement == best_enlargement && area < best_area)) {
-      best_enlargement = enlargement;
-      best_area = area;
-      best = child.get();
-    }
-  }
-  GAT_CHECK(best != nullptr);
-
-  std::unique_ptr<Node> child_split;
-  InsertRecursive(best, entry, target_level, &child_split);
-  if (child_split != nullptr) {
-    node->children.push_back(std::move(child_split));
-    if (node->children.size() > static_cast<size_t>(max_entries_)) {
-      std::vector<Rect> rects;
-      rects.reserve(node->children.size());
-      for (const auto& c : node->children) rects.push_back(c->mbr);
-      const auto group =
-          QuadraticPartition(rects, static_cast<size_t>(max_entries_) / 2);
-      auto sibling = std::make_unique<Node>();
-      sibling->level = node->level;
-      std::vector<std::unique_ptr<Node>> keep;
-      for (size_t i = 0; i < node->children.size(); ++i) {
-        if (group[i] == 0) {
-          keep.push_back(std::move(node->children[i]));
-        } else {
-          sibling->children.push_back(std::move(node->children[i]));
-        }
-      }
-      node->children = std::move(keep);
-      node->RecomputeMbr();
-      sibling->RecomputeMbr();
-      *split_out = std::move(sibling);
-    }
-  }
-}
-
-RTree RTree::BulkLoad(std::vector<RTreeEntry> entries, int max_entries) {
+RTree RTree::BulkLoad(std::vector<RTreeEntry> entries, int max_entries,
+                      const Dataset* activities) {
   RTree tree(max_entries);
   tree.size_ = entries.size();
+  tree.activities_ = activities;
   if (entries.empty()) return tree;
 
   const size_t cap = static_cast<size_t>(max_entries);
+
+  // A finished node's MBR, and with activities its inverted file.
+  auto& files = tree.inverted_files_;
+  const auto finish = [activities, &files](Node* node) {
+    InvertedFile file;
+    if (node->leaf()) {
+      for (const auto& e : node->entries) {
+        node->mbr.Expand(e.point);
+        if (activities != nullptr) {
+          MergeInto(&file.activities, PointOf(*activities, e).activities);
+        }
+      }
+    } else {
+      for (const auto& c : node->children) {
+        node->mbr.Expand(c->mbr);
+        if (activities != nullptr) {
+          MergeInto(&file.activities, files[c->id].activities);
+        }
+      }
+    }
+    if (activities == nullptr) return;
+    file.summary = SummaryOf(file.activities);
+    node->id = static_cast<uint32_t>(files.size());
+    files.push_back(std::move(file));
+  };
 
   // Sort-Tile-Recursive leaf packing.
   std::sort(entries.begin(), entries.end(),
@@ -246,7 +133,7 @@ RTree RTree::BulkLoad(std::vector<RTreeEntry> entries, int max_entries) {
       leaf->level = 0;
       const size_t page_end = std::min(i + cap, end);
       leaf->entries.assign(entries.begin() + i, entries.begin() + page_end);
-      leaf->RecomputeMbr();
+      finish(leaf.get());
       level_nodes.push_back(std::move(leaf));
     }
   }
@@ -279,7 +166,7 @@ RTree RTree::BulkLoad(std::vector<RTreeEntry> entries, int max_entries) {
       for (size_t j = i; j < end; ++j) {
         parent->children.push_back(std::move(level_nodes[j]));
       }
-      parent->RecomputeMbr();
+      finish(parent.get());
       parents.push_back(std::move(parent));
     }
     level_nodes = std::move(parents);
@@ -288,13 +175,6 @@ RTree RTree::BulkLoad(std::vector<RTreeEntry> entries, int max_entries) {
   tree.root_ = std::move(level_nodes.front());
   return tree;
 }
-
-namespace {
-
-bool CheckNode(const RTree::Node* node, int expected_leaf_depth, int depth,
-               int max_entries);
-
-}  // namespace
 
 bool RTree::CheckInvariants() const {
   if (size_ == 0) return true;
@@ -306,37 +186,32 @@ bool RTree::CheckInvariants() const {
     n = n->children.front().get();
     ++leaf_depth;
   }
-  return CheckNode(root_.get(), leaf_depth, 0, max_entries_);
-}
-
-namespace {
-
-bool CheckNode(const RTree::Node* node, int expected_leaf_depth, int depth,
-               int max_entries) {
-  if (node->leaf()) {
-    if (depth != expected_leaf_depth) return false;
-    if (node->entries.size() > static_cast<size_t>(max_entries)) return false;
-    for (const auto& e : node->entries) {
-      if (!node->mbr.Contains(e.point)) return false;
+  const auto check = [&](const auto& self, const Node* node,
+                         int depth) -> bool {
+    if (node->leaf()) {
+      if (depth != leaf_depth) return false;
+      if (node->entries.size() > static_cast<size_t>(max_entries_)) {
+        return false;
+      }
+      for (const auto& e : node->entries) {
+        if (!node->mbr.Contains(e.point)) return false;
+      }
+      return true;
     }
-    return true;
-  }
-  if (node->children.empty() ||
-      node->children.size() > static_cast<size_t>(max_entries)) {
-    return false;
-  }
-  Rect combined = Rect::Empty();
-  for (const auto& c : node->children) {
-    combined.Expand(c->mbr);
-    if (c->level != node->level - 1) return false;
-    if (!CheckNode(c.get(), expected_leaf_depth, depth + 1, max_entries)) {
+    if (node->children.empty() ||
+        node->children.size() > static_cast<size_t>(max_entries_)) {
       return false;
     }
-  }
-  return combined == node->mbr;
+    Rect combined = Rect::Empty();
+    for (const auto& c : node->children) {
+      combined.Expand(c->mbr);
+      if (c->level != node->level - 1) return false;
+      if (!self(self, c.get(), depth + 1)) return false;
+    }
+    return combined == node->mbr;
+  };
+  return check(check, root_.get(), 0);
 }
-
-}  // namespace
 
 std::vector<RTreeEntry> RTree::CollectAll() const {
   std::vector<RTreeEntry> out;
@@ -353,20 +228,27 @@ std::vector<RTreeEntry> RTree::CollectAll() const {
   return out;
 }
 
-RTree::NearestIterator::NearestIterator(const RTree& tree, const Point& origin)
-    : tree_(tree), origin_(origin) {
+RTree::NearestIterator::NearestIterator(const RTree& tree, const Point& origin,
+                                        std::vector<ActivityId> filter)
+    : tree_(tree), origin_(origin), filter_(std::move(filter)) {
+  if (!filter_.empty()) {
+    GAT_CHECK(tree.activities_ != nullptr);
+    std::sort(filter_.begin(), filter_.end());
+    filter_.erase(std::unique(filter_.begin(), filter_.end()), filter_.end());
+    filter_summary_ = SummaryOf(filter_);
+  }
   if (tree.size_ > 0) {
     heap_.push(HeapItem{MinDist(origin_, tree.root_->mbr), tree.root_.get(),
                         nullptr});
   }
 }
 
-bool RTree::NearestIterator::Next(RTreeEntry* entry, double* distance) {
+bool RTree::NearestIterator::Next(const RTreeEntry** entry, double* distance) {
   while (!heap_.empty()) {
     const HeapItem item = heap_.top();
     heap_.pop();
     if (item.node == nullptr) {
-      *entry = *item.entry;
+      *entry = item.entry;
       *distance = item.distance;
       return true;
     }
@@ -374,10 +256,24 @@ bool RTree::NearestIterator::Next(RTreeEntry* entry, double* distance) {
     const Node* n = item.node;
     if (n->leaf()) {
       for (const auto& e : n->entries) {
+        if (!filter_.empty() &&
+            !PointOf(*tree_.activities_, e).HasAnyActivity(filter_)) {
+          continue;  // the point carries none of the demanded activities
+        }
         heap_.push(HeapItem{Distance(origin_, e.point), nullptr, &e});
       }
     } else {
       for (const auto& c : n->children) {
+        // Check the child's inverted file before probing it (Section
+        // III-C): summary first (cheap), exact union on a summary hit.
+        if (!filter_.empty()) {
+          const InvertedFile& file = tree_.inverted_files_[c->id];
+          if ((file.summary & filter_summary_) == 0 ||
+              !HoldsAny(file.activities, filter_)) {
+            ++nodes_pruned_;
+            continue;
+          }
+        }
         heap_.push(HeapItem{MinDist(origin_, c->mbr), c.get(), nullptr});
       }
     }

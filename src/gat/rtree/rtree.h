@@ -12,6 +12,8 @@
 
 namespace gat {
 
+class Dataset;
+
 /// One indexed trajectory point.
 struct RTreeEntry {
   Point point;
@@ -19,41 +21,47 @@ struct RTreeEntry {
   PointIndex point_index = 0;
 };
 
-/// A 2-D R-tree over trajectory points — the substrate of the RT baseline
-/// (Section III-B), which "treats the points of all trajectories as a point
-/// set and indexes these points using an R-tree" (Guttman's structure).
+/// A 2-D R-tree over trajectory points, packed bottom-up with
+/// Sort-Tile-Recursive — the substrate of both tree baselines.
 ///
-/// Two construction paths:
-///  * `Insert` — Guttman's dynamic insertion with the quadratic split
-///    heuristic (exercised by unit tests; supports incremental loads).
-///  * `BulkLoad` — Sort-Tile-Recursive packing, used by the benchmark
-///    harness for deterministic, well-filled trees.
+///  * RT (Section III-B) "treats the points of all trajectories as a point
+///    set and indexes these points using an R-tree" (Guttman's structure).
+///  * IRT (Section III-C) is the same tree whose every node also carries an
+///    inverted file, as in the IR-tree of Cong et al. (VLDB 2009): the
+///    sorted union of the activity IDs beneath it plus a 64-bit Bloom-style
+///    summary. A tree gets inverted files only when it is built with the
+///    dataset that holds its points' activities; RT's tree has none.
 ///
 /// Nearest-neighbour access is incremental "distance browsing"
 /// (Hjaltason & Samet): a NearestIterator yields entries in non-decreasing
 /// distance from an origin, which is exactly what the k-BCT-style search of
-/// Chen et al. needs.
+/// Chen et al. needs. Given an activity filter, the iterator also prunes
+/// subtrees and entries carrying none of the filter's activities — the one
+/// modification IRT makes relative to RT.
 class RTree {
- public:
-  explicit RTree(int max_entries = 32);
-  ~RTree();
+  struct Node;
+  /// A node's inverted file: the sorted union of the activities below it,
+  /// and its summary.
+  struct InvertedFile {
+    std::vector<ActivityId> activities;
+    uint64_t summary = 0;
+  };
 
+ public:
+  /// Builds a packed tree. With `activities`, each node also gets its
+  /// inverted file, and filtered iteration reads each point's activities
+  /// from that dataset, which must outlive the tree and hold every entry's
+  /// (trajectory, point index).
+  static RTree BulkLoad(std::vector<RTreeEntry> entries, int max_entries = 32,
+                        const Dataset* activities = nullptr);
+
+  ~RTree();
   RTree(RTree&&) noexcept;
   RTree& operator=(RTree&&) noexcept;
   RTree(const RTree&) = delete;
   RTree& operator=(const RTree&) = delete;
 
-  /// Dynamic insert (quadratic split on overflow).
-  void Insert(const RTreeEntry& entry);
-
-  /// Builds a packed tree bottom-up with Sort-Tile-Recursive.
-  static RTree BulkLoad(std::vector<RTreeEntry> entries, int max_entries = 32);
-
   size_t size() const { return size_; }
-  int max_entries() const { return max_entries_; }
-
-  /// MBR of all entries (empty rect when the tree is empty).
-  Rect bounds() const;
 
   /// Height of the tree (0 for empty, 1 for a single leaf).
   int Height() const;
@@ -65,22 +73,29 @@ class RTree {
   /// Collects all entries (test support).
   std::vector<RTreeEntry> CollectAll() const;
 
-  struct Node;  // exposed for the IR-tree, which decorates nodes
-
   /// Incremental best-first nearest-neighbour iterator.
   class NearestIterator {
    public:
-    NearestIterator(const RTree& tree, const Point& origin);
+    /// With an empty `filter` the iterator browses every entry (RT). With
+    /// activities in `filter` it yields only entries carrying at least one
+    /// of them (IRT): it checks each child's summary, then its exact
+    /// activity union, before probing it, and each leaf entry's own
+    /// activities before yielding it. A filter needs a tree built with
+    /// activities.
+    NearestIterator(const RTree& tree, const Point& origin,
+                    std::vector<ActivityId> filter = {});
 
     /// Advances to the next nearest entry; returns false when drained.
-    bool Next(RTreeEntry* entry, double* distance);
+    bool Next(const RTreeEntry** entry, double* distance);
 
     /// Lower bound on the distance of everything not yet returned: the
     /// head key of the traversal heap (+inf when drained). This is the
-    /// per-query-point search radius of the RT baseline's Lemma-2 bound.
+    /// per-query-point search radius of the tree baselines' Lemma-2 bound.
     double PendingLowerBound() const;
 
     uint64_t nodes_popped() const { return nodes_popped_; }
+    /// Subtrees skipped by the activity filter.
+    uint64_t nodes_pruned() const { return nodes_pruned_; }
 
    private:
     struct HeapItem {
@@ -94,20 +109,24 @@ class RTree {
 
     const RTree& tree_;
     Point origin_;
+    std::vector<ActivityId> filter_;  // sorted, deduplicated
+    uint64_t filter_summary_ = 0;
     std::priority_queue<HeapItem, std::vector<HeapItem>, std::greater<>>
         heap_;
     uint64_t nodes_popped_ = 0;
+    uint64_t nodes_pruned_ = 0;
   };
 
  private:
-  friend class NearestIterator;
-
-  void InsertRecursive(Node* node, const RTreeEntry& entry, int target_level,
-                       std::unique_ptr<Node>* split_out);
+  explicit RTree(int max_entries);
 
   std::unique_ptr<Node> root_;
   int max_entries_;
   size_t size_ = 0;
+  /// Set only in a tree built with activities: the dataset leaf entries
+  /// are checked against, and one inverted file per node.
+  const Dataset* activities_ = nullptr;
+  std::vector<InvertedFile> inverted_files_;
 };
 
 }  // namespace gat

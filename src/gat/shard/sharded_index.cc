@@ -46,13 +46,19 @@ std::shared_ptr<ShardGeneration> ShardedIndex::BuildGeneration(
   // Builds and snapshot loads are tasks on the shared executor when the
   // caller provides one (a serving process rebuilds on the same pool
   // its queries run on); otherwise a construction-scoped executor fans
-  // the shards out, and build_threads == 1 stays a plain inline loop.
+  // the shards out. ParallelFor builds shard 0 on this thread, so that
+  // executor needs one worker fewer than the build parallelism; with
+  // none to spare (build_threads == 1, one shard, a 1-core host) the
+  // loop stays inline rather than asking for Executor(0), which would
+  // mean hardware concurrency.
   std::unique_ptr<Executor> scoped;
-  if (executor == nullptr && build_threads != 1 && num_shards > 1) {
-    const uint32_t threads =
-        std::min(ResolveThreadCount(build_threads), num_shards);
-    scoped = std::make_unique<Executor>(threads);
-    executor = scoped.get();
+  if (executor == nullptr) {
+    const uint32_t workers =
+        std::min(ResolveThreadCount(build_threads), num_shards) - 1;
+    if (workers > 0) {
+      scoped = std::make_unique<Executor>(workers);
+      executor = scoped.get();
+    }
   }
 
   std::atomic<uint32_t> loaded{0};

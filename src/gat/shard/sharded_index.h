@@ -147,8 +147,9 @@ class ShardedIndex {
  public:
   /// Partitions `dataset` and builds (or snapshot-loads) all shard
   /// indexes with one `ParallelFor` on `options.executor` (or a
-  /// construction-scoped executor of `options.build_threads` workers):
-  /// the calling thread builds shard 0, the others are sibling tasks.
+  /// construction-scoped executor of one worker fewer than
+  /// `options.build_threads`, capped by the shard count): the calling
+  /// thread builds shard 0, the others are sibling tasks.
   /// `dataset` itself is copied into the shards and need not outlive the
   /// index.
   explicit ShardedIndex(const Dataset& dataset, const GatConfig& config = {},

@@ -107,13 +107,6 @@ TEST(MinDist, LowerBoundsDistanceToAnyInnerPoint) {
   }
 }
 
-TEST(UnionArea, EnlargementMetric) {
-  const Rect a{Point{0, 0}, Point{1, 1}};
-  const Rect b{Point{2, 2}, Point{3, 3}};
-  EXPECT_DOUBLE_EQ(UnionArea(a, b), 9.0);
-  EXPECT_DOUBLE_EQ(UnionArea(a, a), 1.0);
-}
-
 TEST(Rect, MarginAndCenter) {
   const Rect r{Point{0, 0}, Point{4, 2}};
   EXPECT_DOUBLE_EQ(r.Margin(), 6.0);

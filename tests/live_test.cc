@@ -109,7 +109,8 @@ TEST(LiveIngest, ValidatesBatchesAtomically) {
   ASSERT_EQ(view->delta->trajectories.size(), 2u);
   EXPECT_EQ(view->delta->trajectories[0].size(), 2u);
   EXPECT_EQ(view->delta->trajectories[1].size(), 2u);
-  EXPECT_EQ(view->delta->users, (std::vector<uint64_t>{100, 101}));
+  EXPECT_EQ(view->delta->user_index.at(100), 0u);
+  EXPECT_EQ(view->delta->user_index.at(101), 1u);
   EXPECT_EQ(view->delta->base_trajectories, live.base().size());
   EXPECT_EQ(view->delta->base_generation, live.base().generation());
 }

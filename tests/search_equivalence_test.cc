@@ -10,7 +10,6 @@
 
 #include "gat/baselines/brute_force.h"
 #include "gat/baselines/il_search.h"
-#include "gat/baselines/irt_search.h"
 #include "gat/baselines/rt_search.h"
 #include "gat/datagen/checkin_generator.h"
 #include "gat/datagen/query_generator.h"

@@ -11,6 +11,10 @@
 // answers or the other six counters (`kernel_digest`): a sketch change
 // re-records the first group and must leave the second untouched.
 //
+// The tree baselines RT and IRT get the same kind of pin over the same
+// city and queries (kTreeGolden): answers plus their seven work counters,
+// summed and digested per query.
+//
 // On a mismatch the test prints the actual row in the same literal form
 // as kGolden, so an intended re-baseline is a copy-paste — but an
 // intended one only: these rows pin behaviour, not performance.
@@ -21,8 +25,10 @@
 #include <cstdint>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "gat/baselines/rt_search.h"
 #include "gat/datagen/checkin_generator.h"
 #include "gat/datagen/query_generator.h"
 #include "gat/shard/sharded_index.h"
@@ -75,10 +81,46 @@ constexpr GoldenRow kGolden[] = {
 };
 // clang-format on
 
+struct TreeGoldenRow {
+  std::string_view searcher;  // Searcher::name()
+  QueryKind kind;
+  uint64_t candidates_retrieved;
+  uint64_t activity_rejected;
+  uint64_t mib_rejected;
+  uint64_t distance_computations;
+  uint64_t nodes_popped;
+  uint64_t rounds;
+  uint64_t disk_reads;
+  /// As GoldenRow::results_digest.
+  uint64_t results_digest;
+  /// FNV-1a over every query's seven counters above, in that order and in
+  /// workload order.
+  uint64_t counter_digest;
+
+  bool operator==(const TreeGoldenRow&) const = default;
+};
+
+// clang-format off
+constexpr TreeGoldenRow kTreeGolden[] = {
+    {"RT", QueryKind::kAtsq, 4377, 2656, 0, 1721, 26112, 408, 5823, 4221688619261975275u, 7075810468552254554u},
+    {"RT", QueryKind::kOatsq, 5765, 3807, 323, 1635, 71424, 1116, 8719, 18265543774609140788u, 945090205274306509u},
+    {"IRT", QueryKind::kAtsq, 3131, 1621, 0, 1510, 11840, 185, 4495, 4221688619261975275u, 4170660060917821429u},
+    {"IRT", QueryKind::kOatsq, 4259, 2480, 276, 1503, 24576, 384, 6622, 18265543774609140788u, 4297760747637181000u},
+};
+// clang-format on
+
 void Mix(uint64_t* h, uint64_t v) {
   for (int byte = 0; byte < 8; ++byte) {
     *h ^= (v >> (8 * byte)) & 0xFF;
     *h *= 1099511628211ull;
+  }
+}
+
+void MixResults(uint64_t* h, const ResultList& results) {
+  Mix(h, results.size());
+  for (const SearchResult& r : results) {
+    Mix(h, r.trajectory);
+    Mix(h, static_cast<uint64_t>(std::llround(r.distance * 1e9)));
   }
 }
 
@@ -106,13 +148,7 @@ GoldenRow RunWorkload(const ShardedIndex& index,
                 14695981039346656037ull};
   for (const Query& q : queries) {
     SearchStats st;
-    const ResultList results = searcher.Search(q, kTopK, kind, &st);
-    Mix(&row.results_digest, results.size());
-    for (const SearchResult& r : results) {
-      Mix(&row.results_digest, r.trajectory);
-      Mix(&row.results_digest,
-          static_cast<uint64_t>(std::llround(r.distance * 1e9)));
-    }
+    MixResults(&row.results_digest, searcher.Search(q, kTopK, kind, &st));
     Mix(&row.kernel_digest, st.candidates_retrieved);
     Mix(&row.kernel_digest, st.mib_rejected);
     Mix(&row.kernel_digest, st.distance_computations);
@@ -135,14 +171,55 @@ GoldenRow RunWorkload(const ShardedIndex& index,
   return row;
 }
 
-TEST(SearchGolden, CountersAndAnswersArePinned) {
-  // Default GatConfig: depth 8 with HICL levels 7-8 on the disk tier, so
-  // disk_reads covers both HICL list fetches and APL fetches.
-  const Dataset dataset = GenerateCity(CityProfile::Testing(600, 20131));
+std::string Render(const TreeGoldenRow& r) {
+  std::ostringstream os;
+  os << "{\"" << r.searcher << "\", QueryKind::"
+     << (r.kind == QueryKind::kAtsq ? "kAtsq" : "kOatsq") << ", "
+     << r.candidates_retrieved << ", " << r.activity_rejected << ", "
+     << r.mib_rejected << ", " << r.distance_computations << ", "
+     << r.nodes_popped << ", " << r.rounds << ", " << r.disk_reads << ", "
+     << r.results_digest << "u, " << r.counter_digest << "u},";
+  return os.str();
+}
+
+TreeGoldenRow RunWorkload(const Searcher& searcher,
+                          const std::vector<Query>& queries, QueryKind kind,
+                          std::string_view name) {
+  TreeGoldenRow row{name, kind, 0, 0, 0, 0, 0, 0, 0,
+                    14695981039346656037ull, 14695981039346656037ull};
+  for (const Query& q : queries) {
+    SearchStats st;
+    MixResults(&row.results_digest, searcher.Search(q, kTopK, kind, &st));
+    const uint64_t counters[] = {st.candidates_retrieved, st.activity_rejected,
+                                 st.mib_rejected, st.distance_computations,
+                                 st.nodes_popped, st.rounds, st.disk_reads};
+    for (const uint64_t c : counters) Mix(&row.counter_digest, c);
+    row.candidates_retrieved += st.candidates_retrieved;
+    row.activity_rejected += st.activity_rejected;
+    row.mib_rejected += st.mib_rejected;
+    row.distance_computations += st.distance_computations;
+    row.nodes_popped += st.nodes_popped;
+    row.rounds += st.rounds;
+    row.disk_reads += st.disk_reads;
+  }
+  return row;
+}
+
+/// The golden city and its query workload.
+Dataset GoldenCity() { return GenerateCity(CityProfile::Testing(600, 20131)); }
+
+std::vector<Query> GoldenQueries(const Dataset& dataset) {
   QueryWorkloadParams wp;
   wp.num_queries = 20;
   wp.seed = 1304;
-  const std::vector<Query> queries = QueryGenerator(dataset, wp).Workload();
+  return QueryGenerator(dataset, wp).Workload();
+}
+
+TEST(SearchGolden, CountersAndAnswersArePinned) {
+  // Default GatConfig: depth 8 with HICL levels 7-8 on the disk tier, so
+  // disk_reads covers both HICL list fetches and APL fetches.
+  const Dataset dataset = GoldenCity();
+  const std::vector<Query> queries = GoldenQueries(dataset);
   ASSERT_EQ(queries.size(), 20u);
 
   // The paper's defaults, then a small batch and a short cell list, where
@@ -166,6 +243,29 @@ TEST(SearchGolden, CountersAndAnswersArePinned) {
     }
   }
   EXPECT_EQ(row_index, std::size(kGolden));
+}
+
+TEST(SearchGolden, TreeBaselineCountersAndAnswersArePinned) {
+  // The constructor defaults: 64 points per round, 32 entries per node.
+  const Dataset dataset = GoldenCity();
+  const std::vector<Query> queries = GoldenQueries(dataset);
+  ASSERT_EQ(queries.size(), 20u);
+  const RtSearcher rt(dataset);
+  const IrtSearcher irt(dataset);
+  size_t row_index = 0;
+  for (const Searcher* searcher : {static_cast<const Searcher*>(&rt),
+                                   static_cast<const Searcher*>(&irt)}) {
+    const std::string name = searcher->name();
+    for (const QueryKind kind : {QueryKind::kAtsq, QueryKind::kOatsq}) {
+      const TreeGoldenRow actual = RunWorkload(*searcher, queries, kind, name);
+      ASSERT_LT(row_index, std::size(kTreeGolden));
+      EXPECT_EQ(actual, kTreeGolden[row_index])
+          << "actual: " << Render(actual);
+      EXPECT_GT(actual.distance_computations, 0u);  // the workload bites
+      ++row_index;
+    }
+  }
+  EXPECT_EQ(row_index, std::size(kTreeGolden));
 }
 
 }  // namespace
