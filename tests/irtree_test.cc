@@ -1,42 +1,57 @@
-// Tests for the IR-tree: activity-filtered incremental NN and node pruning.
-
-#include "gat/rtree/irtree.h"
+// Tests for the IR-tree: the R-tree built with the dataset, its
+// activity-filtered incremental NN and node pruning.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <vector>
 
+#include "gat/model/dataset.h"
+#include "gat/rtree/rtree.h"
 #include "gat/util/rng.h"
 
 namespace gat {
 namespace {
 
-std::vector<IrTreeEntry> RandomEntries(Rng& rng, size_t n,
-                                       uint32_t vocabulary) {
-  std::vector<IrTreeEntry> entries;
+/// A dataset of `n` random points in trajectories of four, each point
+/// carrying 0-3 activities below `vocabulary` (not finalized, so the IDs
+/// stay as drawn), and the tree entries of its points.
+Dataset RandomDataset(Rng& rng, size_t n, uint32_t vocabulary,
+                      std::vector<RTreeEntry>* entries) {
+  Dataset dataset;
+  std::vector<TrajectoryPoint> points;
   for (size_t i = 0; i < n; ++i) {
-    IrTreeEntry e;
-    e.point = Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)};
-    e.trajectory = static_cast<TrajectoryId>(i / 4);
-    e.point_index = static_cast<PointIndex>(i % 4);
+    TrajectoryPoint p;
+    p.location = Point{rng.NextDouble(0, 100), rng.NextDouble(0, 100)};
     const uint32_t count = rng.NextU32(4);  // 0..3 activities
     for (uint32_t c = 0; c < count; ++c) {
-      e.activities.push_back(rng.NextU32(vocabulary));
+      p.activities.push_back(rng.NextU32(vocabulary));
     }
-    std::sort(e.activities.begin(), e.activities.end());
-    e.activities.erase(std::unique(e.activities.begin(), e.activities.end()),
-                       e.activities.end());
-    entries.push_back(std::move(e));
+    std::sort(p.activities.begin(), p.activities.end());
+    p.activities.erase(std::unique(p.activities.begin(), p.activities.end()),
+                       p.activities.end());
+    entries->push_back(RTreeEntry{p.location,
+                                  static_cast<TrajectoryId>(i / 4),
+                                  static_cast<PointIndex>(i % 4)});
+    points.push_back(std::move(p));
+    if (points.size() == 4 || i + 1 == n) {
+      dataset.Add(Trajectory(std::move(points)));
+      points.clear();
+    }
   }
-  return entries;
+  return dataset;
+}
+
+const TrajectoryPoint& PointOf(const Dataset& dataset, const RTreeEntry& e) {
+  return dataset.trajectory(e.trajectory)[e.point_index];
 }
 
 TEST(IrTree, EmptyTree) {
-  IrTree tree = IrTree::BulkLoad({});
+  const Dataset dataset;
+  const RTree tree = RTree::BulkLoad({}, 32, &dataset);
   EXPECT_EQ(tree.size(), 0u);
-  IrTree::NearestIterator it(tree, Point{0, 0}, {1});
-  const IrTreeEntry* e = nullptr;
+  RTree::NearestIterator it(tree, Point{0, 0}, {1});
+  const RTreeEntry* e = nullptr;
   double d;
   EXPECT_FALSE(it.Next(&e, &d));
 }
@@ -45,24 +60,24 @@ class IrTreeFilterTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IrTreeFilterTest, FilteredStreamYieldsExactlyMatchingPoints) {
   Rng rng(GetParam());
-  const auto entries = RandomEntries(rng, 500, 20);
-  const IrTree tree = IrTree::BulkLoad(entries, 8);
+  std::vector<RTreeEntry> entries;
+  const Dataset dataset = RandomDataset(rng, 500, 20, &entries);
+  const RTree tree = RTree::BulkLoad(entries, 8, &dataset);
+  EXPECT_TRUE(tree.CheckInvariants());
   const Point origin{rng.NextDouble(0, 100), rng.NextDouble(0, 100)};
   const std::vector<ActivityId> filter = {3, 7};
 
-  // Expected: every entry carrying activity 3 or 7, by distance.
+  // Expected: every point carrying activity 3 or 7, by distance.
   std::vector<double> expected;
   for (const auto& e : entries) {
-    const bool has = std::binary_search(e.activities.begin(),
-                                        e.activities.end(), 3u) ||
-                     std::binary_search(e.activities.begin(),
-                                        e.activities.end(), 7u);
-    if (has) expected.push_back(Distance(origin, e.point));
+    if (PointOf(dataset, e).HasAnyActivity(filter)) {
+      expected.push_back(Distance(origin, e.point));
+    }
   }
   std::sort(expected.begin(), expected.end());
 
-  IrTree::NearestIterator it(tree, origin, filter);
-  const IrTreeEntry* e = nullptr;
+  RTree::NearestIterator it(tree, origin, filter);
+  const RTreeEntry* e = nullptr;
   double d;
   size_t count = 0;
   double prev = -1.0;
@@ -71,10 +86,7 @@ TEST_P(IrTreeFilterTest, FilteredStreamYieldsExactlyMatchingPoints) {
     ASSERT_LT(count, expected.size());
     ASSERT_NEAR(d, expected[count], 1e-9);
     // Yielded entries really carry a demanded activity.
-    const bool has =
-        std::binary_search(e->activities.begin(), e->activities.end(), 3u) ||
-        std::binary_search(e->activities.begin(), e->activities.end(), 7u);
-    ASSERT_TRUE(has);
+    ASSERT_TRUE(PointOf(dataset, *e).HasAnyActivity(filter));
     prev = d;
     ++count;
   }
@@ -83,10 +95,11 @@ TEST_P(IrTreeFilterTest, FilteredStreamYieldsExactlyMatchingPoints) {
 
 TEST_P(IrTreeFilterTest, EmptyFilterDegeneratesToPlainBrowsing) {
   Rng rng(GetParam() + 1000);
-  const auto entries = RandomEntries(rng, 300, 10);
-  const IrTree tree = IrTree::BulkLoad(entries, 8);
-  IrTree::NearestIterator it(tree, Point{50, 50}, {});
-  const IrTreeEntry* e = nullptr;
+  std::vector<RTreeEntry> entries;
+  const Dataset dataset = RandomDataset(rng, 300, 10, &entries);
+  const RTree tree = RTree::BulkLoad(entries, 8, &dataset);
+  RTree::NearestIterator it(tree, Point{50, 50}, {});
+  const RTreeEntry* e = nullptr;
   double d;
   size_t count = 0;
   while (it.Next(&e, &d)) ++count;
@@ -99,35 +112,29 @@ INSTANTIATE_TEST_SUITE_P(Seeds, IrTreeFilterTest, ::testing::Values(1, 2, 3));
 TEST(IrTree, PrunesSubtreesWithoutDemandedActivity) {
   // Left half of the plane carries activity 0, right half activity 1;
   // searching for activity 1 from the far left must prune left subtrees.
-  std::vector<IrTreeEntry> entries;
+  Dataset dataset;
+  std::vector<RTreeEntry> entries;
   Rng rng(5);
   for (int i = 0; i < 200; ++i) {
-    IrTreeEntry e;
     const bool left = i < 100;
-    e.point = Point{rng.NextDouble(left ? 0 : 60, left ? 40 : 100),
-                    rng.NextDouble(0, 100)};
-    e.trajectory = static_cast<TrajectoryId>(i);
-    e.activities = {left ? 0u : 1u};
-    entries.push_back(std::move(e));
+    TrajectoryPoint p;
+    p.location = Point{rng.NextDouble(left ? 0 : 60, left ? 40 : 100),
+                       rng.NextDouble(0, 100)};
+    p.activities = {left ? 0u : 1u};
+    entries.push_back(RTreeEntry{p.location, static_cast<TrajectoryId>(i), 0});
+    dataset.Add(Trajectory({std::move(p)}));
   }
-  const IrTree tree = IrTree::BulkLoad(entries, 8);
-  IrTree::NearestIterator it(tree, Point{0, 50}, {1});
-  const IrTreeEntry* e = nullptr;
+  const RTree tree = RTree::BulkLoad(entries, 8, &dataset);
+  RTree::NearestIterator it(tree, Point{0, 50}, {1});
+  const RTreeEntry* e = nullptr;
   double d;
   size_t count = 0;
   while (it.Next(&e, &d)) {
-    ASSERT_EQ(e->activities, (std::vector<ActivityId>{1}));
+    ASSERT_EQ(PointOf(dataset, *e).activities, (std::vector<ActivityId>{1}));
     ++count;
   }
   EXPECT_EQ(count, 100u);
   EXPECT_GT(it.nodes_pruned(), 0u);
-}
-
-TEST(IrTree, InvertedFileBytesPositive) {
-  Rng rng(6);
-  const auto entries = RandomEntries(rng, 100, 10);
-  const IrTree tree = IrTree::BulkLoad(entries, 8);
-  EXPECT_GT(tree.InvertedFileBytes(), 0u);
 }
 
 }  // namespace
