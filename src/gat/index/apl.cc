@@ -1,6 +1,7 @@
 #include "gat/index/apl.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "gat/common/check.h"
@@ -13,34 +14,45 @@ using snapshot_format::kCountWords;
 using snapshot_format::PutCount;
 
 Apl::Apl(const Dataset& dataset) {
-  // A row's (activity, point) pairs, sorted: activities ascending and,
-  // within one activity, its points. Returns the distinct activities.
+  // First pass sizes the image without sorting: per row three counts,
+  // k activities, k + 1 offsets and the n points, where n counts the
+  // row's (point, activity) pairs and k its distinct activities
+  // (`last_row[a] == t` once activity a is counted for row t).
+  constexpr TrajectoryId kNoRow = std::numeric_limits<TrajectoryId>::max();
+  std::vector<TrajectoryId> last_row(dataset.activity_frame_limit(), kNoRow);
+  size_t words = 0, max_n = 0;
+  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
+    size_t k = 0, n = 0;
+    for (const TrajectoryPoint& p : dataset.trajectory(t).points()) {
+      for (ActivityId a : p.activities) {
+        if (a >= last_row.size()) last_row.resize(size_t{a} + 1, kNoRow);
+        k += std::exchange(last_row[a], t) != t ? 1 : 0;
+      }
+      n += p.activities.size();
+    }
+    words += 3 * kCountWords + 2 * k + 1 + n;
+    max_n = std::max(max_n, n);
+  }
+  image_.resize(words);
+  rows_.reserve(dataset.size());
+  // Second pass sorts each row's (activity, point) pairs once —
+  // activities ascending and, within one activity, its points — and
+  // writes the row as the snapshot stores it.
   std::vector<std::pair<ActivityId, PointIndex>> pairs;
-  const auto sort_row = [&dataset, &pairs](TrajectoryId t) {
+  pairs.reserve(max_n);
+  uint32_t* out = image_.data();
+  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
     const auto& tr = dataset.trajectory(t);
     pairs.clear();
     for (PointIndex i = 0; i < tr.size(); ++i) {
       for (ActivityId a : tr[i].activities) pairs.emplace_back(a, i);
     }
     std::sort(pairs.begin(), pairs.end());
+    const size_t n = pairs.size();
     size_t k = 0;
-    for (size_t i = 0; i < pairs.size(); ++i) {
+    for (size_t i = 0; i < n; ++i) {
       k += (i == 0 || pairs[i].first != pairs[i - 1].first) ? 1 : 0;
     }
-    return k;
-  };
-  // First pass sizes the image: per row three counts, k activities,
-  // k + 1 offsets and the points.
-  size_t words = 0;
-  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
-    words += 3 * kCountWords + 2 * sort_row(t) + 1 + pairs.size();
-  }
-  image_.resize(words);
-  rows_.reserve(dataset.size());
-  // Second pass writes each row as the snapshot stores it.
-  uint32_t* out = image_.data();
-  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
-    const size_t k = sort_row(t), n = pairs.size();
     uint32_t* activities = PutCount(out, k);
     uint32_t* offsets = PutCount(activities + k, k + 1);
     uint32_t* points = PutCount(offsets + k + 1, n);

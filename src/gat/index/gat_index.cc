@@ -1,5 +1,6 @@
 #include "gat/index/gat_index.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "gat/common/check.h"
@@ -28,33 +29,39 @@ GatIndex::GatIndex(const Dataset& dataset, const GatConfig& config)
   GAT_CHECK(dataset.finalized());
   Stopwatch timer;
 
-  // One pass over the data populates the leaf-cell occupancy (HICL leaves),
-  // the per-(cell, activity) trajectory lists (ITL), and the per-trajectory
-  // activity sets (TAS input). APL builds its own pass internally.
-  const uint32_t num_activities = dataset.num_distinct_activities();
-  std::vector<std::vector<uint32_t>> leaf_cells_per_activity(num_activities);
-  Itl::Builder itl_builder;
-  std::vector<std::vector<ActivityId>> activity_sets;
-  activity_sets.reserve(dataset.size());
-
+  // One pass over the data emits a posting per (point, activity) — its
+  // leaf cell, activity and trajectory — into an array sized by a count
+  // pass. ITL is built from the postings, and HICL's leaf level is the
+  // ITL transposed. APL makes its own pass, and TAS reads each
+  // trajectory's activity set off its APL row.
+  size_t num_postings = 0;
+  for (const Trajectory& tr : dataset.trajectories()) {
+    num_postings += tr.ActivityCount();
+  }
+  std::vector<Itl::Posting> postings;
+  postings.reserve(num_postings);
+  uint32_t num_activities = dataset.num_distinct_activities();
   for (TrajectoryId t = 0; t < dataset.size(); ++t) {
-    const auto& tr = dataset.trajectory(t);
-    for (PointIndex i = 0; i < tr.size(); ++i) {
-      const uint32_t leaf = grid_.LeafCode(tr[i].location);
-      for (ActivityId a : tr[i].activities) {
-        GAT_DCHECK(a < num_activities);
-        leaf_cells_per_activity[a].push_back(leaf);
-        itl_builder[leaf][a].push_back(t);
+    for (const TrajectoryPoint& p : dataset.trajectory(t).points()) {
+      const uint32_t leaf = grid_.LeafCode(p.location);
+      for (ActivityId a : p.activities) {
+        postings.push_back({leaf, a, t});
+        // An extension may carry IDs of its frame that the base never
+        // used; HICL keeps a list for each.
+        num_activities = std::max(num_activities, a + 1);
       }
     }
-    activity_sets.push_back(tr.ActivityUnion());
   }
-
+  itl_ = std::make_unique<Itl>(std::move(postings));
   hicl_ = std::make_unique<Hicl>(config_.depth, config_.memory_levels,
-                                 std::move(leaf_cells_per_activity));
-  itl_ = std::make_unique<Itl>(std::move(itl_builder));
-  tas_ = std::make_unique<Tas>(activity_sets, config_.tas_width);
+                                 itl_->CellsPerActivity(num_activities));
   apl_ = std::make_unique<Apl>(dataset);
+  std::vector<std::vector<ActivityId>> activity_sets(dataset.size());
+  for (TrajectoryId t = 0; t < dataset.size(); ++t) {
+    const auto activities = apl_->ActivitiesOf(t);
+    activity_sets[t].assign(activities.begin(), activities.end());
+  }
+  tas_ = std::make_unique<Tas>(activity_sets, config_.tas_width);
 
   build_seconds_ = timer.ElapsedMillis() / 1000.0;
 }

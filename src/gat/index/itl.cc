@@ -2,48 +2,96 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "gat/common/check.h"
 
 namespace gat {
 
-Itl::Itl(Builder builder) {
-  // First pass: order the cells and size the flat arrays.
-  std::vector<uint32_t> codes;
-  codes.reserve(builder.size());
-  size_t num_runs = 0;
-  size_t num_ids = 0;
-  for (auto& [code, acts] : builder) {
-    codes.push_back(code);
-    num_runs += acts.size();
-    for (auto& [_, trajs] : acts) {
-      std::sort(trajs.begin(), trajs.end());
-      trajs.erase(std::unique(trajs.begin(), trajs.end()), trajs.end());
-      num_ids += trajs.size();
+Itl::Itl(std::vector<Posting> postings) {
+  // Bucket the postings by leaf in place (an American-flag counting
+  // sort): bucket l is [bucket[l], bucket[l + 1]), and each posting is
+  // cycled into the next free slot of its bucket.
+  size_t num_leaves = 0;
+  for (const Posting& p : postings) {
+    num_leaves = std::max<size_t>(num_leaves, size_t{p.leaf} + 1);
+  }
+  std::vector<size_t> bucket(num_leaves + 1, 0);
+  for (const Posting& p : postings) ++bucket[size_t{p.leaf} + 1];
+  for (size_t l = 0; l < num_leaves; ++l) bucket[l + 1] += bucket[l];
+  std::vector<size_t> end(bucket.begin(), bucket.end() - 1);  // fill cursor
+  for (size_t l = 0; l < num_leaves; ++l) {
+    while (end[l] < bucket[l + 1]) {
+      Posting p = postings[end[l]];
+      while (p.leaf != l) std::swap(p, postings[end[p.leaf]++]);
+      postings[end[l]++] = p;
     }
+  }
+
+  // Sort and deduplicate each bucket by (activity, trajectory); `end`
+  // becomes the end of its unique postings. Count the cells, runs and
+  // IDs on the way, so the flat arrays are sized exactly.
+  const auto by_key = [](const Posting& a, const Posting& b) {
+    return std::pair(a.activity, a.trajectory) <
+           std::pair(b.activity, b.trajectory);
+  };
+  const auto same_key = [](const Posting& a, const Posting& b) {
+    return a.activity == b.activity && a.trajectory == b.trajectory;
+  };
+  size_t num_cells = 0, num_runs = 0, num_ids = 0;
+  for (size_t l = 0; l < num_leaves; ++l) {
+    const auto first = postings.begin() + bucket[l];
+    auto last = postings.begin() + bucket[l + 1];
+    if (first == last) continue;
+    std::sort(first, last, by_key);
+    last = std::unique(first, last, same_key);
+    end[l] = static_cast<size_t>(last - postings.begin());
+    ++num_cells;
+    for (auto it = first; it != last; ++it) {
+      num_runs += (it == first || it->activity != (it - 1)->activity) ? 1 : 0;
+    }
+    num_ids += static_cast<size_t>(last - first);
   }
   GAT_CHECK(num_ids <= std::numeric_limits<uint32_t>::max());
-  std::sort(codes.begin(), codes.end());
-  Reserve(codes.size(), num_runs, num_ids);
+  Reserve(num_cells, num_runs, num_ids);
 
-  // Second pass: each cell in the per-cell layout the snapshot stores.
-  std::vector<ActivityId> activities;
-  std::vector<uint32_t> offsets;
-  std::vector<TrajectoryId> ids;
-  for (uint32_t code : codes) {
-    const auto& acts = builder.at(code);
-    activities.clear();
-    for (const auto& [a, _] : acts) activities.push_back(a);
-    std::sort(activities.begin(), activities.end());
-    offsets.assign(1, 0);
-    ids.clear();
-    for (ActivityId a : activities) {
-      const auto& trajs = acts.at(a);
-      ids.insert(ids.end(), trajs.begin(), trajs.end());
-      offsets.push_back(static_cast<uint32_t>(ids.size()));
+  // Write each cell in code order; a run ends where the next posting
+  // names another activity.
+  for (size_t l = 0; l < num_leaves; ++l) {
+    if (bucket[l] == bucket[l + 1]) continue;
+    codes_.push_back(static_cast<uint32_t>(l));
+    for (size_t i = bucket[l]; i < end[l]; ++i) {
+      const Posting& p = postings[i];
+      if (i == bucket[l] || p.activity != postings[i - 1].activity) {
+        run_activity_.push_back(p.activity);
+      }
+      trajectories_.push_back(p.trajectory);
+      if (i + 1 == end[l] || postings[i + 1].activity != p.activity) {
+        run_begin_.push_back(static_cast<uint32_t>(trajectories_.size()));
+      }
     }
-    AppendCell(code, activities, offsets, ids);
+    cell_runs_.push_back(static_cast<uint32_t>(run_activity_.size()));
   }
+}
+
+std::vector<std::vector<uint32_t>> Itl::CellsPerActivity(
+    uint32_t num_activities) const {
+  // Count first, so every list is allocated once at its exact size.
+  std::vector<uint32_t> counts(num_activities, 0);
+  for (ActivityId a : run_activity_) {
+    if (a < num_activities) ++counts[a];
+  }
+  std::vector<std::vector<uint32_t>> cells(num_activities);
+  for (uint32_t a = 0; a < num_activities; ++a) cells[a].reserve(counts[a]);
+  // Cells ascend by code, so every list comes out sorted.
+  for (size_t c = 0; c < codes_.size(); ++c) {
+    for (uint32_t r = cell_runs_[c]; r < cell_runs_[c + 1]; ++r) {
+      if (run_activity_[r] < num_activities) {
+        cells[run_activity_[r]].push_back(codes_[c]);
+      }
+    }
+  }
+  return cells;
 }
 
 size_t Itl::FindCell(uint32_t leaf_code) const {

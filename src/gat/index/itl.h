@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "gat/common/types.h"
@@ -27,12 +26,19 @@ struct SnapshotIo;
 /// one over the cell's runs.
 class Itl {
  public:
-  /// `builder[leaf_code][activity]` -> trajectory IDs (sorted and
-  /// deduplicated here). The nested map form is only used at build time.
-  using Builder = std::unordered_map<
-      uint32_t, std::unordered_map<ActivityId, std::vector<TrajectoryId>>>;
+  /// One build input: trajectory `trajectory` has a point carrying
+  /// `activity` inside leaf cell `leaf`.
+  struct Posting {
+    uint32_t leaf;
+    ActivityId activity;
+    TrajectoryId trajectory;
+  };
 
-  explicit Itl(Builder builder);
+  /// Builds the lists from postings in any order, duplicates allowed.
+  /// A counting sort buckets them by leaf in place; each bucket is then
+  /// sorted by (activity, trajectory) and deduplicated, and the flat
+  /// arrays are allocated once at their exact size.
+  explicit Itl(std::vector<Posting> postings);
 
   /// Trajectories containing `activity` within leaf cell `leaf_code`
   /// (empty span when absent).
@@ -43,6 +49,12 @@ class Itl {
   std::span<const ActivityId> ActivitiesIn(uint32_t leaf_code) const;
 
   size_t num_cells() const { return codes_.size(); }
+
+  /// The ITL transposed, which is HICL's leaf level: per activity below
+  /// `num_activities`, the ascending codes of the cells holding it.
+  std::vector<std::vector<uint32_t>> CellsPerActivity(
+      uint32_t num_activities) const;
+
   /// The paper's accounting of the per-cell layout (Figure 8): per cell a
   /// 4-byte code, its activity IDs, |activities| + 1 offsets and its
   /// trajectory IDs, 4 bytes each: two words per cell and per run, one

@@ -69,6 +69,8 @@ bool LiveIndex::Ingest(std::span<const CheckIn> checkins,
   // Copy-on-write: fold the batch into a private copy of the current
   // delta and publish it whole. Readers scanning the predecessor are
   // untouched; the next Pin sees every check-in of this batch or none.
+  // The copy shares every trajectory's points with the predecessor;
+  // only the trajectories this batch appends to are cloned.
   const std::shared_ptr<const LiveView> current = Pin();
   auto next = std::make_shared<DeltaSnapshot>(*current->delta);
   for (const CheckIn& c : checkins) {
@@ -100,7 +102,9 @@ bool LiveIndex::MergeDelta(uint32_t num_shards,
 
   // Seal the delta's trajectories into the next dataset generation.
   // base_ is only written inside merge_mu_, so reading it here is safe
-  // against everything but ourselves.
+  // against everything but ourselves. The extension, and the shard cuts
+  // made from it, share every trajectory's points with base_ and the
+  // delta: the merge copies handles, not the dataset.
   Dataset extended = base_.ExtendWith(delta->trajectories);
   const std::string dir =
       snapshot_dir.empty()

@@ -53,7 +53,15 @@ void Dataset::Finalize() {
     permutation[by_freq[rank]] = rank;
   }
 
+  // Re-rank in place, cloning only the trajectories whose IDs change: a
+  // trajectory shared with another dataset (Sample's input) keeps its
+  // block when the permutation leaves its IDs as they are.
   for (auto& tr : trajectories_) {
+    bool moved = false;
+    for (const auto& p : tr.points()) {
+      for (ActivityId a : p.activities) moved = moved || permutation[a] != a;
+    }
+    if (!moved) continue;
     for (auto& p : tr.mutable_points()) {
       for (auto& a : p.activities) a = permutation[a];
       std::sort(p.activities.begin(), p.activities.end());
@@ -89,7 +97,7 @@ Dataset Dataset::Sample(const std::vector<TrajectoryId>& ids) const {
   Dataset out;
   for (TrajectoryId id : ids) {
     GAT_CHECK(id < trajectories_.size());
-    out.Add(trajectories_[id]);  // copy
+    out.Add(trajectories_[id]);  // shares the points
   }
   out.Finalize();
   return out;
@@ -99,14 +107,19 @@ std::vector<Dataset> Dataset::PartitionRoundRobin(uint32_t num_shards) const {
   GAT_CHECK(finalized_);
   GAT_CHECK(num_shards >= 1);
   std::vector<Dataset> shards(num_shards);
-  for (auto& shard : shards) {
+  for (uint32_t s = 0; s < num_shards; ++s) {
+    Dataset& shard = shards[s];
     shard.vocabulary_ = vocabulary_;
     shard.bounding_box_ = bounding_box_;
     shard.activity_frequencies_ = activity_frequencies_;
     shard.generation_ = generation_;
-  }
-  for (TrajectoryId t = 0; t < trajectories_.size(); ++t) {
-    shards[t % num_shards].trajectories_.push_back(trajectories_[t]);  // copy
+    // Shard s holds global IDs s, s + num_shards, ...; each entry shares
+    // the parent's points.
+    shard.trajectories_.reserve(
+        (trajectories_.size() + num_shards - 1 - s) / num_shards);
+    for (size_t t = s; t < trajectories_.size(); t += num_shards) {
+      shard.trajectories_.push_back(trajectories_[t]);
+    }
   }
   // Trajectories are already normalized and activity IDs already ranked;
   // running Finalize() would re-rank per shard, so freeze directly.
@@ -121,10 +134,13 @@ Dataset Dataset::ExtendWith(const std::vector<Trajectory>& extra) const {
   out.bounding_box_ = bounding_box_;
   out.activity_frequencies_ = activity_frequencies_;
   out.generation_ = generation_ + 1;
-  out.trajectories_ = trajectories_;  // copy; IDs 0..size()-1 unchanged
+  // IDs 0..size()-1 unchanged; every entry shares its points.
+  out.trajectories_.reserve(trajectories_.size() + extra.size());
+  out.trajectories_.insert(out.trajectories_.end(), trajectories_.begin(),
+                           trajectories_.end());
   const uint32_t frame_limit = activity_frame_limit();
   for (const Trajectory& tr : extra) {
-    Trajectory copy = tr;
+    Trajectory copy = tr;  // shared unless normalizing changes it
     copy.NormalizeActivities();
     for (const auto& p : copy.points()) {
       // The frame is inherited, not recomputed, so the appended data

@@ -84,8 +84,9 @@ class Dataset {
 
   /// Builds a new dataset from a subset of this one's trajectories
   /// (used by the Figure-7 scalability experiment, which samples the NY
-  /// dataset down to 10K..50K trajectories). The subset shares no state
-  /// with the source and is finalized (IDs re-ranked for the subset).
+  /// dataset down to 10K..50K trajectories). The subset is finalized
+  /// (IDs re-ranked for the subset); a trajectory shares its points with
+  /// the source unless the re-rank changes its IDs.
   Dataset Sample(const std::vector<TrajectoryId>& ids) const;
 
   /// Splits the dataset into `num_shards` finalized datasets by
@@ -96,8 +97,10 @@ class Dataset {
   /// Unlike `Sample`, partitioning preserves the parent's frame of
   /// reference: activity IDs are NOT re-ranked (every shard keeps the
   /// global frequency-ranked ID space, so queries need no per-shard
-  /// translation), the vocabulary is copied, and every shard inherits the
-  /// parent's bounding box (per-shard grids are geometrically identical).
+  /// translation), the vocabulary is copied, each trajectory shares its
+  /// points with the parent's (copying a handle, not the points), and
+  /// every shard inherits the parent's bounding box (per-shard grids are
+  /// geometrically identical).
   /// `activity_frequencies()` of a shard is the parent's global table —
   /// shard-local recounts would re-introduce a per-shard ID semantics.
   ///
@@ -111,9 +114,10 @@ class Dataset {
 
   /// Frame-preserving append: a finalized copy of this dataset with
   /// `extra` trajectories added at IDs size()..size()+extra.size()-1,
-  /// at generation() + 1. This is the compaction step of live
-  /// ingestion: the delta trajectories become ordinary base
-  /// trajectories of the next dataset generation.
+  /// at generation() + 1. Every trajectory, this dataset's and the
+  /// extra ones, shares its points with its source. This is the
+  /// compaction step of live ingestion: the delta trajectories become
+  /// ordinary base trajectories of the next dataset generation.
   ///
   /// Unlike Add + Finalize, the parent's frame of reference is kept
   /// verbatim — activity IDs are NOT re-ranked, the vocabulary,

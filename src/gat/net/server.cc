@@ -154,9 +154,15 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
   for (;;) {
     InboundFrame inbound;
     {
-      std::lock_guard<std::mutex> lock(conn->mu);
+      std::unique_lock<std::mutex> lock(conn->mu);
       if (conn->busy || conn->pending.empty()) {
         conn->pumping = false;
+        // A connection this leaves drained must be retired by the poll
+        // thread, which may have checked it while this thread pumped.
+        const bool drained =
+            !conn->busy && conn->outbox.empty() && conn->input_closed;
+        lock.unlock();
+        if (drained) Wake();
         return;
       }
       inbound = std::move(conn->pending.front());
@@ -204,13 +210,21 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
                            : *interactive_group_;
     group.Submit([this, conn, shared_request] {
       std::string response = ServeAdmittedFrame(door_, *shared_request);
+      bool wake;
       {
+        // Send from here rather than through the poll thread: the
+        // response leaves without a wakeup and a poll round. The lock
+        // keeps it after every byte queued before it.
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->outbox += response;
         conn->busy = false;
         requests_served_.fetch_add(1, std::memory_order_relaxed);
+        // The poll thread is needed only to finish a partial send or to
+        // see a failed one; PumpConnection wakes it to retire the
+        // connection once drained.
+        wake = !FlushOutbox(*conn) || !conn->outbox.empty();
       }
-      Wake();
+      if (wake) Wake();
       PumpConnection(conn);
     });
     return;
@@ -218,7 +232,6 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
 }
 
 bool Server::FlushOutbox(Connection& conn) {
-  std::lock_guard<std::mutex> lock(conn.mu);
   while (!conn.outbox.empty()) {
     // MSG_NOSIGNAL: a peer that vanished mid-response is a dropped
     // connection, not a SIGPIPE process kill.
@@ -286,6 +299,7 @@ void Server::PollLoop() {
         PumpConnection(conn);
       }
       if (revents & POLLOUT) {
+        std::lock_guard<std::mutex> lock(conn->mu);
         if (!FlushOutbox(*conn)) conn->input_closed = true;
       }
     }

@@ -7,6 +7,7 @@
 
 #include <set>
 #include <span>
+#include <tuple>
 
 #include "gat/datagen/checkin_generator.h"
 #include "gat/geo/zorder.h"
@@ -128,11 +129,8 @@ TEST(Hicl, MemoryLevelsForBudget) {
 // ---------------------------------------------------------------------------
 
 TEST(Itl, PostingsRoundTrip) {
-  Itl::Builder builder;
-  builder[7][2] = {0, 4, 1, 4};  // unsorted, with duplicate
-  builder[7][5] = {3};
-  builder[9][2] = {2};
-  Itl itl(std::move(builder));
+  // Out of order, with a duplicate: (cell 7, activity 2, trajectory 4).
+  Itl itl({{7, 2, 0}, {9, 2, 2}, {7, 2, 4}, {7, 5, 3}, {7, 2, 1}, {7, 2, 4}});
   EXPECT_EQ(itl.num_cells(), 2u);
 
   const auto t72 = itl.Trajectories(7, 2);
@@ -152,13 +150,8 @@ TEST(Itl, PostingsRoundTrip) {
 }
 
 TEST(Itl, FlatLookupEdges) {
-  Itl::Builder builder;
-  builder[3][1] = {5};
-  builder[3][4] = {2, 0};
-  builder[10][4] = {1};
-  builder[20][0] = {7, 6};
-  builder[20][9] = {3};
-  const Itl itl(std::move(builder));
+  const Itl itl({{20, 9, 3}, {3, 1, 5}, {10, 4, 1}, {3, 4, 2}, {20, 0, 7},
+                 {3, 4, 0}, {20, 0, 6}});
   ASSERT_EQ(itl.num_cells(), 3u);
   const auto ids = [](std::span<const TrajectoryId> s) {
     return std::vector<TrajectoryId>(s.begin(), s.end());
@@ -190,12 +183,51 @@ TEST(Itl, FlatLookupEdges) {
   EXPECT_TRUE(itl.Trajectories(20, 4).empty());
 }
 
-TEST(Itl, EmptyBuilderFindsNothing) {
-  const Itl itl(Itl::Builder{});
+TEST(Itl, NoPostingsFindsNothing) {
+  const Itl itl(std::vector<Itl::Posting>{});
   EXPECT_EQ(itl.num_cells(), 0u);
   EXPECT_TRUE(itl.Trajectories(0, 0).empty());
   EXPECT_TRUE(itl.ActivitiesIn(0).empty());
   EXPECT_EQ(itl.MemoryBytes(), 0u);
+}
+
+TEST(Itl, CountingSortMatchesOrderedReference) {
+  // Random postings, many duplicates, against an ordered-set reference
+  // of the same (leaf, activity, trajectory) triples; the transposed view
+  // must list each activity's cells in ascending order.
+  Rng rng(1313);
+  std::vector<Itl::Posting> postings;
+  std::set<std::tuple<uint32_t, ActivityId, TrajectoryId>> reference;
+  for (int i = 0; i < 3000; ++i) {
+    const Itl::Posting p{rng.NextU32(300), rng.NextU32(9), rng.NextU32(40)};
+    postings.push_back(p);
+    reference.emplace(p.leaf, p.activity, p.trajectory);
+  }
+  const Itl itl(postings);
+  std::set<std::tuple<uint32_t, ActivityId, TrajectoryId>> rebuilt;
+  size_t ids = 0;
+  for (uint32_t leaf = 0; leaf < 301; ++leaf) {
+    for (ActivityId a : itl.ActivitiesIn(leaf)) {
+      const auto trajectories = itl.Trajectories(leaf, a);
+      ASSERT_TRUE(std::is_sorted(trajectories.begin(), trajectories.end()));
+      for (TrajectoryId t : trajectories) rebuilt.emplace(leaf, a, t);
+      ids += trajectories.size();
+    }
+  }
+  EXPECT_EQ(rebuilt, reference);
+  EXPECT_EQ(ids, reference.size());  // deduplicated
+
+  const auto cells = itl.CellsPerActivity(10);
+  ASSERT_EQ(cells.size(), 10u);
+  for (ActivityId a = 0; a < 10; ++a) {
+    std::vector<uint32_t> expected;
+    for (const auto& [leaf, activity, _] : reference) {
+      if (activity == a && (expected.empty() || expected.back() != leaf)) {
+        expected.push_back(leaf);
+      }
+    }
+    EXPECT_EQ(cells[a], expected) << a;
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -360,6 +392,32 @@ TEST(GatIndex, BuildOnGeneratedCity) {
       }
     }
   }
+}
+
+TEST(GatIndex, ExtensionMayUseFrameIdsTheBaseNeverUsed) {
+  // The vocabulary interns an activity no base trajectory carries, so
+  // it is inside the frame but past num_distinct_activities(); an
+  // extension may use it, and the index must give it lists.
+  Dataset d;
+  const ActivityId used = d.mutable_vocabulary().InternActivity("used");
+  d.mutable_vocabulary().InternActivity("unused");
+  d.Add(Trajectory({{Point{0, 0}, {used}}, {Point{1, 1}, {used}}}));
+  d.Finalize();
+  ASSERT_EQ(d.num_distinct_activities(), 1u);
+  ASSERT_EQ(d.activity_frame_limit(), 2u);
+  const ActivityId unused = d.vocabulary().Lookup("unused");
+  const Dataset extended =
+      d.ExtendWith({Trajectory({{Point{0.5, 0.5}, {unused}}})});
+
+  const GatIndex index(extended);
+  EXPECT_EQ(index.hicl().num_activities(), 2u);
+  const uint32_t leaf = index.grid().LeafCode(Point{0.5, 0.5});
+  const auto ids = index.itl().Trajectories(leaf, unused);
+  EXPECT_EQ(std::vector<TrajectoryId>(ids.begin(), ids.end()),
+            (std::vector<TrajectoryId>{1}));
+  const auto cells = index.hicl().CellsAt(unused, index.config().depth);
+  EXPECT_EQ(std::vector<uint32_t>(cells.begin(), cells.end()),
+            (std::vector<uint32_t>{leaf}));
 }
 
 TEST(GatIndex, FinerGridCostsMoreMemory) {

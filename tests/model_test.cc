@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+
 #include "gat/model/dataset.h"
 #include "gat/model/dataset_stats.h"
 #include "gat/model/query.h"
@@ -16,6 +19,11 @@ Trajectory MakeTrajectory(
   std::vector<TrajectoryPoint> points;
   for (auto& [loc, acts] : pts) points.push_back(TrajectoryPoint{loc, acts});
   return Trajectory(std::move(points));
+}
+
+/// Whether two trajectories read one block of points.
+bool SharePoints(const Trajectory& a, const Trajectory& b) {
+  return &a.points() == &b.points();
 }
 
 TEST(TrajectoryPoint, HasActivity) {
@@ -110,6 +118,134 @@ TEST(Dataset, SampleSubsets) {
   EXPECT_TRUE(sub.finalized());
   EXPECT_EQ(sub.trajectory(0)[0].location.x, 1.0);
   EXPECT_EQ(sub.trajectory(1)[0].location.x, 3.0);
+}
+
+TEST(Trajectory, DefaultConstructedIsEmptyAndReadable) {
+  const Trajectory tr;
+  EXPECT_TRUE(tr.empty());
+  EXPECT_EQ(tr.size(), 0u);
+  EXPECT_TRUE(tr.points().empty());
+  EXPECT_TRUE(tr.ActivityUnion().empty());
+  EXPECT_EQ(tr.ActivityCount(), 0u);
+  EXPECT_TRUE(tr.BoundingBox().IsEmpty());
+  Trajectory copy = tr;
+  copy.NormalizeActivities();
+  copy.mutable_points().push_back({Point{1, 2}, {3}});
+  EXPECT_EQ(copy.size(), 1u);
+  EXPECT_TRUE(tr.empty());
+}
+
+TEST(Trajectory, CopiesShareAndAMutatedCopyLeavesTheSource) {
+  const Trajectory source =
+      MakeTrajectory({{Point{0, 0}, {1}}, {Point{1, 0}, {2}}});
+  Trajectory copy = source;
+  EXPECT_TRUE(SharePoints(copy, source));
+  EXPECT_EQ(&copy.points(), &source.points());
+
+  copy.mutable_points().push_back({Point{2, 0}, {3}});
+  copy.mutable_points()[0].activities.push_back(7);
+  EXPECT_FALSE(SharePoints(copy, source));
+  ASSERT_EQ(source.size(), 2u);
+  EXPECT_EQ(source[0].activities, (std::vector<ActivityId>{1}));
+  ASSERT_EQ(copy.size(), 3u);
+  EXPECT_EQ(copy[0].activities, (std::vector<ActivityId>{1, 7}));
+
+  // A sole owner mutates in place; moving hands the block over.
+  const std::vector<TrajectoryPoint>* block = &copy.points();
+  copy.mutable_points().pop_back();
+  EXPECT_EQ(&copy.points(), block);
+  Trajectory moved = std::move(copy);
+  EXPECT_EQ(&moved.points(), block);
+
+  // Assignment shares too, and releases what the target held.
+  moved = source;
+  EXPECT_TRUE(SharePoints(moved, source));
+  moved = Trajectory();
+  EXPECT_TRUE(moved.empty());
+  EXPECT_EQ(source.size(), 2u);
+}
+
+TEST(Trajectory, NormalizingANormalizedCopyKeepsItShared) {
+  const Trajectory sorted = MakeTrajectory({{Point{0, 0}, {1, 4}}});
+  Trajectory copy = sorted;
+  copy.NormalizeActivities();
+  EXPECT_TRUE(SharePoints(copy, sorted));
+
+  const Trajectory unsorted = MakeTrajectory({{Point{0, 0}, {4, 1, 4}}});
+  Trajectory normalized = unsorted;
+  normalized.NormalizeActivities();
+  EXPECT_FALSE(SharePoints(normalized, unsorted));
+  EXPECT_EQ(normalized[0].activities, (std::vector<ActivityId>{1, 4}));
+  EXPECT_EQ(unsorted[0].activities, (std::vector<ActivityId>{4, 1, 4}));
+}
+
+TEST(Trajectory, CopiesOnManyThreadsStayIndependent) {
+  // Threads copy one shared trajectory, read it, mutate their copies and
+  // drop them, all at once: under ThreadSanitizer this checks that the
+  // reference count and the clone-on-write are race-free.
+  std::vector<std::pair<Point, std::vector<ActivityId>>> pts;
+  for (int i = 0; i < 64; ++i) {
+    pts.push_back({Point{static_cast<double>(i), 0}, {1, 2}});
+  }
+  const Trajectory source = MakeTrajectory(pts);
+  std::vector<std::thread> threads;
+  std::atomic<int> mismatches{0};
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&source, &mismatches, t] {
+      for (int round = 0; round < 200; ++round) {
+        Trajectory copy = source;
+        double sum = 0;
+        for (const auto& p : copy.points()) sum += p.location.x;
+        copy.mutable_points()[0].location.x = -1.0 - t;
+        Trajectory second = copy;  // shares the clone, then clones again
+        second.mutable_points().pop_back();
+        if (sum != 2016.0 || copy.size() != 64 || second.size() != 63 ||
+            copy[0].location.x != -1.0 - t) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(source[0].location.x, 0.0);
+  EXPECT_EQ(source.size(), 64u);
+}
+
+TEST(Dataset, PartitionExtensionAndSampleSharePoints) {
+  Dataset d;
+  for (int i = 0; i < 5; ++i) {
+    d.Add(MakeTrajectory(
+        {{Point{static_cast<double>(i), 0}, {static_cast<ActivityId>(i)}}}));
+  }
+  d.Finalize();
+
+  const std::vector<Dataset> shards = d.PartitionRoundRobin(2);
+  for (TrajectoryId g = 0; g < d.size(); ++g) {
+    EXPECT_TRUE(SharePoints(shards[g % 2].trajectory(g / 2), d.trajectory(g)))
+        << g;
+  }
+
+  const Trajectory extra = MakeTrajectory({{Point{2, 0}, {4, 0}}});
+  const Dataset extended = d.ExtendWith({extra});
+  ASSERT_EQ(extended.size(), 6u);
+  for (TrajectoryId g = 0; g < d.size(); ++g) {
+    EXPECT_TRUE(SharePoints(extended.trajectory(g), d.trajectory(g)));
+  }
+  // Normalizing the unsorted extra trajectory clones it, and only it.
+  EXPECT_FALSE(SharePoints(extended.trajectory(5), extra));
+  EXPECT_EQ(extended.trajectory(5)[0].activities,
+            (std::vector<ActivityId>{0, 4}));
+  EXPECT_EQ(extra[0].activities, (std::vector<ActivityId>{4, 0}));
+
+  // A sample whose re-rank keeps its IDs shares; one whose IDs move
+  // clones, and the source keeps its own.
+  const Dataset head = d.Sample({0, 1});
+  EXPECT_TRUE(SharePoints(head.trajectory(1), d.trajectory(1)));
+  const Dataset odd = d.Sample({1, 3});
+  EXPECT_FALSE(SharePoints(odd.trajectory(0), d.trajectory(1)));
+  EXPECT_EQ(odd.trajectory(0)[0].activities, (std::vector<ActivityId>{0}));
+  EXPECT_EQ(d.trajectory(1)[0].activities, (std::vector<ActivityId>{1}));
 }
 
 TEST(ActivityVocabulary, InternIsIdempotent) {
