@@ -9,9 +9,11 @@ Runs the command after `--` with each checkout as its working directory,
 pair i running A first when i is even and B first when i is odd (ABBA
 order), so drift in the host's load falls on both sides alike. The last
 line of the command's standard output must be its result JSON, with
-`{"metrics": {NAME: {"value": V, ...}}}` (the e2ebench schema); a run
-that exits non-zero, or whose last line is not such JSON, is reported
-and its pair is dropped.
+`{"correct": C, "failed": F, "metrics": {NAME: {"value": V, ...}}}`
+(the e2ebench schema). A run that exits non-zero, whose last line is not
+such JSON, or that reports `"correct": false` or a non-zero `"failed"`
+is reported and its pair is dropped: metrics of a wrong run count for
+neither side.
 
 CARGO_TARGET_DIR is removed from the commands' environment so that each
 checkout builds into its own default directory; --env-a/--env-b set
@@ -90,8 +92,8 @@ def run_once(command, cwd, env, label):
     if result.get("correct") is False or result.get("failed", 0) != 0:
         print(f"{label}: correct={result.get('correct')} "
               f"failed={result.get('failed')}", file=sys.stderr)
-    return {"metrics": metrics, "correct": result.get("correct"),
-            "failed": result.get("failed")}
+        return None
+    return metrics
 
 
 def side_env(assignments):
@@ -104,12 +106,13 @@ def side_env(assignments):
 
 
 def summarize(runs, better, names):
+    """One row per metric over the pairs where both runs succeeded."""
     pairs = [(a, b) for a, b in runs if a is not None and b is not None]
     a_runs = [a for a, _ in runs if a is not None]
     rows = []
     for name in names:
-        avals = [a["metrics"][name] for a, _ in pairs if name in a["metrics"]]
-        bvals = [b["metrics"][name] for _, b in pairs if name in b["metrics"]]
+        avals = [a[name] for a, _ in pairs if name in a]
+        bvals = [b[name] for _, b in pairs if name in b]
         if len(avals) != len(pairs) or len(bvals) != len(pairs) or not pairs:
             continue
         aq, bq = quartiles(avals), quartiles(bvals)
@@ -125,7 +128,7 @@ def summarize(runs, better, names):
             verdict = "gain"
         elif apart and losses >= 0.9 * len(pairs) and (bq[1] > aq[1]) == lower:
             verdict = "worse"
-        all_a = [a["metrics"][name] for a in a_runs if name in a["metrics"]]
+        all_a = [a[name] for a in a_runs if name in a]
         aa = [y / x for i, x in enumerate(all_a) for j, y in enumerate(all_a)
               if i != j and x != 0]
         rows.append({
@@ -149,8 +152,6 @@ def main():
     parser.add_argument("--a", required=True, help="parent checkout")
     parser.add_argument("--b", required=True, help="change checkout")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--metrics", default="",
-                        help="comma-separated names (default: all)")
     parser.add_argument("--env-a", action="append", default=[])
     parser.add_argument("--env-b", action="append", default=[])
     parser.add_argument("--benchmark", default="BENCHMARK.json",
@@ -179,10 +180,7 @@ def main():
               file=sys.stderr)
 
     better = directions(args.benchmark)
-    names = [n for n in args.metrics.split(",") if n]
-    if not names:
-        names = sorted({n for a, b in runs for r in (a, b) if r
-                        for n in r["metrics"]})
+    names = sorted({n for a, b in runs for r in (a, b) if r for n in r})
     rows = summarize(runs, better, names)
     failed = sum(r is None for pair in runs for r in pair)
     print(f"{len(runs)} pairs, {failed} failed runs; A = {cwd['a']}, "

@@ -1,6 +1,5 @@
 #include "gat/index/gat_index.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "gat/common/check.h"
@@ -40,21 +39,18 @@ GatIndex::GatIndex(const Dataset& dataset, const GatConfig& config)
   }
   std::vector<Itl::Posting> postings;
   postings.reserve(num_postings);
-  uint32_t num_activities = dataset.num_distinct_activities();
   for (TrajectoryId t = 0; t < dataset.size(); ++t) {
     for (const TrajectoryPoint& p : dataset.trajectory(t).points()) {
       const uint32_t leaf = grid_.LeafCode(p.location);
       for (ActivityId a : p.activities) {
         postings.push_back({leaf, a, t});
-        // An extension may carry IDs of its frame that the base never
-        // used; HICL keeps a list for each.
-        num_activities = std::max(num_activities, a + 1);
       }
     }
   }
   itl_ = std::make_unique<Itl>(std::move(postings));
   hicl_ = std::make_unique<Hicl>(config_.depth, config_.memory_levels,
-                                 itl_->CellsPerActivity(num_activities));
+                                 itl_->CellsPerActivity(
+                                     dataset.num_distinct_activities()));
   apl_ = std::make_unique<Apl>(dataset);
   std::vector<std::vector<ActivityId>> activity_sets(dataset.size());
   for (TrajectoryId t = 0; t < dataset.size(); ++t) {

@@ -1,6 +1,7 @@
 #include "gat/index/hicl.h"
 
 #include <algorithm>
+#include <functional>
 
 #include "gat/common/check.h"
 #include "gat/geo/zorder.h"
@@ -28,15 +29,15 @@ size_t Ancestors(const std::vector<uint32_t>& leaf, int shift, uint32_t* out) {
 }  // namespace
 
 Hicl::Hicl(int depth, int memory_levels,
-           std::vector<std::vector<uint32_t>> leaf_cells_per_activity)
+           const std::vector<std::vector<uint32_t>>& leaf_cells_per_activity)
     : depth_(depth), memory_levels_(memory_levels) {
   GAT_CHECK(depth >= 1);
   GAT_CHECK(memory_levels >= 0 && memory_levels <= depth);
   // First pass sizes the image: a count word and the codes per list.
   size_t words = 0;
-  for (auto& leaf : leaf_cells_per_activity) {
-    std::sort(leaf.begin(), leaf.end());
-    leaf.erase(std::unique(leaf.begin(), leaf.end()), leaf.end());
+  for (const auto& leaf : leaf_cells_per_activity) {
+    GAT_DCHECK(std::adjacent_find(leaf.begin(), leaf.end(),
+                                  std::greater_equal<>()) == leaf.end());
     for (int level = 1; level <= depth_; ++level) {
       words += snapshot_format::kCountWords +
                Ancestors(leaf, 2 * (depth_ - level), nullptr);

@@ -40,7 +40,7 @@ class Hicl {
   /// `leaf_cells_per_activity[a]` = sorted unique leaf Morton codes where
   /// activity `a` occurs. `depth` = d; `memory_levels` = h in [0, depth].
   Hicl(int depth, int memory_levels,
-       std::vector<std::vector<uint32_t>> leaf_cells_per_activity);
+       const std::vector<std::vector<uint32_t>>& leaf_cells_per_activity);
 
   int depth() const { return depth_; }
   int memory_levels() const { return memory_levels_; }

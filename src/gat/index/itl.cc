@@ -75,20 +75,20 @@ Itl::Itl(std::vector<Posting> postings) {
 }
 
 std::vector<std::vector<uint32_t>> Itl::CellsPerActivity(
-    uint32_t num_activities) const {
+    uint32_t min_activities) const {
   // Count first, so every list is allocated once at its exact size.
-  std::vector<uint32_t> counts(num_activities, 0);
+  uint32_t num_activities = min_activities;
   for (ActivityId a : run_activity_) {
-    if (a < num_activities) ++counts[a];
+    num_activities = std::max(num_activities, a + 1);
   }
+  std::vector<uint32_t> counts(num_activities, 0);
+  for (ActivityId a : run_activity_) ++counts[a];
   std::vector<std::vector<uint32_t>> cells(num_activities);
   for (uint32_t a = 0; a < num_activities; ++a) cells[a].reserve(counts[a]);
   // Cells ascend by code, so every list comes out sorted.
   for (size_t c = 0; c < codes_.size(); ++c) {
     for (uint32_t r = cell_runs_[c]; r < cell_runs_[c + 1]; ++r) {
-      if (run_activity_[r] < num_activities) {
-        cells[run_activity_[r]].push_back(codes_[c]);
-      }
+      cells[run_activity_[r]].push_back(codes_[c]);
     }
   }
   return cells;

@@ -50,10 +50,11 @@ class Itl {
 
   size_t num_cells() const { return codes_.size(); }
 
-  /// The ITL transposed, which is HICL's leaf level: per activity below
-  /// `num_activities`, the ascending codes of the cells holding it.
+  /// The ITL transposed, which is HICL's leaf level: per activity, the
+  /// ascending codes of the cells holding it. There is a list for every
+  /// activity below `min_activities` or present in a cell.
   std::vector<std::vector<uint32_t>> CellsPerActivity(
-      uint32_t num_activities) const;
+      uint32_t min_activities) const;
 
   /// The paper's accounting of the per-cell layout (Figure 8): per cell a
   /// 4-byte code, its activity IDs, |activities| + 1 offsets and its

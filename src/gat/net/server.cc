@@ -210,21 +210,13 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
                            : *interactive_group_;
     group.Submit([this, conn, shared_request] {
       std::string response = ServeAdmittedFrame(door_, *shared_request);
-      bool wake;
       {
-        // Send from here rather than through the poll thread: the
-        // response leaves without a wakeup and a poll round. The lock
-        // keeps it after every byte queued before it.
         std::lock_guard<std::mutex> lock(conn->mu);
         conn->outbox += response;
         conn->busy = false;
         requests_served_.fetch_add(1, std::memory_order_relaxed);
-        // The poll thread is needed only to finish a partial send or to
-        // see a failed one; PumpConnection wakes it to retire the
-        // connection once drained.
-        wake = !FlushOutbox(*conn) || !conn->outbox.empty();
       }
-      if (wake) Wake();
+      Wake();
       PumpConnection(conn);
     });
     return;
@@ -232,6 +224,7 @@ void Server::PumpConnection(std::shared_ptr<Connection> conn) {
 }
 
 bool Server::FlushOutbox(Connection& conn) {
+  std::lock_guard<std::mutex> lock(conn.mu);
   while (!conn.outbox.empty()) {
     // MSG_NOSIGNAL: a peer that vanished mid-response is a dropped
     // connection, not a SIGPIPE process kill.
@@ -299,7 +292,6 @@ void Server::PollLoop() {
         PumpConnection(conn);
       }
       if (revents & POLLOUT) {
-        std::lock_guard<std::mutex> lock(conn->mu);
         if (!FlushOutbox(*conn)) conn->input_closed = true;
       }
     }

@@ -94,8 +94,9 @@ class Server {
     std::string outbox;
     bool busy = false;     // one engine task in flight
     bool pumping = false;  // one thread draining `pending`
-    /// Set by the poll thread only; request tasks read it to decide
-    /// whether the poll thread must wake and retire the connection.
+    /// Set by the poll thread only; PumpConnection reads it on any
+    /// thread to decide whether the poll thread must wake and retire the
+    /// connection.
     std::atomic<bool> input_closed{false};
   };
 
@@ -106,9 +107,8 @@ class Server {
   /// Drains `pending`: fast-path responses inline, at most one engine
   /// task in flight. Callable from the poll thread and from tasks.
   void PumpConnection(std::shared_ptr<Connection> conn);
-  /// Writes as much outbox as the socket takes, with `conn.mu` held.
-  /// False = write error.
-  static bool FlushOutbox(Connection& conn);
+  /// Writes as much outbox as the socket takes. False = write error.
+  bool FlushOutbox(Connection& conn);
 
   FrontDoor& door_;
   const ServerOptions options_;

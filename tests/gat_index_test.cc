@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <tuple>
@@ -62,6 +63,8 @@ TEST(Hicl, ChildrenWithAnyMatchesPerChildContains) {
   for (auto& cells : leaf_cells) {
     const uint32_t n = rng.NextU32(60);
     for (uint32_t i = 0; i < n; ++i) cells.push_back(rng.NextU32(leaf_count));
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
   }
   const Hicl hicl(kDepth, 2, leaf_cells);
 

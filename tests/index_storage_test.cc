@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -101,6 +102,10 @@ TEST(IndexStorage, HiclBuildAllocatesAConstantNumberOfTimes) {
         leaf_cells[a].push_back(grid.LeafCode(point.location));
       }
     }
+  }
+  for (auto& cells : leaf_cells) {
+    std::sort(cells.begin(), cells.end());
+    cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
   }
   ASSERT_GT(leaf_cells.size(), 16u);
   std::unique_ptr<Hicl> hicl;
