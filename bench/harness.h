@@ -18,14 +18,6 @@
 //   --max-repeat M   hard cap on timed batches        (GAT_BENCH_MAX_REPEAT, 5)
 //   --json PATH      output path (default BENCH_<name>.json in the cwd)
 //
-// Open-loop serving benches (bench_serving) extend the protocol with
-// append-only fields — closed-loop benches ignore them:
-//
-//   --arrival-rate R offered load in requests/s at 1x (GAT_BENCH_ARRIVAL_RATE)
-//   --virtual-time   drive arrivals on a simulated clock, making the
-//                    admission/deadline counters machine-independent
-//                    (GAT_BENCH_VIRTUAL_TIME=1)
-//
 // Scale and query count of the workloads stay tunable via environment
 // variables so the same binary covers quick smoke runs and full-size
 // reproductions:
@@ -80,14 +72,6 @@ struct BenchProtocol {
   double target_rsd_pct = 5.0;
   uint32_t max_repeat = 5;
   std::string json_path;  // empty = BENCH_<name>.json in the cwd
-  /// Open-loop extension (append-only): offered load at 1x in
-  /// requests/s. 0 = not an open-loop bench (the field is then absent
-  /// from the JSON protocol block, keeping old artifacts byte-stable).
-  double arrival_rate = 0.0;
-  /// Open-loop extension: arrivals ride a simulated clock instead of
-  /// wall time, so admission/deadline counters are exact across
-  /// machines and thread counts.
-  bool virtual_time = false;
 
   static BenchProtocol FromArgs(int argc, char** argv) {
     BenchProtocol p;
@@ -103,13 +87,6 @@ struct BenchProtocol {
     if (const char* s = std::getenv("GAT_BENCH_TARGET_RSD")) {
       const double v = std::atof(s);
       if (v > 0.0) p.target_rsd_pct = v;
-    }
-    if (const char* s = std::getenv("GAT_BENCH_ARRIVAL_RATE")) {
-      const double v = std::atof(s);
-      if (v > 0.0) p.arrival_rate = v;
-    }
-    if (const char* s = std::getenv("GAT_BENCH_VIRTUAL_TIME")) {
-      p.virtual_time = std::atoi(s) != 0;
     }
     for (int i = 1; i < argc; ++i) {
       auto value = [&](const char* flag) -> const char* {
@@ -144,19 +121,10 @@ struct BenchProtocol {
         p.max_repeat = non_negative("--max-repeat", v);
       } else if (const char* v = value("--json")) {
         p.json_path = v;
-      } else if (const char* v = value("--arrival-rate")) {
-        p.arrival_rate = std::atof(v);
-        if (p.arrival_rate < 0.0) {
-          std::fprintf(stderr, "invalid value for --arrival-rate: %s\n", v);
-          std::exit(2);
-        }
-      } else if (std::strcmp(argv[i], "--virtual-time") == 0) {
-        p.virtual_time = true;
       } else {
         std::fprintf(stderr,
                      "unknown flag %s\nusage: %s [--threads N] [--warmup W] "
-                     "[--target-rsd P] [--max-repeat M] [--json PATH] "
-                     "[--arrival-rate R] [--virtual-time]\n",
+                     "[--target-rsd P] [--max-repeat M] [--json PATH]\n",
                      argv[i], argv[0]);
         std::exit(2);
       }
@@ -253,15 +221,6 @@ struct Measurement {
   bool has_reload = false;
   uint64_t shard_reloads = 0;
   uint64_t invalidated_blocks = 0;
-  /// Serving observability (bench_serving): front-door outcomes of one
-  /// open-loop run. Under --virtual-time the counters are exact
-  /// (machine- and thread-count-independent) and bench_diff.py gates
-  /// them; goodput is completions per virtual second.
-  bool has_serving = false;
-  uint64_t admitted = 0;
-  uint64_t shed = 0;
-  uint64_t deadline_misses = 0;
-  double goodput_qps = 0.0;
   /// Live-ingestion observability (bench_ingest): the delta/base state
   /// behind the measured point. At quiesced points (ingest paused at a
   /// fixed watermark) `ingested_checkins`, `delta_trajectories`,
@@ -360,12 +319,6 @@ class BenchReport {
   BenchReport(std::string name, const BenchProtocol& proto)
       : name_(std::move(name)), proto_(proto) {}
 
-  /// Replaces the protocol block the report will emit. For benches that
-  /// resolve protocol defaults after construction (e.g. bench_serving
-  /// substituting its default --arrival-rate), so the JSON records what
-  /// actually ran.
-  void OverrideProtocol(const BenchProtocol& proto) { proto_ = proto; }
-
   /// Records one measured point. `ops` is the number of operations behind
   /// one repeat (usually the workload's query count). `shards` > 0 stamps
   /// the record with the shard count behind it; scripts/bench_diff.py
@@ -401,11 +354,6 @@ class BenchReport {
     rec.has_reload = m.has_reload;
     rec.shard_reloads = m.shard_reloads;
     rec.invalidated_blocks = m.invalidated_blocks;
-    rec.has_serving = m.has_serving;
-    rec.admitted = m.admitted;
-    rec.shed = m.shed;
-    rec.deadline_misses = m.deadline_misses;
-    rec.goodput_qps = m.goodput_qps;
     rec.has_ingest = m.has_ingest;
     rec.ingested_checkins = m.ingested_checkins;
     rec.delta_trajectories = m.delta_trajectories;
@@ -447,16 +395,9 @@ class BenchReport {
     std::fprintf(f,
                  "  \"protocol\": {\"threads\": %u, \"warmup\": %u, "
                  "\"target_rsd_pct\": %g, \"max_repeat\": %u, "
-                 "\"scale\": %g, \"queries_per_point\": %u",
+                 "\"scale\": %g, \"queries_per_point\": %u},\n",
                  proto_.threads, proto_.warmup, proto_.target_rsd_pct,
                  proto_.max_repeat, ScaleFromEnv(), QueriesFromEnv());
-    // Open-loop extension fields, append-only: absent for closed-loop
-    // benches so every pre-existing artifact stays byte-stable.
-    if (proto_.arrival_rate > 0.0) {
-      std::fprintf(f, ", \"arrival_rate\": %g", proto_.arrival_rate);
-    }
-    if (proto_.virtual_time) std::fprintf(f, ", \"virtual_time\": true");
-    std::fprintf(f, "},\n");
     std::fprintf(f, "  \"results\": [");
     for (size_t i = 0; i < records_.size(); ++i) {
       const Record& r = records_[i];
@@ -496,18 +437,6 @@ class BenchReport {
                         "\"invalidated_blocks\": %llu",
                      static_cast<unsigned long long>(r.shard_reloads),
                      static_cast<unsigned long long>(r.invalidated_blocks));
-      }
-      if (r.has_serving) {
-        // Front-door outcomes of one open-loop point. Exact under
-        // --virtual-time (bench_diff.py gates them); goodput is
-        // advisory either way.
-        std::fprintf(f,
-                     ", \"admitted\": %llu, \"shed_count\": %llu, "
-                     "\"deadline_misses\": %llu, \"goodput_qps\": %.6f",
-                     static_cast<unsigned long long>(r.admitted),
-                     static_cast<unsigned long long>(r.shed),
-                     static_cast<unsigned long long>(r.deadline_misses),
-                     r.goodput_qps);
       }
       if (r.has_ingest) {
         // Delta/base state behind the point. The counters are exact at
@@ -571,11 +500,6 @@ class BenchReport {
     bool has_reload = false;   // reload fields below are meaningful
     uint64_t shard_reloads = 0;
     uint64_t invalidated_blocks = 0;
-    bool has_serving = false;  // serving fields below are meaningful
-    uint64_t admitted = 0;
-    uint64_t shed = 0;
-    uint64_t deadline_misses = 0;
-    double goodput_qps = 0.0;
     bool has_ingest = false;   // ingest fields below are meaningful
     uint64_t ingested_checkins = 0;
     uint64_t delta_trajectories = 0;

@@ -50,15 +50,6 @@ Implements the comparison rules of docs/BENCH_PROTOCOL.md:
     watermark), so they are gated exactly like the work counters at any
     thread count. ``freshness_lag_ms`` is ingest-ack-to-queryable wall
     clock — advisory (>50% swell warns).
-  * Open-loop serving runs (bench_serving): ``protocol.arrival_rate``
-    and ``protocol.virtual_time`` are workload-defining — a mismatch is
-    refused like a scale mismatch (comparing shed counts across offered
-    loads, or virtual against wall-clock time, is meaningless). When
-    BOTH runs are virtual-time, the serving counters (``admitted``,
-    ``shed_count``, ``deadline_misses``) are pure functions of the
-    schedule and are gated exactly like the work counters; otherwise
-    they drift with the machine and only warn beyond 10%.
-    ``goodput_qps`` is always advisory (>10% drop warns).
 
 Forward compatibility: the JSON schema is append-only and this tool
 compares only the fields it knows about. Unknown keys — in the top
@@ -93,10 +84,6 @@ COUNTER_FIELDS = (
 # measurement. Real work, but scheduled by a wall-clock background
 # loop — never comparable exactly, so drift only warns.
 ADVISORY_RELOAD_FIELDS = ("shard_reloads", "invalidated_blocks")
-# Serving front-door counters (bench_serving): exact when both runs are
-# virtual-time (the simulated schedule fully determines them), advisory
-# otherwise.
-SERVING_COUNTER_FIELDS = ("admitted", "shed_count", "deadline_misses")
 # Live-ingestion state counters (bench_ingest): recorded at quiesced
 # points (ingest paused at a fixed watermark), so exact — any drift
 # means the delta/merge machinery changed behavior. The wall-clock
@@ -104,9 +91,6 @@ SERVING_COUNTER_FIELDS = ("admitted", "shed_count", "deadline_misses")
 INGEST_COUNTER_FIELDS = ("ingested_checkins", "delta_trajectories",
                          "merges_completed", "generation")
 # Workload-defining protocol fields: a mismatch makes the diff meaningless.
-# arrival_rate / virtual_time are the open-loop extension: offered load and
-# the clock the load runs on both define the experiment (absent = 0 / false
-# on closed-loop benches and pre-extension baselines).
 PROTOCOL_FIELDS = ("scale", "queries_per_point")
 
 
@@ -146,21 +130,6 @@ def check_compatible(old, new):
         refuse(f"protocol.shards differs ({sa} vs {sb}); per-shard work "
                "scales with the partition, so the runs are not the same "
                "experiment")
-    # Open-loop extension: offered load and clock mode define what the
-    # serving counters mean. Absent = closed-loop (0 / false), so old
-    # baselines keep comparing against old benches.
-    ra = old["protocol"].get("arrival_rate", 0) or 0
-    rb = new["protocol"].get("arrival_rate", 0) or 0
-    if ra != rb:
-        refuse(f"protocol.arrival_rate differs ({ra} vs {rb}); shed and "
-               "deadline counts are functions of the offered load, so the "
-               "runs are not the same experiment")
-    va = bool(old["protocol"].get("virtual_time", False))
-    vb = bool(new["protocol"].get("virtual_time", False))
-    if va != vb:
-        refuse(f"protocol.virtual_time differs ({va} vs {vb}); virtual and "
-               "wall-clock timelines produce incomparable admission and "
-               "deadline outcomes")
 
 
 def main():
@@ -291,27 +260,6 @@ def main():
                 (warnings if args.allow_counter_drift else failures).append(
                     message)
 
-        # Serving counters: exact under virtual time (the simulated
-        # schedule fully determines admission, shedding and deadline
-        # outcomes — any drift is a front-door behavior change), advisory
-        # when either run raced a wall clock.
-        virtual_pair = (bool(old["protocol"].get("virtual_time"))
-                        and bool(new["protocol"].get("virtual_time")))
-        for field in SERVING_COUNTER_FIELDS:
-            if field not in o or field not in n:
-                continue
-            if o[field] != n[field]:
-                message = f"{name}: {field} {o[field]} -> {n[field]}"
-                if virtual_pair:
-                    message += (" (virtual-time serving counter drift "
-                                "= behavioral change)")
-                    (warnings if args.allow_counter_drift
-                     else failures).append(message)
-                elif (abs(n[field] - o[field]) / max(o[field], 1)) > 0.10:
-                    warnings.append(message + " (advisory: wall-clock "
-                                    "serving counters are load-timing "
-                                    "dependent)")
-
         # Ingest-state counters: quiesced-point snapshots, exact by
         # construction — the bench pauses ingest at a fixed watermark
         # before recording, so any drift is a delta/merge behavior
@@ -335,13 +283,6 @@ def main():
                                 f"({o['freshness_lag_ms']:.3f} -> "
                                 f"{n['freshness_lag_ms']:.3f} ms) — advisory, "
                                 "wall-clock")
-
-        if "goodput_qps" in o and "goodput_qps" in n and o["goodput_qps"] > 0:
-            pct = 100.0 * (n["goodput_qps"] / o["goodput_qps"] - 1.0)
-            if pct < -10.0:
-                warnings.append(f"{name}: goodput_qps {pct:+.1f}% "
-                                f"({o['goodput_qps']:.1f} -> "
-                                f"{n['goodput_qps']:.1f}) — advisory")
 
         if not args.skip_timing and o.get("avg_ms_per_query", 0) > 0:
             pct = 100.0 * (n.get("avg_ms_per_query", 0) /

@@ -20,7 +20,13 @@ two copies of the same serializer would cancel out gets caught here:
   6. close the server's stdin and expect exit code 0,
   7. start it with an out-of-range port, zero shards and a non-numeric
      value in turn; each must exit 2 with the usage text, before
-     binding anything.
+     binding anything,
+  8. overload, in wall-clock time: start a second server whose tenants
+     get a burst of 2 reads and no refill (--quota-rate 0
+     --quota-burst 2). Tenant 7 pipelines 4 reads: the first two are
+     served, the last two shed with the tenant rate limit naming tenant
+     7. Tenant 8 is still served, and the exit line on stderr counts
+     "admitted 3, shed 2".
 
 Usage: scripts/wire_smoke.py [path/to/gat_server]
 Exit code 0 = all checks passed.
@@ -44,6 +50,7 @@ STATUS_OK = 0
 STATUS_SHED = 1
 STATUS_DEADLINE = 2
 SHED_NONE = 0
+SHED_TENANT_RATE_LIMIT = 1
 SHED_WRITE_RATE_LIMIT = 2
 INGEST_OK = 0
 INGEST_SHED = 1
@@ -125,7 +132,9 @@ def recv_exact(sock: socket.socket, size: int) -> bytes:
     return data
 
 
-def check_response(raw_header: bytes, sock: socket.socket) -> None:
+def check_response(raw_header: bytes, sock: socket.socket,
+                   expect_status=STATUS_OK) -> tuple:
+    """Parses one response frame; returns (shed_reason, shed_tenant)."""
     magic, version, frame_type, length, crc = HEADER.unpack(raw_header)
     assert magic == MAGIC, f"bad magic {magic!r}"
     assert version == VERSION, f"bad version {version}"
@@ -169,8 +178,10 @@ def check_response(raw_header: bytes, sock: socket.socket) -> None:
     read(f"<{NUM_STAT_COUNTERS}Q")  # SearchStats counters
     read("<d")  # elapsed_ms
     assert off == len(payload), f"{len(payload) - off} trailing bytes"
-    assert status == STATUS_OK, f"smoke request unexpectedly not served: {status}"
-    assert num_queries == 1, num_queries
+    assert status == expect_status, f"status {status}, expected {expect_status}"
+    if status == STATUS_OK:
+        assert num_queries == 1, num_queries
+    return shed_reason, shed_tenant
 
 
 def expect_clean_close(port: int, frame: bytes) -> None:
@@ -196,22 +207,55 @@ def check_flag_rejected(server_bin: str, flags: list) -> None:
     assert b"usage: gat_server" in proc.stderr, f"{flags}: {proc.stderr!r}"
 
 
+def start_server(server_bin: str, flags: list, stderr=None):
+    """Starts gat_server on a small city; returns (process, port)."""
+    proc = subprocess.Popen(
+        [server_bin, "--trajectories", "100", "--seed", "29", *flags],
+        stdin=subprocess.PIPE,
+        stdout=subprocess.PIPE,
+        stderr=stderr,
+    )
+    banner = proc.stdout.readline().decode()
+    if not banner.startswith("LISTENING "):
+        proc.kill()
+        proc.wait()
+        raise AssertionError(f"bad banner {banner!r}")
+    return proc, int(banner.split()[1])
+
+
+def check_overload(server_bin: str) -> None:
+    proc, port = start_server(
+        server_bin, ["--quota-rate", "0", "--quota-burst", "2"],
+        stderr=subprocess.PIPE)
+    try:
+        # Pipelined on one session, so all four reads reach admission
+        # in arrival order: the burst covers the first two.
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(build_request(tenant=7) * 4)
+            for expect in (STATUS_OK, STATUS_OK, STATUS_SHED, STATUS_SHED):
+                reason, tenant = check_response(
+                    recv_exact(sock, HEADER.size), sock, expect)
+                if expect == STATUS_SHED:
+                    assert reason == SHED_TENANT_RATE_LIMIT, reason
+                    assert tenant == 7, tenant
+        # Buckets are per tenant: tenant 7's empty one leaves 8 served.
+        with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+            sock.sendall(build_request(tenant=8))
+            check_response(recv_exact(sock, HEADER.size), sock)
+    finally:
+        _, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, f"gat_server exit code {proc.returncode}"
+    assert b"admitted 3, shed 2," in err, err.decode(errors="replace")
+
+
 def main() -> int:
     server_bin = sys.argv[1] if len(sys.argv) > 1 else "build/apps/gat_server"
     for flags in (["--port", "70000"], ["--shards", "0"],
                   ["--trajectories", "many"]):
         check_flag_rejected(server_bin, flags)
     print("wire_smoke: bad flag values rejected (exit 2)")
-    proc = subprocess.Popen(
-        [server_bin, "--trajectories", "100", "--seed", "29"],
-        stdin=subprocess.PIPE,
-        stdout=subprocess.PIPE,
-    )
+    proc, port = start_server(server_bin, [])
     try:
-        banner = proc.stdout.readline().decode()
-        assert banner.startswith("LISTENING "), f"bad banner {banner!r}"
-        port = int(banner.split()[1])
-
         # --- a well-formed request round trip -------------------------
         with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
             sock.sendall(build_request())
@@ -263,6 +307,10 @@ def main() -> int:
         code = proc.wait(timeout=30)
     assert code == 0, f"gat_server exit code {code}"
     print("wire_smoke: clean shutdown (exit 0)")
+
+    check_overload(server_bin)
+    print("wire_smoke: overload shed tenant 7's reads past its burst, "
+          "served tenant 8")
     return 0
 
 

@@ -9,9 +9,7 @@ namespace gat {
 /// Time source of the serving layer. Every admission, deadline and
 /// scheduling decision reads time through this interface so the whole
 /// front door can run on an injected fake clock: tests drive token-bucket
-/// refills and deadline expiry deterministically, and the open-loop bench
-/// schedules run in *virtual* time, making shed/deadline counters
-/// bit-identical across machines and thread counts.
+/// refills and deadline expiry deterministically.
 ///
 /// Implementations must be safe to read from any thread.
 class Clock {
@@ -32,10 +30,10 @@ class SteadyClock final : public Clock {
 };
 
 /// A clock that moves only when told to — the deterministic time source
-/// of tests and virtual-time bench schedules. Readers may race with
-/// Set/Advance (the value is a single atomic); determinism additionally
-/// requires the *driver* to advance it only between units of work, never
-/// while tasks that read it are in flight.
+/// of tests. Readers may race with Set/Advance (the value is a single
+/// atomic); determinism additionally requires the *driver* to advance it
+/// only between units of work, never while tasks that read it are in
+/// flight.
 class ManualClock final : public Clock {
  public:
   explicit ManualClock(uint64_t start_micros = 0) : micros_(start_micros) {}

@@ -101,10 +101,10 @@ struct BatchResult {
 /// `QueryStatus::kDeadlineExceeded` with an empty result list — the
 /// batch never returns partial answers for it. The context's priority
 /// class picks the executor queue the batch's tasks join (bulk yields
-/// to interactive). Under a frozen virtual-time clock the set of
-/// expired queries is a pure function of the schedule, so statuses and
-/// `SearchStats::deadline_skips` stay bit-identical across thread
-/// counts.
+/// to interactive). Under a ManualClock that is frozen while the batch
+/// runs, the set of expired queries does not depend on scheduling, so
+/// statuses and `SearchStats::deadline_skips` stay bit-identical across
+/// thread counts.
 class QueryEngine {
  public:
   /// Non-owning: `searcher` must outlive the engine.

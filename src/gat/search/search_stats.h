@@ -47,8 +47,8 @@ struct SearchStats {
   /// engine refused to start, one per shard sweep a fan-out searcher
   /// refused to run. 0 for requests without a deadline (every
   /// pre-serving workload). Deterministic only when expiry is — i.e.
-  /// under a virtual-time clock that is frozen while tasks run; under a
-  /// wall clock the count depends on scheduling.
+  /// under a ManualClock that is frozen while tasks run; under a wall
+  /// clock the count depends on scheduling.
   uint64_t deadline_skips = 0;
   /// Wall-clock of the whole query.
   double elapsed_ms = 0.0;

@@ -26,8 +26,8 @@ struct TenantQuota {
 /// FrontDoor knobs.
 struct FrontDoorOptions {
   /// Time source for admission refill and deadline checks. nullptr =
-  /// SteadyClock::Default() (real time). Benches and tests inject a
-  /// ManualClock for deterministic outcomes.
+  /// SteadyClock::Default() (real time). Tests inject a ManualClock for
+  /// deterministic outcomes.
   const Clock* clock = nullptr;
 
   /// Budget for tenants without an explicit entry.

@@ -11,10 +11,10 @@ namespace gat {
 ///
 /// Time is supplied by the caller as absolute microseconds (from a
 /// `Clock`), so the bucket itself is a pure function of the call
-/// sequence: under a virtual-time clock, admit/shed decisions are
-/// bit-identical across machines and thread counts. Refill uses only
-/// multiply/add on doubles (no transcendentals), keeping the arithmetic
-/// deterministic across libm implementations.
+/// sequence: under a ManualClock, admit/shed decisions are exact and
+/// machine-independent. Refill uses only multiply/add on doubles (no
+/// transcendentals), keeping the arithmetic deterministic across libm
+/// implementations.
 ///
 /// Not internally synchronized: the owner (FrontDoor) serializes
 /// access.

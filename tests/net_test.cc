@@ -1,19 +1,24 @@
-// Tests for gat/net without sockets: codec round trips with
+// Tests for gat/net, nearly all without sockets: codec round trips with
 // encode→decode→encode byte identity, the full corruption matrix
 // (truncation, oversized lengths, bad magic/version/type, flipped
 // payload bits, structural inconsistencies — every case a clean
 // reject, never a crash), the Session state machine on dribbled and
-// batched buffers, and the zero-engine-work fast-path dispatch on a
-// ManualClock front door.
+// batched buffers, the zero-engine-work fast-path dispatch on a
+// ManualClock front door, and — over one loopback socket — the server
+// starting a queued interactive request before a queued bulk one.
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "gat/common/clock.h"
@@ -755,6 +760,104 @@ TEST_F(WireDispatchTest, IngestFrameCarriesEveryFrontDoorOutcome) {
   EXPECT_EQ(door.counters().ingest_shed, 1u);
   EXPECT_EQ(door.counters().ingest_admitted, 3u);
   EXPECT_EQ(door.counters().ingest_failed, 2u);
+}
+
+// ------------------------------------------------ priority on the server
+
+// A searcher wrapper that logs the `k` of each Search as it starts. Each
+// request in the test asks for its own k, so the log is the order in
+// which the server's executor started the requests' engine work.
+class StartOrderSearcher : public Searcher {
+ public:
+  explicit StartOrderSearcher(const Searcher& inner) : inner_(inner) {}
+
+  ResultList Search(const Query& query, size_t k, QueryKind kind,
+                    SearchStats* stats = nullptr,
+                    const QueryContext* context = nullptr) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      started_.push_back(k);
+    }
+    return inner_.Search(query, k, kind, stats, context);
+  }
+  std::string name() const override { return inner_.name(); }
+
+  std::vector<size_t> started() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return started_;
+  }
+
+ private:
+  const Searcher& inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<size_t> started_;
+};
+
+TEST_F(WireDispatchTest, QueuedInteractiveRequestStartsBeforeQueuedBulk) {
+  // One worker, held by a gate task: both requests' tasks queue behind
+  // it, and the worker's first pick once the gate opens is the order
+  // under test.
+  Executor executor(1);
+  StartOrderSearcher searcher(*searcher_);
+  QueryEngine engine(searcher);
+  FrontDoor door(engine);  // default quota admits both; no deadlines
+  wire::ServerOptions server_options;
+  server_options.executor = &executor;
+  wire::Server server(door, server_options);
+  ASSERT_TRUE(server.Start());
+
+  // Declared after the server, so an early ASSERT return drops the
+  // promise (opening the gate) before the group and the server wait.
+  TaskGroup gate_group(executor);
+  std::promise<void> gate_held;
+  std::promise<void> open_gate;
+  gate_group.Submit([&gate_held, opened = open_gate.get_future().share()] {
+    gate_held.set_value();
+    opened.wait();
+  });
+  gate_held.get_future().wait();
+
+  const uint64_t before = executor.tasks_submitted();
+  auto await_queued = [&](uint64_t tasks) {
+    const auto give_up =
+        std::chrono::steady_clock::now() + std::chrono::seconds(30);
+    while (executor.tasks_submitted() < before + tasks) {
+      if (std::chrono::steady_clock::now() > give_up) return false;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+  };
+  auto request_of = [&](RequestPriority priority, size_t k) {
+    ServeRequest request;
+    request.priority = priority;
+    request.queries = {queries_[0]};
+    request.k = k;
+    return wire::EncodeRequestFrame(request);
+  };
+
+  // Bulk first, then interactive, each on its own connection (a
+  // connection runs one request at a time). The interactive request is
+  // sent only once the bulk task is queued, so FIFO would run bulk first.
+  wire::Client bulk;
+  wire::Client interactive;
+  ASSERT_TRUE(bulk.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(interactive.Connect("127.0.0.1", server.port()));
+  ASSERT_TRUE(bulk.SendRaw(request_of(RequestPriority::kBulk, 3)));
+  ASSERT_TRUE(await_queued(1));
+  ASSERT_TRUE(
+      interactive.SendRaw(request_of(RequestPriority::kInteractive, 4)));
+  ASSERT_TRUE(await_queued(2));
+  EXPECT_TRUE(searcher.started().empty());
+
+  open_gate.set_value();
+  gate_group.Wait();
+  ServeResult bulk_result;
+  ServeResult interactive_result;
+  ASSERT_TRUE(bulk.ReadResponse(&bulk_result));
+  ASSERT_TRUE(interactive.ReadResponse(&interactive_result));
+  EXPECT_EQ(bulk_result.status, ServeStatus::kOk);
+  EXPECT_EQ(interactive_result.status, ServeStatus::kOk);
+  EXPECT_EQ(searcher.started(), (std::vector<size_t>{4, 3}));
 }
 
 }  // namespace

@@ -1,16 +1,18 @@
 // Tests for gat/serve: token-bucket admission edge cases, deadline
 // semantics at every task boundary (admission, query start, shard
-// sweep), priority classes, and the open-loop load driver's virtual-time
-// determinism — all on an injectable ManualClock, so every outcome is a
-// pure function of the schedule.
+// sweep), priority classes, and the request envelope (priority and
+// deadline) that reaches the searcher — all on an injectable
+// ManualClock, so every outcome is a pure function of the call sequence.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <optional>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "gat/common/clock.h"
@@ -21,7 +23,6 @@
 #include "gat/engine/query_engine.h"
 #include "gat/search/gat_search.h"
 #include "gat/serve/front_door.h"
-#include "gat/serve/load_driver.h"
 #include "gat/serve/token_bucket.h"
 #include "gat/shard/sharded_index.h"
 #include "gat/shard/sharded_searcher.h"
@@ -450,170 +451,68 @@ TEST(ServeSharded, UnexpiredContextIsBitIdenticalToNoContext) {
   }
 }
 
-// ------------------------------------------------------------ LoadDriver
+// ---------------------------------------------- Envelope into the engine
 
-TEST(LoadDriver, ScheduleIsDeterministicAndMeanPaced) {
-  LoadScheduleParams params;
-  params.arrivals_per_sec = 500.0;
-  params.duration_ms = 400.0;
-  params.seed = 99;
-  const std::vector<ArrivalSpec> a = MakeOpenLoopSchedule(params);
-  const std::vector<ArrivalSpec> b = MakeOpenLoopSchedule(params);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].arrival_ms, b[i].arrival_ms);
-    EXPECT_EQ(a[i].tenant, b[i].tenant);
-    EXPECT_EQ(a[i].priority, b[i].priority);
-  }
-  // ~200 arrivals expected; the jittered-uniform gap is mean-preserving
-  // so the count lands well within ±30%.
-  EXPECT_GT(a.size(), 140u);
-  EXPECT_LT(a.size(), 260u);
-  for (size_t i = 1; i < a.size(); ++i) {
-    EXPECT_GT(a[i].arrival_ms, a[i - 1].arrival_ms);
-  }
-}
+// A searcher wrapper that records a copy of the QueryContext each Search
+// receives (nullopt for none): what the engine was actually told about
+// the request, as opposed to what the request carried.
+class ContextRecordingSearcher : public Searcher {
+ public:
+  explicit ContextRecordingSearcher(const Searcher& inner) : inner_(inner) {}
 
-class LoadDriverTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dataset_ = GenerateCity(CityProfile::Testing(150, 41));
-    sharded_ = std::make_unique<ShardedIndex>(dataset_, GatConfig{},
-                                              ShardOptions{.num_shards = 2});
-    pool_ = TestQueries(dataset_, /*seed=*/13, /*count=*/32);
-  }
-
-  struct Observed {
-    std::vector<ServeStatus> statuses;
-    std::vector<ResultList> first_results;
-  };
-
-  // One full open-loop run at the given engine thread count. The
-  // simulated timeline must not depend on `threads`.
-  DriveOutcome RunAt(uint32_t threads, Observed* observed = nullptr) {
-    ManualClock clock;
-    std::unique_ptr<Executor> executor;
-    if (threads > 1) executor = std::make_unique<Executor>(threads);
-    ShardedSearcher searcher(*sharded_, {}, executor.get());
-    QueryEngine engine(searcher, EngineOptions{.executor = executor.get()});
-
-    FrontDoorOptions door_options;
-    door_options.clock = &clock;
-    door_options.default_quota = TenantQuota{80.0, 20.0};
-    FrontDoor door(engine, door_options);
-
-    LoadScheduleParams params;
-    params.arrivals_per_sec = 600.0;  // well past the 80/s buckets
-    params.duration_ms = 500.0;
-    params.seed = 7;
-    const std::vector<ArrivalSpec> schedule = MakeOpenLoopSchedule(params);
-
-    DriverOptions options;
-    options.virtual_slots = 3;
-    options.service_ms_per_query = 4.0;
-    options.k = 5;
-    ServeObserver observer;
-    if (observed != nullptr) {
-      observer = [observed](const ArrivalSpec&, const ServeResult& result) {
-        observed->statuses.push_back(result.status);
-        observed->first_results.push_back(
-            result.batch.results.empty() ? ResultList{}
-                                         : result.batch.results.front());
-      };
+  ResultList Search(const Query& query, size_t k, QueryKind kind,
+                    SearchStats* stats = nullptr,
+                    const QueryContext* context = nullptr) const override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      seen_.push_back(context == nullptr ? std::nullopt
+                                         : std::optional(*context));
     }
-    return RunOpenLoop(door, clock, schedule, pool_, options, observer);
+    return inner_.Search(query, k, kind, stats, context);
+  }
+  std::string name() const override { return inner_.name(); }
+
+  /// The contexts of every Search since the last call, in call order.
+  std::vector<std::optional<QueryContext>> TakeSeen() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return std::exchange(seen_, {});
   }
 
-  Dataset dataset_;
-  std::unique_ptr<ShardedIndex> sharded_;
-  std::vector<Query> pool_;
+ private:
+  const Searcher& inner_;
+  mutable std::mutex mu_;
+  mutable std::vector<std::optional<QueryContext>> seen_;
 };
 
-TEST_F(LoadDriverTest, OutcomesAreBitIdenticalAcrossThreadCounts) {
-  Observed at1;
-  Observed at4;
-  const DriveOutcome one = RunAt(1, &at1);
-  const DriveOutcome four = RunAt(4, &at4);
-
-  // The whole point of virtual time: counters, latency vectors and
-  // per-request outcomes are pure functions of the schedule.
-  auto expect_identical = [](const ClassOutcome& a, const ClassOutcome& b) {
-    EXPECT_EQ(a.offered, b.offered);
-    EXPECT_EQ(a.admitted, b.admitted);
-    EXPECT_EQ(a.shed, b.shed);
-    EXPECT_EQ(a.deadline_misses, b.deadline_misses);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.latency_ms, b.latency_ms);
-    EXPECT_EQ(a.totals.candidates_retrieved, b.totals.candidates_retrieved);
-    EXPECT_EQ(a.totals.disk_reads, b.totals.disk_reads);
-  };
-  expect_identical(one.interactive, four.interactive);
-  expect_identical(one.bulk, four.bulk);
-  EXPECT_EQ(one.virtual_duration_ms, four.virtual_duration_ms);
-
-  // Per-request statuses and answers, in event order.
-  ASSERT_EQ(at1.statuses.size(), at4.statuses.size());
-  EXPECT_EQ(at1.statuses, at4.statuses);
-  ASSERT_EQ(at1.first_results.size(), at4.first_results.size());
-  for (size_t i = 0; i < at1.first_results.size(); ++i) {
-    EXPECT_EQ(at1.first_results[i], at4.first_results[i]) << i;
-  }
-
-  // Overload sanity: the 600/s offered load must actually shed against
-  // 80/s buckets, and some work must complete.
-  EXPECT_GT(one.interactive.shed + one.bulk.shed, 0u);
-  EXPECT_GT(one.interactive.completed, 0u);
-}
-
-TEST_F(LoadDriverTest, InteractiveOvertakesBulkOnASingleSlot) {
-  // Crafted schedule, one virtual slot: a long bulk train arrives
-  // first, then interactive requests. Strict class priority must let
-  // every interactive request jump the queued bulk requests — visible
-  // as interactive latencies far below what FIFO would give them.
+TEST_F(ServeTest, PriorityAndDeadlineReachEverySearch) {
   ManualClock clock;
-  ShardedSearcher searcher(*sharded_);
-  QueryEngine engine(searcher);
-  FrontDoorOptions door_options;
-  door_options.clock = &clock;
-  door_options.default_quota = TenantQuota{1e6, 1e6};  // admission off
-  FrontDoor door(engine, door_options);
+  ContextRecordingSearcher recording(*searcher_);
+  QueryEngine engine(recording);
+  FrontDoorOptions options;
+  options.clock = &clock;
+  FrontDoor door(engine, options);
 
-  std::vector<ArrivalSpec> schedule;
-  for (int i = 0; i < 6; ++i) {
-    ArrivalSpec bulk;
-    bulk.arrival_ms = 1.0 + i;
-    bulk.priority = RequestPriority::kBulk;
-    bulk.num_queries = 1;
-    bulk.pool_offset = static_cast<uint32_t>(i);
-    schedule.push_back(bulk);
-  }
-  for (int i = 0; i < 3; ++i) {
-    ArrivalSpec interactive;
-    interactive.arrival_ms = 8.0 + i;
-    interactive.priority = RequestPriority::kInteractive;
-    interactive.num_queries = 1;
-    interactive.pool_offset = static_cast<uint32_t>(6 + i);
-    schedule.push_back(interactive);
-  }
+  // Both classes, each with its own deadline: every Search must see the
+  // request's envelope, not a default.
+  for (const RequestPriority priority :
+       {RequestPriority::kInteractive, RequestPriority::kBulk}) {
+    ServeRequest request;
+    request.priority = priority;
+    request.deadline_micros =
+        priority == RequestPriority::kBulk ? 9'000 : 4'000;
+    request.queries.assign(queries_.begin(), queries_.begin() + 3);
+    request.k = 5;
+    ASSERT_EQ(door.Serve(request).status, ServeStatus::kOk);
 
-  DriverOptions options;
-  options.virtual_slots = 1;
-  options.service_ms_per_query = 10.0;
-  options.k = 5;
-  const DriveOutcome outcome =
-      RunOpenLoop(door, clock, schedule, pool_, options);
-
-  ASSERT_EQ(outcome.interactive.completed, 3u);
-  ASSERT_EQ(outcome.bulk.completed, 6u);
-  // FIFO would finish the 6 bulk requests (60ms of service) before the
-  // first interactive one. With class priority, the interactive train
-  // runs as soon as the in-flight bulk request drains: worst latency
-  // covers at most (one residual bulk + the 3 interactive services).
-  for (const double latency : outcome.interactive.latency_ms) {
-    EXPECT_LT(latency, 40.0);
+    const std::vector<std::optional<QueryContext>> seen = recording.TakeSeen();
+    ASSERT_EQ(seen.size(), request.queries.size());
+    for (const std::optional<QueryContext>& context : seen) {
+      ASSERT_TRUE(context.has_value());
+      EXPECT_EQ(context->priority, priority);
+      EXPECT_EQ(context->deadline_micros, request.deadline_micros);
+      EXPECT_EQ(context->clock, &clock);
+    }
   }
-  // Bulk pays for yielding: its tail waits behind the overtakers.
-  EXPECT_GT(outcome.bulk.latency_ms.back(), 60.0);
 }
 
 }  // namespace
