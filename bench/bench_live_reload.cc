@@ -29,9 +29,9 @@
 //     executor-parallel CRC sweep — the cold path the reload work moved
 //     off the serving threads.
 //
-// JSON: reload=live records carry the append-only `shard_reloads`
-// (generations published) and `invalidated_blocks` fields (advisory in
-// diffs — the reloader is wall-clock scheduled) plus the deterministic
+// JSON: reload=live records carry the `shard_reloads` (generations
+// published) and `invalidated_blocks` fields this bench owns (advisory
+// in diffs — the reloader is wall-clock scheduled) plus the deterministic
 // `index_pins` counter (queries x shards) every ShardedSearcher record
 // reports.
 
@@ -175,12 +175,14 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   stop.store(true, std::memory_order_relaxed);
   reloader.join();
 
-  Measurement live_tagged = live;
-  live_tagged.has_reload = true;
-  live_tagged.shard_reloads = sharded.generations_published() - reloads_before;
+  const uint64_t shard_reloads =
+      sharded.generations_published() - reloads_before;
   const BlockCacheStats cache_after = sharded.block_cache()->Snapshot();
-  live_tagged.invalidated_blocks =
+  const uint64_t invalidated_blocks =
       cache_after.invalidated - cache_before.invalidated;
+  Measurement live_tagged = live;
+  live_tagged.fields = {{"shard_reloads", shard_reloads},
+                        {"invalidated_blocks", invalidated_blocks}};
   report.Add("NY/ATSQ/reload=live", live_tagged, queries.size(), kShards);
 
   // Equivalent-snapshot swaps must be invisible to the algorithm: the
@@ -196,8 +198,8 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   std::printf("\nlive reload: %llu generations published behind the "
               "measured batches, %llu cache blocks invalidated, %llu files "
               "retired\n",
-              static_cast<unsigned long long>(live_tagged.shard_reloads),
-              static_cast<unsigned long long>(live_tagged.invalidated_blocks),
+              static_cast<unsigned long long>(shard_reloads),
+              static_cast<unsigned long long>(invalidated_blocks),
               static_cast<unsigned long long>(cache_after.files_retired -
                                               cache_before.files_retired));
   const double ratio = off.p95_ms > 0.0 ? live.p95_ms / off.p95_ms : 1.0;

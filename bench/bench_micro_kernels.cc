@@ -3,9 +3,9 @@
 // incremental NN, and one whole ATSQ query — now on the repo's own JSON
 // harness protocol (BENCH_micro_kernels.json) instead of the optional
 // google-benchmark dependency, so the records diff in CI like every
-// other bench. Timings are wall-clock and therefore advisory
-// (--skip-timing in diffs); what the baseline pins is the record set
-// itself — a kernel disappearing from the list is a build regression.
+// other bench. Timings are wall-clock, so bench_diff.py does not compare
+// them; what the baseline pins is the record set itself — a kernel
+// disappearing from the list is a build regression.
 
 #include <cstdint>
 #include <utility>
@@ -30,52 +30,28 @@ inline void DoNotOptimize(const T& value) {
   asm volatile("" : : "r,m"(value) : "memory");
 }
 
-struct KernelTiming {
-  double ns_per_op = 0.0;
-  double rsd_pct = 0.0;
-  uint32_t repeats = 0;
-};
-
 /// The harness measurement protocol applied to a raw kernel: `warmup`
-/// un-timed sweeps of `iters` calls, then timed sweeps until the
-/// relative standard deviation reaches the target (or max_repeat).
-template <typename Fn>
-KernelTiming TimeKernel(const BenchProtocol& proto, size_t iters, Fn&& fn) {
-  KernelTiming timing;
-  for (uint32_t w = 0; w < proto.warmup; ++w) {
-    for (size_t i = 0; i < iters; ++i) fn();
-  }
-  std::vector<double> ns_per_op;
-  for (uint32_t r = 0; r < proto.max_repeat; ++r) {
-    Stopwatch timer;
-    for (size_t i = 0; i < iters; ++i) fn();
-    ns_per_op.push_back(timer.ElapsedMicros() * 1e3 /
-                        static_cast<double>(iters));
-    if (ns_per_op.size() >= 2) {
-      double sum = 0.0;
-      for (double v : ns_per_op) sum += v;
-      const double mean = sum / static_cast<double>(ns_per_op.size());
-      double var = 0.0;
-      for (double v : ns_per_op) var += (v - mean) * (v - mean);
-      var /= static_cast<double>(ns_per_op.size());
-      timing.rsd_pct = mean > 0.0 ? 100.0 * std::sqrt(var) / mean : 0.0;
-      if (timing.rsd_pct <= proto.target_rsd_pct) break;
-    }
-  }
-  double sum = 0.0;
-  for (double v : ns_per_op) sum += v;
-  timing.ns_per_op = sum / static_cast<double>(ns_per_op.size());
-  timing.repeats = static_cast<uint32_t>(ns_per_op.size());
-  return timing;
-}
-
+/// un-timed sweeps of `iters` calls, then timed sweeps under
+/// RepeatUntilStable; records and prints the mean ns per call.
 template <typename Fn>
 void Report(const BenchProtocol& proto, BenchReport& report,
             const std::string& name, size_t iters, Fn&& fn) {
-  const KernelTiming t = TimeKernel(proto, iters, std::forward<Fn>(fn));
-  report.AddRaw(name, t.ns_per_op, t.rsd_pct, t.repeats, iters);
+  for (uint32_t w = 0; w < proto.warmup; ++w) {
+    for (size_t i = 0; i < iters; ++i) fn();
+  }
+  auto timed_sweep = [&] {
+    Stopwatch timer;
+    for (size_t i = 0; i < iters; ++i) fn();
+    return timer.ElapsedMicros() * 1e3 / static_cast<double>(iters);
+  };
+  double rsd_pct = 0.0;
+  const std::vector<double> ns_per_op =
+      RepeatUntilStable(proto, &rsd_pct, timed_sweep);
+  const double mean = MeanOf(ns_per_op);
+  const auto repeats = static_cast<uint32_t>(ns_per_op.size());
+  report.AddRaw(name, mean, rsd_pct, repeats, iters);
   std::printf("%-32s %12.1f ns/op  (rsd %.1f%%, %u repeats)\n", name.c_str(),
-              t.ns_per_op, t.rsd_pct, t.repeats);
+              mean, rsd_pct, repeats);
 }
 
 std::vector<MatchPoint> RandomCandidates(Rng& rng, int bits, int n) {

@@ -1,10 +1,10 @@
 // The storage subsystem (gat/storage) measured end-to-end: mmap-backed
-// snapshot serving vs the default in-memory ("simulated") disk tier.
+// snapshot serving vs the default heap-resident index.
 //
 // What is measured and asserted, all over the same NY workload:
 //
-//   * simulated/...: the reference — everything heap-resident, disk
-//     reads only counted. Its deterministic counters gate regressions.
+//   * NY/ATSQ/simulated: the reference — the built index, heap-resident,
+//     disk reads only counted. Its deterministic counters gate regressions.
 //   * equivalence: the same index loaded with a block cache (mapped)
 //     must answer every query bit-identically AND with the *same
 //     logical disk_reads* —
@@ -17,13 +17,17 @@
 //     the budget (LRU inclusion; hard-asserted at --threads 1 where the
 //     access sequence is deterministic) and avg_ms falls as misses —
 //     the real reads — disappear. At every budget, down to the
-//     thrash-sized file/64, logical disk_reads must equal the simulated
-//     reference (fatal otherwise): residency changes what a read
+//     thrash-sized file/64, logical disk_reads must equal the
+//     heap-resident reference (fatal otherwise): residency changes what a read
 //     costs, never how many the algorithm performs.
 //   * mmap/shards=N: ShardedIndex in mmap mode (one shared cache
 //     budget) at 1/2/4 shards, asserted bit-identical to the reference.
-//   * startup/...: stream-load vs mmap-load wall-clock — what not
-//     materializing the disk tier buys a cold start.
+//   * startup/...: heap load (map the file, copy every section) vs
+//     mmap load wall-clock — what not copying the disk tier buys a
+//     cold start.
+//
+// The record names `NY/ATSQ/simulated` and `startup/stream-load` predate
+// this wording; they stay because they key the committed baselines.
 //
 // JSON adds the append-only cache fields (block_size, blocks_read,
 // cache_hit_rate; see docs/BENCH_PROTOCOL.md). block_size is read from
@@ -57,7 +61,7 @@ struct SweepPoint {
 void Main(const BenchProtocol& proto, BenchReport& report) {
   PrintRunBanner("Storage tier",
                  "mmap snapshot serving + block cache sweep vs the "
-                 "simulated disk tier (NY, defaults)",
+                 "heap-resident index (NY, defaults)",
                  proto);
   const Dataset city = GenerateCity(CityProfile::NewYork(ScaleFromEnv()));
   QueryGenerator qgen(city, DefaultWorkload(/*seed=*/20130715));
@@ -73,7 +77,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
 
   // ------------------------------------------------------------ reference
   const GatIndex index(city);
-  const GatSearcher simulated(city, index);
+  const GatSearcher in_memory(city, index);
   const uint32_t fingerprint = DatasetFingerprint(city);
   if (!SaveSnapshot(index, snapshot_path, fingerprint)) {
     std::fprintf(stderr, "FATAL: cannot write %s\n", snapshot_path.c_str());
@@ -81,9 +85,9 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
   }
   const auto file_bytes = std::filesystem::file_size(snapshot_path);
 
-  const Measurement sim = MeasureWorkload(simulated, queries, kTopK, kKind,
+  const Measurement ref = MeasureWorkload(in_memory, queries, kTopK, kKind,
                                           proto);
-  report.Add("NY/ATSQ/simulated", sim, queries.size());
+  report.Add("NY/ATSQ/simulated", ref, queries.size());
   std::printf("\nsnapshot: %llu bytes (APL+HICL disk tier %zu bytes)\n",
               static_cast<unsigned long long>(file_bytes),
               index.memory_breakdown().DiskTotal());
@@ -102,23 +106,23 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     }
     const GatSearcher mapped(city, *snap);
     for (size_t i = 0; i < queries.size(); ++i) {
-      SearchStats sim_stats, map_stats;
-      const ResultList want = simulated.Search(queries[i], kTopK, kKind,
-                                               &sim_stats);
+      SearchStats ref_stats, map_stats;
+      const ResultList want = in_memory.Search(queries[i], kTopK, kKind,
+                                               &ref_stats);
       const ResultList got = mapped.Search(queries[i], kTopK, kKind,
                                            &map_stats);
-      if (want != got || sim_stats.disk_reads != map_stats.disk_reads) {
+      if (want != got || ref_stats.disk_reads != map_stats.disk_reads) {
         std::fprintf(stderr,
                      "FATAL: mmap tier diverged at query %zu (results %s, "
                      "disk_reads %llu vs %llu)\n",
                      i, want == got ? "equal" : "DIFFER",
-                     static_cast<unsigned long long>(sim_stats.disk_reads),
+                     static_cast<unsigned long long>(ref_stats.disk_reads),
                      static_cast<unsigned long long>(map_stats.disk_reads));
         std::exit(1);
       }
     }
     std::printf("equivalence: %zu queries bit-identical, disk_reads equal "
-                "across simulated / mmap\n",
+                "across heap-resident / mmap\n",
                 queries.size());
   }
 
@@ -150,12 +154,12 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     char name[128];
     std::snprintf(name, sizeof(name), "NY/ATSQ/mmap/cache=%s", point.label);
     report.Add(name, m, queries.size());
-    if (m.totals.disk_reads != sim.totals.disk_reads) {
+    if (m.totals.disk_reads != ref.totals.disk_reads) {
       std::fprintf(stderr,
-                   "FATAL: %s changed logical disk_reads (%llu, simulated "
-                   "reference %llu)\n",
+                   "FATAL: %s changed logical disk_reads (%llu, "
+                   "heap-resident reference %llu)\n",
                    name, static_cast<unsigned long long>(m.totals.disk_reads),
-                   static_cast<unsigned long long>(sim.totals.disk_reads));
+                   static_cast<unsigned long long>(ref.totals.disk_reads));
       std::exit(1);
     }
 
@@ -211,7 +215,7 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
     // Merged top-k must stay bit-identical to the unpartitioned,
     // unmapped reference at every shard count.
     for (size_t i = 0; i < queries.size(); ++i) {
-      const ResultList want = simulated.Search(queries[i], kTopK, kKind);
+      const ResultList want = in_memory.Search(queries[i], kTopK, kKind);
       const ResultList got = searcher.Search(queries[i], kTopK, kKind);
       if (want != got) {
         std::fprintf(stderr,
@@ -226,24 +230,25 @@ void Main(const BenchProtocol& proto, BenchReport& report) {
               "reference\n");
 
   // ------------------------------------------------------------- startup
-  // Warm start: stream deserialization vs mapping. The mapped load does
-  // one CRC sweep and materializes only the RAM tier.
+  // Warm start: a heap load (map the file, copy every section into the
+  // index) vs mapping, which does one CRC sweep and copies only the RAM
+  // tier.
   {
-    Stopwatch stream_timer;
-    const auto streamed = LoadSnapshot(snapshot_path, nullptr, fingerprint);
-    const double stream_ms = stream_timer.ElapsedMillis();
+    Stopwatch heap_timer;
+    const auto heap = LoadSnapshot(snapshot_path, nullptr, fingerprint);
+    const double heap_load_ms = heap_timer.ElapsedMillis();
     Stopwatch map_timer;
     const auto snap = LoadSnapshot(snapshot_path, nullptr, 0, nullptr,
                                    std::make_shared<BlockCache>());
     const double map_ms = map_timer.ElapsedMillis();
-    if (streamed == nullptr || !snap) {
+    if (heap == nullptr || !snap) {
       std::fprintf(stderr, "FATAL: startup loads failed\n");
       std::exit(1);
     }
-    report.AddRaw("startup/stream-load", stream_ms * 1e6, 0.0, 1, 1);
+    report.AddRaw("startup/stream-load", heap_load_ms * 1e6, 0.0, 1, 1);
     report.AddRaw("startup/mmap-load", map_ms * 1e6, 0.0, 1, 1);
-    std::printf("\nstartup: stream-load %.2f ms, mmap-load %.2f ms\n",
-                stream_ms, map_ms);
+    std::printf("\nstartup: heap-load %.2f ms, mmap-load %.2f ms\n",
+                heap_load_ms, map_ms);
   }
 
   std::error_code ec;

@@ -9,24 +9,13 @@
 // (schema in docs/BENCH_PROTOCOL.md) so runs can be diffed for perf
 // regressions.
 //
-// Measurement protocol (flags, with env fallbacks in parentheses):
-//
-//   --threads N      executor worker threads          (GAT_BENCH_THREADS, 1)
-//   --warmup W       un-timed warmup batches          (GAT_BENCH_WARMUP, 1)
-//   --target-rsd P   stop repeating when the relative standard deviation
-//                    of the batch timings drops to P% (GAT_BENCH_TARGET_RSD, 5)
-//   --max-repeat M   hard cap on timed batches        (GAT_BENCH_MAX_REPEAT, 5)
-//   --json PATH      output path (default BENCH_<name>.json in the cwd)
-//
-// Scale and query count of the workloads stay tunable via environment
-// variables so the same binary covers quick smoke runs and full-size
-// reproductions:
-//
-//   GAT_BENCH_SCALE    fraction of the Table-IV dataset sizes (default 0.04)
-//   GAT_BENCH_QUERIES  queries per measurement point     (default 15; the
-//                      paper uses 50 — set it for full fidelity)
+// The protocol flags and the workload variables (GAT_BENCH_SCALE, the
+// fraction of the Table-IV dataset sizes; GAT_BENCH_QUERIES, queries per
+// point — the paper uses 50) are listed in ExitUsage's usage text and
+// explained in docs/BENCH_PROTOCOL.md.
 
 #include <algorithm>
+#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -34,6 +23,8 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "gat/baselines/il_search.h"
@@ -50,18 +41,58 @@
 
 namespace gat::bench {
 
+/// Prints `message` and the usage text to stderr and exits 2.
+[[noreturn]] inline void ExitUsage(const std::string& message) {
+  std::fprintf(stderr,
+               "%s\nusage: bench_* [--threads 0-1024 (default 1)] "
+               "[--warmup W (1)] [--target-rsd P (5)]\n"
+               "               [--max-repeat M (5)] [--json PATH "
+               "(BENCH_<name>.json)]\n"
+               "  P: a finite number >= 0\n"
+               "  env: GAT_BENCH_SCALE (finite, > 0; default 0.04), "
+               "GAT_BENCH_QUERIES (>= 1; default 15)\n",
+               message.c_str());
+  std::exit(2);
+}
+
+/// Decimal digits only, no sign or blanks, within [lo, hi]; otherwise
+/// exits 2 naming `what`.
+inline uint32_t ParseU32OrExit(const char* what, const char* text,
+                               uint32_t lo, uint32_t hi) {
+  errno = 0;
+  char* end = nullptr;
+  const bool digits = *text >= '0' && *text <= '9';
+  const unsigned long long value = digits ? std::strtoull(text, &end, 10) : 0;
+  if (!digits || errno != 0 || *end != '\0' || value < lo || value > hi) {
+    ExitUsage(std::string("invalid value for ") + what + ": " + text);
+  }
+  return static_cast<uint32_t>(value);
+}
+
+/// A finite number >= `lo` (> `lo` when `exclusive`); otherwise exits 2
+/// naming `what`.
+inline double ParseDoubleOrExit(const char* what, const char* text, double lo,
+                                bool exclusive) {
+  errno = 0;
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno != 0 || !std::isfinite(value) ||
+      value < lo || (exclusive && value == lo)) {
+    ExitUsage(std::string("invalid value for ") + what + ": " + text);
+  }
+  return value;
+}
+
 inline double ScaleFromEnv() {
   const char* s = std::getenv("GAT_BENCH_SCALE");
   if (s == nullptr) return 0.04;
-  const double v = std::atof(s);
-  return v > 0.0 ? v : 0.04;
+  return ParseDoubleOrExit("GAT_BENCH_SCALE", s, 0.0, true);
 }
 
 inline uint32_t QueriesFromEnv() {
   const char* s = std::getenv("GAT_BENCH_QUERIES");
   if (s == nullptr) return 15;
-  const int v = std::atoi(s);
-  return v > 0 ? static_cast<uint32_t>(v) : 15;
+  return ParseU32OrExit("GAT_BENCH_QUERIES", s, 1, UINT32_MAX);
 }
 
 /// The measurement protocol shared by every figure/table bench. See
@@ -73,64 +104,36 @@ struct BenchProtocol {
   uint32_t max_repeat = 5;
   std::string json_path;  // empty = BENCH_<name>.json in the cwd
 
+  /// Parses the protocol flags and checks the workload variables, so a
+  /// bad value exits 2 before any work starts.
   static BenchProtocol FromArgs(int argc, char** argv) {
     BenchProtocol p;
-    auto env_u32 = [](const char* name, uint32_t fallback) {
-      const char* s = std::getenv(name);
-      if (s == nullptr) return fallback;
-      const int v = std::atoi(s);
-      return v > 0 ? static_cast<uint32_t>(v) : fallback;
-    };
-    p.threads = env_u32("GAT_BENCH_THREADS", p.threads);
-    p.warmup = env_u32("GAT_BENCH_WARMUP", p.warmup);
-    p.max_repeat = env_u32("GAT_BENCH_MAX_REPEAT", p.max_repeat);
-    if (const char* s = std::getenv("GAT_BENCH_TARGET_RSD")) {
-      const double v = std::atof(s);
-      if (v > 0.0) p.target_rsd_pct = v;
-    }
     for (int i = 1; i < argc; ++i) {
       auto value = [&](const char* flag) -> const char* {
         if (std::strcmp(argv[i], flag) != 0) return nullptr;
         if (i + 1 >= argc) {
-          std::fprintf(stderr, "missing value for %s\n", flag);
-          std::exit(2);
+          ExitUsage(std::string("missing value for ") + flag);
         }
         return argv[++i];
       };
-      // Rejects negatives before the unsigned cast can wrap them into
-      // ~4-billion thread pools / repeat counts.
-      auto non_negative = [](const char* flag, const char* v) {
-        const int parsed = std::atoi(v);
-        if (parsed < 0) {
-          std::fprintf(stderr, "invalid value for %s: %s\n", flag, v);
-          std::exit(2);
-        }
-        return static_cast<uint32_t>(parsed);
-      };
       if (const char* v = value("--threads")) {
-        p.threads = non_negative("--threads", v);
+        p.threads = ParseU32OrExit("--threads", v, 0, 1024);
       } else if (const char* v = value("--warmup")) {
-        p.warmup = non_negative("--warmup", v);
+        p.warmup = ParseU32OrExit("--warmup", v, 0, UINT32_MAX);
       } else if (const char* v = value("--target-rsd")) {
-        p.target_rsd_pct = std::atof(v);
-        if (p.target_rsd_pct < 0.0) {
-          std::fprintf(stderr, "invalid value for --target-rsd: %s\n", v);
-          std::exit(2);
-        }
+        p.target_rsd_pct = ParseDoubleOrExit("--target-rsd", v, 0.0, false);
       } else if (const char* v = value("--max-repeat")) {
-        p.max_repeat = non_negative("--max-repeat", v);
+        p.max_repeat = ParseU32OrExit("--max-repeat", v, 0, UINT32_MAX);
       } else if (const char* v = value("--json")) {
         p.json_path = v;
       } else {
-        std::fprintf(stderr,
-                     "unknown flag %s\nusage: %s [--threads N] [--warmup W] "
-                     "[--target-rsd P] [--max-repeat M] [--json PATH]\n",
-                     argv[i], argv[0]);
-        std::exit(2);
+        ExitUsage(std::string("unknown flag ") + argv[i]);
       }
     }
     if (p.threads == 0) p.threads = 1;
     if (p.max_repeat == 0) p.max_repeat = 1;
+    (void)ScaleFromEnv();
+    (void)QueriesFromEnv();
     return p;
   }
 };
@@ -213,26 +216,11 @@ struct Measurement {
   /// The per-query block counters (`totals.block_hits` /
   /// `totals.blocks_read`) ride along either way.
   uint32_t cache_block_bytes = 0;
-  /// Live-reload observability (bench_live_reload): set by the bench
-  /// after MeasureWorkload when a background reloader ran alongside the
-  /// measurement. `shard_reloads` = generations published during the
-  /// measurement, `invalidated_blocks` = cache blocks purged by retired
-  /// mappings. Both are interleaving-dependent — advisory in diffs.
-  bool has_reload = false;
-  uint64_t shard_reloads = 0;
-  uint64_t invalidated_blocks = 0;
-  /// Live-ingestion observability (bench_ingest): the delta/base state
-  /// behind the measured point. At quiesced points (ingest paused at a
-  /// fixed watermark) `ingested_checkins`, `delta_trajectories`,
-  /// `merges_completed` and `generation` are exact and bench_diff.py
-  /// gates them; `freshness_lag_ms` (ingest-ack to first queryable
-  /// result) is wall-clock — advisory. Set by the bench.
-  bool has_ingest = false;
-  uint64_t ingested_checkins = 0;
-  uint64_t delta_trajectories = 0;
-  uint64_t merges_completed = 0;
-  uint64_t generation = 0;
-  double freshness_lag_ms = 0.0;
+  /// Fields the bench itself owns (live-reload activity, ingest state),
+  /// written in order after `index_pins`: a count prints as an integer,
+  /// a value with 6 decimals. scripts/bench_diff.py's GATES table says
+  /// how a diff treats each name.
+  std::vector<std::pair<std::string, std::variant<uint64_t, double>>> fields;
 };
 
 /// Nearest-rank percentile (p in [0, 100]) of an ascending-sorted sample.
@@ -244,13 +232,41 @@ inline double PercentileMs(const std::vector<double>& sorted, double p) {
   return sorted[std::min(idx, sorted.size() - 1)];
 }
 
+inline double MeanOf(const std::vector<double>& xs) {
+  double sum = 0.0;
+  for (double v : xs) sum += v;
+  return sum / static_cast<double>(xs.size());
+}
+
+/// The protocol's repeat loop: calls `timed` (one timed run; returns its
+/// wall-clock) until the relative standard deviation of the samples so
+/// far drops to `target_rsd_pct` (checked from the second sample on) or
+/// `max_repeat` samples were taken. Returns the samples; `*rsd_pct` is
+/// the last RSD computed (0 after a single sample).
+template <typename Timed>
+std::vector<double> RepeatUntilStable(const BenchProtocol& proto,
+                                      double* rsd_pct, Timed&& timed) {
+  std::vector<double> samples;
+  *rsd_pct = 0.0;
+  for (uint32_t r = 0; r < proto.max_repeat; ++r) {
+    samples.push_back(timed());
+    if (samples.size() < 2) continue;
+    const double mean = MeanOf(samples);
+    double var = 0.0;
+    for (double v : samples) var += (v - mean) * (v - mean);
+    var /= static_cast<double>(samples.size());
+    *rsd_pct = mean > 0.0 ? 100.0 * std::sqrt(var) / mean : 0.0;
+    if (*rsd_pct <= proto.target_rsd_pct) break;
+  }
+  return samples;
+}
+
 /// Runs a workload through one searcher under the measurement protocol:
-/// `warmup` un-timed batches, then timed batches until the relative
-/// standard deviation of the batch wall-clocks reaches `target_rsd_pct`
-/// (or `max_repeat` batches). Every time it reports is measured
-/// wall-clock; disk work is the `totals.disk_reads` counter.
-/// `cache`, when given, is the block cache behind `searcher`; it only
-/// stamps the record's `block_size`.
+/// `warmup` un-timed batches, then timed batches under
+/// RepeatUntilStable. Every time it reports is measured wall-clock; disk
+/// work is the `totals.disk_reads` counter. `cache`, when given, is the
+/// block cache behind `searcher`; it only stamps the record's
+/// `block_size`.
 inline Measurement MeasureWorkload(const Searcher& searcher,
                                    const std::vector<Query>& queries, size_t k,
                                    QueryKind kind, const BenchProtocol& proto,
@@ -268,47 +284,30 @@ inline Measurement MeasureWorkload(const Searcher& searcher,
     (void)engine.Run(queries, k, kind);
   }
 
-  auto mean_of = [](const std::vector<double>& xs) {
-    double sum = 0.0;
-    for (double v : xs) sum += v;
-    return sum / static_cast<double>(xs.size());
-  };
-  auto rsd_of = [&](const std::vector<double>& xs) {
-    const double mean = mean_of(xs);
-    if (mean <= 0.0) return 0.0;
-    double var = 0.0;
-    for (double v : xs) var += (v - mean) * (v - mean);
-    var /= static_cast<double>(xs.size());
-    return 100.0 * std::sqrt(var) / mean;
-  };
-
-  std::vector<double> batch_ms;   // wall-clock per batch (throughput)
   std::vector<double> cpu_ms;     // summed per-query elapsed per batch
   std::vector<double> query_lat;  // per-(query, repeat) latency sample
-  for (uint32_t r = 0; r < proto.max_repeat; ++r) {
+  auto timed_batch = [&] {
     BatchResult batch = engine.Run(queries, k, kind);
-    batch_ms.push_back(batch.wall_ms);
     cpu_ms.push_back(batch.totals.elapsed_ms);
     for (const QueryLatency& lat : batch.latencies) {
       query_lat.push_back(lat.wall_ms);
     }
     // Counters are deterministic across repeats; keep the last batch's.
     m.totals = batch.totals;
-    if (batch_ms.size() >= 2) {
-      m.rsd_pct = rsd_of(batch_ms);
-      if (m.rsd_pct <= proto.target_rsd_pct) break;
-    }
-  }
+    return batch.wall_ms;  // the RSD runs on batch wall-clock
+  };
+  const std::vector<double> batch_ms =
+      RepeatUntilStable(proto, &m.rsd_pct, timed_batch);
 
   m.repeats = static_cast<uint32_t>(batch_ms.size());
   std::sort(query_lat.begin(), query_lat.end());
   m.p50_ms = PercentileMs(query_lat, 50.0);
   m.p95_ms = PercentileMs(query_lat, 95.0);
   m.p99_ms = PercentileMs(query_lat, 99.0);
-  m.ns_per_op = mean_of(batch_ms) * 1e6 / static_cast<double>(queries.size());
+  m.ns_per_op = MeanOf(batch_ms) * 1e6 / static_cast<double>(queries.size());
   // CPU time from the searchers' own per-query stopwatches: the sum over a
   // batch is invariant to how the engine spread the queries over threads.
-  m.avg_ms = mean_of(cpu_ms) / static_cast<double>(queries.size());
+  m.avg_ms = MeanOf(cpu_ms) / static_cast<double>(queries.size());
   return m;
 }
 
@@ -325,54 +324,18 @@ class BenchReport {
   /// refuses to compare records measured at different shard counts.
   void Add(const std::string& point_name, const Measurement& m, size_t ops,
            uint32_t shards = 0) {
-    Record rec;
-    rec.name = point_name;
-    rec.ns_per_op = m.ns_per_op;
-    rec.rsd_pct = m.rsd_pct;
-    rec.repeats = m.repeats;
-    rec.ops = ops;
-    rec.candidates_verified = m.totals.candidates_retrieved;
-    rec.tas_pruned = m.totals.tas_pruned;
-    rec.distance_computations = m.totals.distance_computations;
-    rec.disk_reads = m.totals.disk_reads;
-    rec.avg_ms_per_query = m.avg_ms;
-    rec.p50_ms = m.p50_ms;
-    rec.p95_ms = m.p95_ms;
-    rec.p99_ms = m.p99_ms;
-    rec.has_latency = true;
-    rec.shards = shards;
-    // Emit the block fields whenever there was block traffic, not only
-    // when the bench passed its cache — a bench driving a mapped
-    // searcher without naming the cache still wants its blocks_read
-    // gated (block_size then reads 0 = "not reported").
-    rec.has_cache = m.cache_block_bytes > 0 ||
-                    m.totals.block_hits + m.totals.blocks_read > 0;
-    rec.block_size = m.cache_block_bytes;
-    rec.block_hits = m.totals.block_hits;
-    rec.blocks_read = m.totals.blocks_read;
-    rec.index_pins = m.totals.index_pins;
-    rec.has_reload = m.has_reload;
-    rec.shard_reloads = m.shard_reloads;
-    rec.invalidated_blocks = m.invalidated_blocks;
-    rec.has_ingest = m.has_ingest;
-    rec.ingested_checkins = m.ingested_checkins;
-    rec.delta_trajectories = m.delta_trajectories;
-    rec.merges_completed = m.merges_completed;
-    rec.generation = m.generation;
-    rec.freshness_lag_ms = m.freshness_lag_ms;
-    records_.push_back(std::move(rec));
+    points_.push_back(Point{point_name, m, ops, shards, true});
   }
 
-  /// Records a point measured outside QueryEngine (kernel ablations).
+  /// Records a point measured outside QueryEngine (kernel ablations):
+  /// timing fields only, no per-query latency sample.
   void AddRaw(const std::string& point_name, double ns_per_op, double rsd_pct,
               uint32_t repeats, size_t ops) {
-    Record rec;
-    rec.name = point_name;
-    rec.ns_per_op = ns_per_op;
-    rec.rsd_pct = rsd_pct;
-    rec.repeats = repeats;
-    rec.ops = ops;
-    records_.push_back(std::move(rec));
+    Measurement m;
+    m.ns_per_op = ns_per_op;
+    m.rsd_pct = rsd_pct;
+    m.repeats = repeats;
+    points_.push_back(Point{point_name, m, ops, 0, false});
   }
 
   /// Writes the JSON payload; returns the path written, or an empty
@@ -399,113 +362,72 @@ class BenchReport {
                  proto_.threads, proto_.warmup, proto_.target_rsd_pct,
                  proto_.max_repeat, ScaleFromEnv(), QueriesFromEnv());
     std::fprintf(f, "  \"results\": [");
-    for (size_t i = 0; i < records_.size(); ++i) {
-      const Record& r = records_[i];
+    for (size_t i = 0; i < points_.size(); ++i) {
+      const Point& p = points_[i];
+      const Measurement& m = p.m;
+      const SearchStats& t = m.totals;
       std::fprintf(f, "%s\n    {\"name\": \"%s\", \"ns_per_op\": %.3f, "
                       "\"rsd_pct\": %.3f, \"repeats\": %u, \"ops\": %zu, "
                       "\"candidates_verified\": %llu, \"tas_pruned\": %llu, "
                       "\"distance_computations\": %llu, \"disk_reads\": %llu, "
                       "\"avg_ms_per_query\": %.6f",
-                   i == 0 ? "" : ",", Escaped(r.name).c_str(), r.ns_per_op,
-                   r.rsd_pct, r.repeats, r.ops,
-                   static_cast<unsigned long long>(r.candidates_verified),
-                   static_cast<unsigned long long>(r.tas_pruned),
-                   static_cast<unsigned long long>(r.distance_computations),
-                   static_cast<unsigned long long>(r.disk_reads),
-                   r.avg_ms_per_query);
+                   i == 0 ? "" : ",", Escaped(p.name).c_str(), m.ns_per_op,
+                   m.rsd_pct, m.repeats, p.ops,
+                   static_cast<unsigned long long>(t.candidates_retrieved),
+                   static_cast<unsigned long long>(t.tas_pruned),
+                   static_cast<unsigned long long>(t.distance_computations),
+                   static_cast<unsigned long long>(t.disk_reads), m.avg_ms);
       // Optional fields (schema is append-only; consumers must ignore
       // keys they do not know — see docs/BENCH_PROTOCOL.md).
-      if (r.has_latency) {
+      if (p.has_latency) {
         std::fprintf(f, ", \"p50_ms\": %.6f, \"p95_ms\": %.6f, "
                         "\"p99_ms\": %.6f",
-                     r.p50_ms, r.p95_ms, r.p99_ms);
+                     m.p50_ms, m.p95_ms, m.p99_ms);
       }
-      if (r.shards > 0) std::fprintf(f, ", \"shards\": %u", r.shards);
-      // One per shard visit: deterministic (queries x shards), 0 for
-      // single-index searchers. Sharded records emit the field even at
-      // 0 — a serving path that stops visiting shards must show up as
-      // counter drift against its baseline, not as a silently absent
-      // field.
-      if (r.index_pins > 0 || r.shards > 0) {
+      if (p.shards > 0) std::fprintf(f, ", \"shards\": %u", p.shards);
+      // Shard visits (queries x shards). Sharded records write it even
+      // at 0, so a path that stops visiting shards shows as drift.
+      if (t.index_pins > 0 || p.shards > 0) {
         std::fprintf(f, ", \"index_pins\": %llu",
-                     static_cast<unsigned long long>(r.index_pins));
+                     static_cast<unsigned long long>(t.index_pins));
       }
-      if (r.has_reload) {
-        // Generation swaps behind the measurement — interleaving-
-        // dependent, diffed advisorily (see docs/BENCH_PROTOCOL.md).
-        std::fprintf(f, ", \"shard_reloads\": %llu, "
-                        "\"invalidated_blocks\": %llu",
-                     static_cast<unsigned long long>(r.shard_reloads),
-                     static_cast<unsigned long long>(r.invalidated_blocks));
+      for (const auto& [key, value] : m.fields) {
+        if (const uint64_t* count = std::get_if<uint64_t>(&value)) {
+          std::fprintf(f, ", \"%s\": %llu", key.c_str(),
+                       static_cast<unsigned long long>(*count));
+        } else {
+          std::fprintf(f, ", \"%s\": %.6f", key.c_str(),
+                       std::get<double>(value));
+        }
       }
-      if (r.has_ingest) {
-        // Delta/base state behind the point. The counters are exact at
-        // quiesced points (ingest paused at a fixed watermark —
-        // bench_diff.py gates them); `freshness_lag_ms` is wall-clock,
-        // advisory always.
-        std::fprintf(f,
-                     ", \"ingested_checkins\": %llu, "
-                     "\"delta_trajectories\": %llu, "
-                     "\"merges_completed\": %llu, \"generation\": %llu, "
-                     "\"freshness_lag_ms\": %.6f",
-                     static_cast<unsigned long long>(r.ingested_checkins),
-                     static_cast<unsigned long long>(r.delta_trajectories),
-                     static_cast<unsigned long long>(r.merges_completed),
-                     static_cast<unsigned long long>(r.generation),
-                     r.freshness_lag_ms);
-      }
-      if (r.has_cache) {
-        // Block-cache fields (mmap disk tier): `blocks_read` is the
-        // demand misses of the last timed batch — deterministic at
-        // --threads 1, interleaving-dependent above (bench_diff.py
-        // gates accordingly); `cache_hit_rate` = hits / lookups.
-        const double hit_rate =
-            CacheHitRate(r.block_hits, r.block_hits + r.blocks_read);
+      // Block-cache fields (mmap disk tier), whenever there was block
+      // traffic — a bench driving a mapped searcher without naming its
+      // cache still wants blocks_read gated (block_size then reads 0 =
+      // "not reported"). `blocks_read` is the demand misses of the last
+      // timed batch; `cache_hit_rate` = hits / lookups.
+      if (m.cache_block_bytes > 0 || t.block_hits + t.blocks_read > 0) {
         std::fprintf(f,
                      ", \"block_size\": %u, \"blocks_read\": %llu, "
                      "\"cache_hit_rate\": %.6f",
-                     r.block_size,
-                     static_cast<unsigned long long>(r.blocks_read), hit_rate);
+                     m.cache_block_bytes,
+                     static_cast<unsigned long long>(t.blocks_read),
+                     CacheHitRate(t.block_hits, t.block_hits + t.blocks_read));
       }
       std::fprintf(f, "}");
     }
     std::fprintf(f, "\n  ]\n}\n");
     std::fclose(f);
-    std::printf("\nwrote %s (%zu records)\n", path.c_str(), records_.size());
+    std::printf("\nwrote %s (%zu records)\n", path.c_str(), points_.size());
     return path;
   }
 
  private:
-  struct Record {
+  struct Point {
     std::string name;
-    double ns_per_op = 0.0;
-    double rsd_pct = 0.0;
-    uint32_t repeats = 0;
+    Measurement m;
     size_t ops = 0;
-    uint64_t candidates_verified = 0;
-    uint64_t tas_pruned = 0;
-    uint64_t distance_computations = 0;
-    uint64_t disk_reads = 0;
-    double avg_ms_per_query = 0.0;
-    double p50_ms = 0.0;
-    double p95_ms = 0.0;
-    double p99_ms = 0.0;
-    bool has_latency = false;  // AddRaw points have no per-query sample
     uint32_t shards = 0;       // 0 = not a sharded measurement
-    bool has_cache = false;    // block-cache fields below are meaningful
-    uint32_t block_size = 0;
-    uint64_t block_hits = 0;
-    uint64_t blocks_read = 0;
-    uint64_t index_pins = 0;   // shard visits; emitted when > 0
-    bool has_reload = false;   // reload fields below are meaningful
-    uint64_t shard_reloads = 0;
-    uint64_t invalidated_blocks = 0;
-    bool has_ingest = false;   // ingest fields below are meaningful
-    uint64_t ingested_checkins = 0;
-    uint64_t delta_trajectories = 0;
-    uint64_t merges_completed = 0;
-    uint64_t generation = 0;
-    double freshness_lag_ms = 0.0;
+    bool has_latency = false;  // AddRaw points have no per-query sample
   };
 
   static std::string Escaped(const std::string& s) {
@@ -519,7 +441,7 @@ class BenchReport {
 
   std::string name_;
   BenchProtocol proto_;
-  std::vector<Record> records_;
+  std::vector<Point> points_;
 };
 
 /// Shared entry point of every protocol bench: parse flags, run the
